@@ -28,15 +28,14 @@ from .fusion import (
     GRID_SIZE,
     NoPriorSupportError,
     PriorBank,
-    ResponseMap,
     combine_scales,
     denormalize_keypoint,
     fuse_and_decode,
+    fuse_instance,
+    keypoint_priors,
     neighbor_set,
     normalize_keypoint,
     pose_prior,
-    receptive_center,
-    target_response_map,
     uniform_prior,
     upsample_coarse,
 )

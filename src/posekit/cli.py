@@ -72,7 +72,6 @@ def fuse_predictions(
     w_coarse: float = 0.5,
     sigma: float = fusion.PRIOR_SIGMA,
     threshold: float = fusion.NEIGHBOR_THRESHOLD,
-    upsample_mode: str = "nearest",
 ) -> dict[str, dict[int, tuple[float, float]]]:
     """Decode every response map through the viewpoint-conditioned prior.
 
@@ -103,19 +102,20 @@ def fuse_predictions(
             raise dataio.ValidationError(
                 f"instance {iid!r}: no prior bank for class {inst.class_name!r}"
             )
-        r = euler_to_rotation(vp)
-        preds = {}
-        for k in range(maps["fine"].shape[0]):
-            combined = fusion.combine_scales(
-                maps["fine"][k], maps["coarse"][k], w_fine, w_coarse, upsample_mode
-            )
-            try:
-                prior = fusion.pose_prior(r, bank, k, sigma, threshold)
-            except fusion.NoPriorSupportError:
-                prior = fusion.uniform_prior()
-            g = fusion.fuse_and_decode(prior, combined)
-            preds[k] = fusion.denormalize_keypoint(inst.bbox, g)
-        out[iid] = preds
+        cells = fusion.fuse_instance(
+            euler_to_rotation(vp),
+            bank,
+            maps["fine"],
+            maps["coarse"],
+            w_fine,
+            w_coarse,
+            sigma,
+            threshold,
+        )
+        out[iid] = {
+            k: fusion.denormalize_keypoint(inst.bbox, (x, y))
+            for k, (x, y) in enumerate(cells.tolist())
+        }
     return out
 
 
@@ -345,6 +345,13 @@ def _load_profile(value: str) -> synth.NoiseProfile:
         record = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(record, dict):
             raise ValueError(f"{path.name}: noise profile must be an object")
+        known = {f.name for f in dataclasses.fields(synth.NoiseProfile)}
+        unknown = sorted(set(record) - known)
+        if unknown:
+            raise ValueError(
+                f"{path.name}: unknown noise profile key {unknown[0]!r}"
+                f" (known: {', '.join(sorted(known))})"
+            )
         return synth.NoiseProfile(**record)
     known = ", ".join(sorted(synth.NOISE_PRESETS))
     raise ValueError(f"unknown noise profile {value!r}: not a preset ({known}) or a file")

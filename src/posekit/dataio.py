@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fusion import GRID_SIZE, PriorBank
+from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank
 from .metrics import (
     Detection,
     EvalReport,
@@ -47,8 +47,6 @@ EULER_CONVENTION = "ZYX-intrinsic"
 RESPONSE_MAGIC = b"VKRM"
 RESPONSE_VERSION = 1
 _HEADER = struct.Struct("<4s5I")
-
-COARSE_SIZE = GRID_SIZE // 2
 
 
 class DatasetError(Exception):

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .so3 import geodesic_distances
 
 GRID_SIZE = 12
-RESPONSE_SIZES = (6, 12)
+COARSE_SIZE = GRID_SIZE // 2
 
 NEIGHBOR_THRESHOLD = math.pi / 6
 PRIOR_SIGMA = 2.0
@@ -30,28 +29,6 @@ Box = tuple[float, float, float, float]
 
 class NoPriorSupportError(Exception):
     """Raised when a keypoint is present in no neighbor of the prior bank."""
-
-
-@dataclass(frozen=True)
-class ResponseMap:
-    """One keypoint's spatial score grid, tagged with its identity."""
-
-    grid: np.ndarray
-    keypoint_id: int
-    class_name: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", validate_response_grid(self.grid))
-
-
-def validate_response_grid(grid: np.ndarray) -> np.ndarray:
-    """Check that a grid is square 6x6 or 12x12 with finite entries."""
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] not in RESPONSE_SIZES:
-        raise ValueError(f"response grid must be 6x6 or 12x12, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("response grid has non-finite entries")
-    return g
 
 
 @dataclass
@@ -100,57 +77,17 @@ class PriorBank:
         return self.keypoints.shape[1]
 
 
-def receptive_center(i: int, j: int, stride: float) -> tuple[float, float]:
-    """Input-image pixel (x, y) at the center of output cell (row i, col j)."""
-    return (stride * j, stride * i)
+def upsample_coarse(coarse: np.ndarray) -> np.ndarray:
+    """Upsample 6x6 maps to 12x12.
 
-
-def target_response_map(
-    keypoints: Sequence[tuple[float, float] | None],
-    shape: tuple[int, int],
-    stride: float,
-) -> np.ndarray:
-    """Ideal one-hot response stack for annotated keypoint locations.
-
-    For each present keypoint the single cell whose receptive-field center
-    is nearest (Euclidean) to it is set to 1; all other cells are 0, and
-    absent keypoints (None) yield all-zero channels. Returns (k, h, w).
-    """
-    h, w = shape
-    maps = np.zeros((len(keypoints), h, w))
-    cx = stride * np.arange(w)
-    cy = stride * np.arange(h)
-    for k, kp in enumerate(keypoints):
-        if kp is None:
-            continue
-        x, y = kp
-        d2 = (cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2
-        i, j = np.unravel_index(int(np.argmin(d2)), (h, w))
-        maps[k, i, j] = 1.0
-    return maps
-
-
-def upsample_coarse(coarse: np.ndarray, mode: str = "nearest") -> np.ndarray:
-    """Upsample a 6x6 map to 12x12.
-
-    The default replicates each coarse cell into its 2x2 block of fine
-    cells, which is exact and order-independent. mode="bilinear" instead
-    interpolates between coarse cell centers with edge clamping.
+    Each coarse cell is replicated into its 2x2 block of fine cells, which
+    is exact and order-independent. Leading axes are kept, so a (k, 6, 6)
+    stack becomes (k, 12, 12).
     """
     c = np.asarray(coarse, dtype=np.float64)
-    if c.shape != (6, 6):
+    if c.shape[-2:] != (COARSE_SIZE, COARSE_SIZE):
         raise ValueError(f"coarse map must be 6x6, got shape {c.shape}")
-    if mode == "nearest":
-        return np.repeat(np.repeat(c, 2, axis=0), 2, axis=1)
-    if mode == "bilinear":
-        # fine cell center (i + 0.5) / 2 - 0.5 in coarse index space
-        pos = (np.arange(12) + 0.5) / 2.0 - 0.5
-        lo = np.clip(np.floor(pos).astype(int), 0, 5)
-        hi = np.clip(lo + 1, 0, 5)
-        t = np.clip(pos - lo, 0.0, 1.0)
-        rows = c[lo] * (1 - t)[:, None] + c[hi] * t[:, None]
-        return rows[:, lo] * (1 - t)[None, :] + rows[:, hi] * t[None, :]
-    raise ValueError(f"unknown upsampling mode {mode!r}")
+    return np.repeat(np.repeat(c, 2, axis=-2), 2, axis=-1)
 
 
 def combine_scales(
@@ -158,15 +95,23 @@ def combine_scales(
     coarse: np.ndarray,
     w_fine: float = 0.5,
     w_coarse: float = 0.5,
-    mode: str = "nearest",
 ) -> np.ndarray:
-    """Linear combination of the fine map and the upsampled coarse map."""
+    """Linear combination of fine maps and upsampled coarse maps.
+
+    Takes one 12x12 map and one 6x6 map, or (k, 12, 12) and (k, 6, 6)
+    stacks of the same k.
+    """
     f = np.asarray(fine, dtype=np.float64)
-    if f.shape != (12, 12):
+    if f.shape[-2:] != (GRID_SIZE, GRID_SIZE):
         raise ValueError(f"fine map must be 12x12, got shape {f.shape}")
     if not (math.isfinite(w_fine) and math.isfinite(w_coarse)):
         raise ValueError("scale weights must be finite")
-    return w_fine * f + w_coarse * upsample_coarse(coarse, mode=mode)
+    up = upsample_coarse(coarse)
+    if up.shape != f.shape:
+        raise ValueError(
+            f"fine and coarse maps disagree: shapes {f.shape} and {np.shape(coarse)}"
+        )
+    return w_fine * f + w_coarse * up
 
 
 def normalize_keypoint(box: Box, p: tuple[float, float]) -> tuple[float, float]:
@@ -210,6 +155,33 @@ def neighbor_set(
     return idx
 
 
+def _mixture(
+    bank: PriorBank, neighbors: np.ndarray, ids: slice, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian mixtures over the given neighbors, one per keypoint.
+
+    Returns the (k, 12, 12) stack for the keypoint ids in the slice,
+    clamped below at PRIOR_FLOOR, and the number of neighbors carrying
+    each keypoint. A keypoint that no neighbor carries gets count 0 and a
+    grid of floor values. The sum runs over the neighbors in bank order and
+    adds 0.0 for an absent entry, so each grid is bitwise the mean over the
+    entries that carry the keypoint.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    present = bank.present[neighbors, ids]  # (n, k)
+    # absent coordinates are unvalidated: zero them so they stay finite
+    means = np.where(present[..., None], bank.keypoints[neighbors, ids], 0.0)
+    cells = np.arange(GRID_SIZE) + 0.5
+    dx2 = (cells - means[..., 0, None]) ** 2  # (n, k, 12) over columns
+    dy2 = (cells - means[..., 1, None]) ** 2  # (n, k, 12) over rows
+    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
+    grid = norm * np.exp(-(dx2[..., None, :] + dy2[..., :, None]) / (2.0 * sigma * sigma))
+    total = np.where(present[..., None, None], grid, 0.0).sum(axis=0)
+    count = present.sum(axis=0)
+    return np.maximum(total / np.maximum(count, 1)[:, None, None], PRIOR_FLOOR), count
+
+
 def pose_prior(
     r: np.ndarray,
     bank: PriorBank,
@@ -225,29 +197,56 @@ def pose_prior(
     Raises NoPriorSupportError when no neighbor carries the keypoint, in
     which case callers fall back to a uniform prior.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     if not 0 <= keypoint_id < bank.num_keypoints:
         raise ValueError(f"keypoint id {keypoint_id} out of range")
     neighbors = neighbor_set(r, bank, threshold)
-    keep = neighbors[bank.present[neighbors, keypoint_id]]
-    if keep.size == 0:
+    prior, count = _mixture(bank, neighbors, slice(keypoint_id, keypoint_id + 1), sigma)
+    if count[0] == 0:
         raise NoPriorSupportError(
             f"keypoint {keypoint_id} absent from all {neighbors.size} neighbors"
         )
-    means = bank.keypoints[keep, keypoint_id, :]  # (m, 2)
-    cx = np.arange(GRID_SIZE) + 0.5
-    cy = np.arange(GRID_SIZE) + 0.5
-    dx2 = (cx[None, None, :] - means[:, 0][:, None, None]) ** 2
-    dy2 = (cy[None, :, None] - means[:, 1][:, None, None]) ** 2
-    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
-    grid = norm * np.exp(-(dx2 + dy2) / (2.0 * sigma * sigma))
-    return np.maximum(grid.mean(axis=0), PRIOR_FLOOR)
+    return prior[0]
+
+
+def keypoint_priors(
+    r: np.ndarray,
+    bank: PriorBank,
+    num_keypoints: int,
+    sigma: float = PRIOR_SIGMA,
+    threshold: float = NEIGHBOR_THRESHOLD,
+) -> np.ndarray:
+    """Priors of keypoints 0..num_keypoints-1 at viewpoint r, as (k, 12, 12).
+
+    Entry k equals pose_prior(r, bank, k, sigma, threshold), or
+    uniform_prior() where that raises NoPriorSupportError; the neighbor
+    set of r is found once for all of them.
+    """
+    if num_keypoints > bank.num_keypoints:
+        raise ValueError(
+            f"{num_keypoints} keypoints requested but the {bank.class_name!r} bank"
+            f" has {bank.num_keypoints}"
+        )
+    neighbors = neighbor_set(r, bank, threshold)
+    priors, count = _mixture(bank, neighbors, slice(0, num_keypoints), sigma)
+    priors[count == 0] = uniform_prior()
+    return priors
 
 
 def uniform_prior() -> np.ndarray:
     """Flat fallback prior over the 12x12 grid (sums to 1)."""
     return np.full((GRID_SIZE, GRID_SIZE), 1.0 / (GRID_SIZE * GRID_SIZE))
+
+
+def _decode(priors: np.ndarray, logliks: np.ndarray) -> np.ndarray:
+    """Cell centers (x, y) of the argmax of log(prior) + loglik, per map.
+
+    Takes (k, 12, 12) stacks and returns (k, 2); ties resolve to the first
+    cell in row-major scan order.
+    """
+    fused = np.log(priors) + logliks
+    flat = np.argmax(fused.reshape(-1, GRID_SIZE * GRID_SIZE), axis=1)
+    rows, cols = np.divmod(flat, GRID_SIZE)
+    return np.stack([cols + 0.5, rows + 0.5], axis=1)
 
 
 def fuse_and_decode(prior: np.ndarray, loglik: np.ndarray) -> tuple[float, float]:
@@ -262,6 +261,30 @@ def fuse_and_decode(prior: np.ndarray, loglik: np.ndarray) -> tuple[float, float
         raise ValueError(
             f"prior and log-likelihood must be 12x12, got {p.shape} and {l.shape}"
         )
-    fused = np.log(p) + l
-    i, j = np.unravel_index(int(np.argmax(fused)), fused.shape)
-    return (j + 0.5, i + 0.5)
+    x, y = _decode(p[None], l[None])[0].tolist()
+    return (x, y)
+
+
+def fuse_instance(
+    r: np.ndarray,
+    bank: PriorBank,
+    fine: np.ndarray,
+    coarse: np.ndarray,
+    w_fine: float = 0.5,
+    w_coarse: float = 0.5,
+    sigma: float = PRIOR_SIGMA,
+    threshold: float = NEIGHBOR_THRESHOLD,
+) -> np.ndarray:
+    """Fused grid coordinates of every keypoint of one instance.
+
+    fine (k, 12, 12) and coarse (k, 6, 6) are the instance's response maps,
+    channel i for keypoint id i of the bank, conditioned on viewpoint r.
+    Returns (k, 2) cell centers (x, y), equal to combine_scales, pose_prior
+    (uniform_prior on NoPriorSupportError) and fuse_and_decode run one
+    keypoint at a time.
+    """
+    logliks = combine_scales(fine, coarse, w_fine, w_coarse)
+    if logliks.ndim != 3:
+        raise ValueError(f"response maps must be stacked (k, 12, 12), got {logliks.shape}")
+    priors = keypoint_priors(r, bank, logliks.shape[0], sigma, threshold)
+    return _decode(priors, logliks)

@@ -82,6 +82,8 @@ class Detection:
         if not math.isfinite(self.score):
             raise ValueError("detection score must be finite")
         x, y, w, h = self.bbox
+        if not all(math.isfinite(v) for v in (x, y, w, h)):
+            raise ValueError("detection bbox has non-finite values")
         if w <= 0 or h <= 0:
             raise ValueError("detection bbox must have w > 0 and h > 0")
 
@@ -431,14 +433,18 @@ def apk(
             gts = gt_by_type.get((cls, k), [])
             cands = hyps.get((cls, k), [])
             order = sorted(range(len(cands)), key=lambda i: -cands[i][0])
+            by_image: dict[str, list[int]] = {}
+            for g, gt in enumerate(gts):
+                by_image.setdefault(gt[0], []).append(g)
             taken = [False] * len(gts)
             tp = np.zeros(len(cands), dtype=np.int64)
             for rank, i in enumerate(order):
                 _, image_id, hx, hy = cands[i]
                 best_d, best_g = math.inf, -1
-                for g, (gt_img, gx, gy, radius) in enumerate(gts):
-                    if taken[g] or gt_img != image_id:
+                for g in by_image.get(image_id, ()):
+                    if taken[g]:
                         continue
+                    _, gx, gy, radius = gts[g]
                     d = math.hypot(hx - gx, hy - gy)
                     if d <= radius and d < best_d:
                         best_d, best_g = d, g

@@ -25,14 +25,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import Dataset, Manifest
-from .fusion import GRID_SIZE, PriorBank, normalize_keypoint
+from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank, normalize_keypoint
 from .metrics import Detection, Instance, Keypoint, KeypointHypothesis
 from .so3 import pi_flip, rotation_to_euler
 
 DEFAULT_CLASSES = ("car", "chair", "sofa")
 DEFAULT_KEYPOINT_COUNTS = {"car": 8, "chair": 7, "sofa": 6}
 
-COARSE_SIZE = GRID_SIZE // 2
 RESPONSE_SHARPNESS = 1.0  # stddev of the response cone, in fine-grid cells
 SWAP_MARGIN = 1.0  # how far below the swapped peak the true peak sits
 

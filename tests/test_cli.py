@@ -105,6 +105,15 @@ class TestSynthCommand:
         assert rc == 2
         assert "must be an object" in capsys.readouterr().err
 
+    def test_profile_file_unknown_key(self, tmp_path, capsys):
+        prof = tmp_path / "typo.json"
+        prof.write_text(json.dumps({"keypoint_jiter": 2.0}))
+        rc = cli.main(
+            ["synth", "--seed", "1", "--n", "2", "--noise", str(prof), "--out", str(tmp_path / "d")]
+        )
+        assert rc == 2
+        assert "'keypoint_jiter'" in capsys.readouterr().err
+
     def test_unknown_preset(self, tmp_path, capsys):
         rc = cli.main(
             ["synth", "--seed", "1", "--n", "2", "--noise", "blurry", "--out", str(tmp_path / "d")]

@@ -10,26 +10,26 @@ import math
 import numpy as np
 import pytest
 
+from posekit.dataio import ValidationError, read_response_map, write_response_map
 from posekit.fusion import (
     GRID_SIZE,
     NEIGHBOR_THRESHOLD,
     PRIOR_FLOOR,
     NoPriorSupportError,
     PriorBank,
-    ResponseMap,
     combine_scales,
     denormalize_keypoint,
     fuse_and_decode,
+    fuse_instance,
+    keypoint_priors,
     neighbor_set,
     normalize_keypoint,
     pose_prior,
-    receptive_center,
-    target_response_map,
     uniform_prior,
     upsample_coarse,
-    validate_response_grid,
 )
 from posekit.so3 import EulerAngles, euler_to_rotation, geodesic_distance
+from posekit.synth import generate_scene, noise_preset
 
 
 def _rot_about_z(angle):
@@ -77,37 +77,6 @@ def _prior_oracle(r, bank, keypoint_id, sigma, threshold):
     return out
 
 
-class TestReceptiveCenter:
-    def test_known_cell(self):
-        assert receptive_center(3, 5, 32.0) == (160.0, 96.0)
-
-    def test_origin(self):
-        assert receptive_center(0, 0, 16.0) == (0.0, 0.0)
-
-
-class TestTargetResponseMap:
-    def test_exact_center_hit(self):
-        maps = target_response_map([(64.0, 32.0)], (6, 6), 32.0)
-        assert maps.shape == (1, 6, 6)
-        assert maps[0, 1, 2] == 1.0
-        assert maps.sum() == 1.0
-
-    def test_nearest_cell_wins(self):
-        maps = target_response_map([(33.0, 0.0)], (6, 6), 32.0)
-        assert maps[0, 0, 1] == 1.0
-
-    def test_absent_keypoint_is_all_zero(self):
-        maps = target_response_map([None, (0.0, 0.0)], (12, 12), 16.0)
-        assert maps[0].sum() == 0.0
-        assert maps[1, 0, 0] == 1.0
-
-    def test_each_present_channel_is_one_hot(self):
-        rng = np.random.default_rng(30)
-        pts = [tuple(rng.uniform(0, 180, size=2)) for _ in range(8)]
-        maps = target_response_map(pts, (12, 12), 16.0)
-        np.testing.assert_array_equal(maps.sum(axis=(1, 2)), np.ones(8))
-
-
 class TestUpsampling:
     def test_nearest_replicates_blocks(self):
         rng = np.random.default_rng(31)
@@ -117,27 +86,12 @@ class TestUpsampling:
             for j in range(12):
                 assert up[i, j] == c[i // 2, j // 2]
 
-    def test_bilinear_preserves_constant(self):
-        up = upsample_coarse(np.full((6, 6), 3.25), mode="bilinear")
-        np.testing.assert_allclose(up, 3.25, atol=1e-12)
-
-    def test_bilinear_edge_clamp(self):
-        c = np.zeros((6, 6))
-        c[0, 0] = 1.0
-        up = upsample_coarse(c, mode="bilinear")
-        assert up[0, 0] == 1.0
-
-    def test_bilinear_interpolates_gradient(self):
-        c = np.tile(np.arange(6.0), (6, 1))
-        up = upsample_coarse(c, mode="bilinear")
-        # fine column 3 sits a quarter of the way from coarse 1 to 2
-        np.testing.assert_allclose(up[:, 3], 1.25, atol=1e-12)
-
     def test_rejects_bad_shape_and_mode(self):
         with pytest.raises(ValueError, match="6x6"):
             upsample_coarse(np.zeros((12, 12)))
-        with pytest.raises(ValueError, match="mode"):
-            upsample_coarse(np.zeros((6, 6)), mode="cubic")
+        # nearest-cell replication is the only mode left
+        with pytest.raises(TypeError, match="mode"):
+            upsample_coarse(np.zeros((6, 6)), mode="bilinear")
 
 
 class TestCombineScales:
@@ -158,6 +112,8 @@ class TestCombineScales:
             combine_scales(np.zeros((6, 6)), np.zeros((6, 6)))
         with pytest.raises(ValueError, match="finite"):
             combine_scales(np.zeros((12, 12)), np.zeros((6, 6)), w_fine=math.nan)
+        with pytest.raises(ValueError, match="disagree"):
+            combine_scales(np.zeros((3, 12, 12)), np.zeros((2, 6, 6)))
 
 
 class TestNormalization:
@@ -319,20 +275,113 @@ class TestFuseAndDecode:
             fuse_and_decode(np.ones((6, 6)), np.zeros((12, 12)))
 
 
-class TestValidation:
-    def test_response_grid_sizes(self):
-        validate_response_grid(np.zeros((6, 6)))
-        validate_response_grid(np.zeros((12, 12)))
-        with pytest.raises(ValueError, match="6x6 or 12x12"):
-            validate_response_grid(np.zeros((8, 8)))
-        with pytest.raises(ValueError, match="non-finite"):
-            validate_response_grid(np.full((6, 6), math.inf))
+def _mean_of_gaussians(means, sigma):
+    """The mixture as a (m, 12, 12) stack averaged with mean(axis=0), the
+    arithmetic that fused outputs were recorded with."""
+    c = np.arange(12) + 0.5
+    dx2 = (c[None, None, :] - means[:, 0][:, None, None]) ** 2
+    dy2 = (c[None, :, None] - means[:, 1][:, None, None]) ** 2
+    norm = 1.0 / (2.0 * math.pi * sigma * sigma)
+    grid = norm * np.exp(-(dx2 + dy2) / (2.0 * sigma * sigma))
+    return np.maximum(grid.mean(axis=0), PRIOR_FLOOR)
 
-    def test_response_map_wraps_validation(self):
-        m = ResponseMap(np.zeros((6, 6)), keypoint_id=0, class_name="c")
-        assert m.grid.shape == (6, 6)
-        with pytest.raises(ValueError, match="6x6 or 12x12"):
-            ResponseMap(np.zeros((5, 5)), keypoint_id=0, class_name="c")
+
+def _per_keypoint_reference(r, bank, fine, coarse, w_fine, w_coarse, sigma, threshold):
+    """Priors and decoded cells, one keypoint at a time, as fusion ran
+    before the per-instance engine."""
+    neighbors = neighbor_set(r, bank, threshold)
+    priors, cells = [], []
+    for k in range(fine.shape[0]):
+        try:
+            prior = pose_prior(r, bank, k, sigma, threshold)
+        except NoPriorSupportError:
+            prior = uniform_prior()
+        else:
+            keep = neighbors[bank.present[neighbors, k]]
+            assert np.array_equal(prior, _mean_of_gaussians(bank.keypoints[keep, k], sigma))
+        combined = combine_scales(fine[k], coarse[k], w_fine, w_coarse)
+        priors.append(prior)
+        cells.append(fuse_and_decode(prior, combined))
+    return np.array(priors), cells
+
+
+class TestFuseInstance:
+    def _assert_matches_reference(
+        self, r, bank, fine, coarse, w_fine=0.5, w_coarse=0.5, sigma=2.0,
+        threshold=NEIGHBOR_THRESHOLD,
+    ):
+        ref_priors, ref_cells = _per_keypoint_reference(
+            r, bank, fine, coarse, w_fine, w_coarse, sigma, threshold
+        )
+        priors = keypoint_priors(r, bank, fine.shape[0], sigma, threshold)
+        assert np.array_equal(priors, ref_priors)
+        cells = fuse_instance(r, bank, fine, coarse, w_fine, w_coarse, sigma, threshold)
+        assert [tuple(c) for c in cells.tolist()] == ref_cells
+
+    def test_equals_per_keypoint_reference(self):
+        """Bitwise the same priors and cells as the per-keypoint path, on a
+        synthetic scene and on banks that force both fallbacks."""
+        scene = generate_scene(5, 90, noise_preset("moderate"), bank_size=1500)
+        by_id = {inst.id: inst for inst in scene.instances}
+        dets = {(d.image_id, d.bbox): d for d in scene.detections}
+        for n, iid in enumerate(sorted(scene.response_maps)):
+            inst = by_id[iid]
+            vp = dets[(inst.image_id, inst.bbox)].viewpoint if n % 2 else inst.viewpoint
+            maps = scene.response_maps[iid]
+            weights = (0.5, 0.5) if n % 3 else (0.8, 0.3)
+            self._assert_matches_reference(
+                euler_to_rotation(vp), scene.prior_banks[inst.class_name],
+                maps["fine"], maps["coarse"], *weights,
+            )
+
+        rng = np.random.default_rng(36)
+        fine = rng.normal(size=(3, 12, 12)).astype(np.float32)
+        coarse = rng.normal(size=(3, 6, 6)).astype(np.float32)
+        kps = rng.uniform(0.0, 12.0 - 1e-6, size=(3, 3, 2))
+        # nearest-entry fallback: no entry within the threshold of the query
+        far = PriorBank(
+            "c", np.stack([_rot_about_z(a) for a in (2.0, 1.0, 2.5)]), kps
+        )
+        assert neighbor_set(np.eye(3), far, 0.1).tolist() == [1]
+        self._assert_matches_reference(np.eye(3), far, fine, coarse, threshold=0.1)
+        # no-support fallback: keypoint 1 absent from every neighbor
+        present = np.array([[True, False, True], [True, False, False], [False, False, True]])
+        sparse = PriorBank(
+            "c", np.stack([_rot_about_z(a) for a in (0.0, 0.1, 0.2)]), kps, present
+        )
+        with pytest.raises(NoPriorSupportError):
+            pose_prior(np.eye(3), sparse, 1)
+        self._assert_matches_reference(np.eye(3), sparse, fine, coarse, sigma=1.5)
+
+    def test_rejects_more_channels_than_bank_keypoints(self):
+        bank = PriorBank("c", np.eye(3)[None], np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="3 keypoints requested"):
+            fuse_instance(np.eye(3), bank, np.zeros((3, 12, 12)), np.zeros((3, 6, 6)))
+
+
+class TestValidation:
+    def test_response_grid_sizes(self, tmp_path):
+        # Fine maps are 12x12 and coarse maps 6x6, singly or stacked; other
+        # sizes are refused by fusion, and non-finite maps by VKRM I/O.
+        assert combine_scales(np.zeros((12, 12)), np.zeros((6, 6))).shape == (12, 12)
+        assert combine_scales(np.zeros((3, 12, 12)), np.zeros((3, 6, 6))).shape == (
+            3,
+            12,
+            12,
+        )
+        with pytest.raises(ValueError, match="6x6"):
+            upsample_coarse(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="12x12"):
+            combine_scales(np.zeros((8, 8)), np.zeros((6, 6)))
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_response_map(tmp_path / "a.vkrm", np.full((1, 6, 6), math.inf), 0)
+        path = tmp_path / "b.vkrm"
+        write_response_map(path, np.zeros((1, 6, 6)), 0)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([math.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_response_map(path)
 
     def test_prior_bank_validation(self):
         with pytest.raises(ValueError, match="rotations"):

@@ -428,6 +428,24 @@ class TestApk:
     def test_no_hypotheses_gives_zero(self):
         assert apk([], self._scene()).per_keypoint["car"][0] == 0.0
 
+    def test_equal_distance_tie_goes_to_first_gt_of_the_image(self):
+        """Two im0 ground truths at distance 2 from the top hypothesis,
+        separated in input order by an im1 one: the first claims it. The
+        second hypothesis reaches only the first ground truth (the other
+        radius is 4), so it is a false positive exactly when the tie went
+        to the first."""
+        gts = [
+            _inst(id="a", image_id="im0", keypoints={0: Keypoint(8.0, 10.0)}),
+            _inst(id="c", image_id="im1", keypoints={0: Keypoint(9.0, 10.0)}),
+            _inst(id="b", image_id="im0", bbox=(0.0, 0.0, 40.0, 40.0),
+                  keypoints={0: Keypoint(12.0, 10.0)}),
+        ]
+        dets = [
+            _det(image_id="im0", keypoint_hypotheses={0: KeypointHypothesis(10.0, 10.0, 0.9)}),
+            _det(image_id="im0", keypoint_hypotheses={0: KeypointHypothesis(5.0, 10.0, 0.8)}),
+        ]
+        np.testing.assert_allclose(apk(dets, gts).per_keypoint["car"][0], 1.0 / 3.0, atol=1e-12)
+
 
 class TestScoreHypothesis:
     def test_known_value(self):
@@ -457,6 +475,12 @@ class TestDataShapes:
             _det(score=math.nan)
         with pytest.raises(ValueError, match="w > 0"):
             _det(bbox=(0.0, 0.0, 10.0, -1.0))
+
+    def test_detection_rejects_non_finite_bbox(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _det(bbox=(math.nan, 0.0, math.nan, 5.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            _det(bbox=(0.0, 0.0, math.inf, 5.0))
 
     def test_report_curve_validation(self):
         report = EvalReport(curves={"c": (np.array([0.5, 0.4]), np.array([1.0, 1.0]))})
