@@ -52,6 +52,7 @@ from .metrics import (
     arp_theta,
     avp,
     avp_theta,
+    evaluate_detection_tests,
     evaluate_detections,
     iou,
     median_error,

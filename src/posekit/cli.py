@@ -20,13 +20,14 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
 from .so3 import euler_to_rotation
-from .viewpoint import angle_to_bin
+from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces this alias)
 
 
 def match_by_box(
@@ -46,23 +47,6 @@ def match_by_box(
             )
         out[inst.id] = candidates[0]
     return out
-
-
-def _viewpoint_pairs(
-    instances: Sequence[Instance], matched: Mapping[str, Detection]
-) -> dict[str, list[tuple]]:
-    pairs: dict[str, list[tuple]] = {}
-    for inst in instances:
-        det = matched[inst.id]
-        if inst.viewpoint is None or det.viewpoint is None:
-            raise dataio.ValidationError(
-                f"instance {inst.id!r}: viewpoint evaluation needs viewpoints"
-                " on both the annotation and the prediction"
-            )
-        pairs.setdefault(inst.class_name, []).append(
-            (euler_to_rotation(inst.viewpoint), euler_to_rotation(det.viewpoint))
-        )
-    return pairs
 
 
 def fuse_predictions(
@@ -126,80 +110,45 @@ def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
         sys.stdout.write(dataio.render_report(report, args.format))
 
 
-def _mean_rows(sections: Mapping[str, Mapping[str, float | None]]) -> dict[str, float | None]:
-    rows: dict[str, float | None] = {}
-    keys = sorted({k for rows_ in sections.values() for k in rows_})
-    for key in keys:
-        vals = [r[key] for r in sections.values() if r.get(key) is not None]
-        rows[key] = sum(vals) / len(vals) if vals else None
-    return rows
-
-
 def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
-    dataset = dataio.load_dataset(args.dataset)
-    preds = dataio.load_detections(args.preds, dataset.manifest)
+    manifest, instances = dataio.load_ground_truth(args.dataset)
+    preds = dataio.load_detections(args.preds, manifest)
     report = EvalReport()
     if args.gt_boxes:
-        matched = match_by_box(dataset.instances, preds)
-        for cls, pairs in sorted(_viewpoint_pairs(dataset.instances, matched).items()):
-            report.sections[cls] = {
-                "acc": metrics.accuracy_at(pairs, args.theta),
-                "mederr_deg": metrics.median_error(pairs),
-            }
-        report.sections["mean"] = _mean_rows(
-            {c: r for c, r in report.sections.items() if c != "mean"}
-        )
+        views = diagnostics.viewpoint_pairs(instances, match_by_box(instances, preds))
+        fns = diagnostics.viewpoint_error_metrics(views, args.theta)
+        for cls in sorted({inst.class_name for inst in instances}):
+            members = [inst for inst in instances if inst.class_name == cls]
+            report.sections[cls] = {name: fn(members) for name, fn in fns.items()}
     else:
-        def bin_match(det: Detection, gt: Instance) -> bool:
-            if det.viewpoint is None or gt.viewpoint is None:
-                raise dataio.ValidationError("detections mode needs viewpoints")
-            return angle_to_bin(det.viewpoint.azimuth, args.bins) == (
-                angle_to_bin(gt.viewpoint.azimuth, args.bins)
-            )
-
-        by_class = metrics.evaluate_detections(preds, dataset.instances, bin_match)
-        avp_t = metrics.avp_theta(preds, dataset.instances, args.theta)
-        arp_t = metrics.arp_theta(preds, dataset.instances, args.theta)
-        for cls in sorted(by_class):
-            report.sections[cls] = {
-                f"avp{args.bins}": by_class[cls].ap,
-                "avp_theta": avp_t[cls],
-                "arp_theta": arp_t[cls],
-            }
-            report.curves[f"avp/{cls}"] = (
-                by_class[cls].recalls,
-                by_class[cls].precisions,
-            )
-        report.sections["mean"] = _mean_rows(
-            {c: r for c, r in report.sections.items() if c != "mean"}
-        )
+        avp_name = f"avp{args.bins}"
+        tests = {
+            avp_name: partial(metrics.bin_match, args.bins),
+            "avp_theta": partial(metrics.azimuth_within, args.theta),
+            "arp_theta": partial(metrics.rotation_within, args.theta),
+        }
+        evals = metrics.evaluate_detection_tests(preds, instances, tests)
+        for cls, by_test in sorted(evals.items()):
+            report.sections[cls] = {name: e.ap for name, e in by_test.items()}
+            report.curves[f"avp/{cls}"] = (by_test[avp_name].recalls, by_test[avp_name].precisions)
+    rows = list(report.sections.values())
+    report.sections["mean"] = {
+        key: metrics.mean_present(r.get(key) for r in rows)
+        for key in sorted({k for r in rows for k in r})
+    }
     _emit_report(report, args)
     return 0
 
 
-def _pck_sections(
-    report: EvalReport, result: metrics.PckResult, manifest: dataio.Manifest, prefix: str
-) -> None:
-    for cls in sorted(result.per_keypoint):
-        names = manifest.keypoint_names[cls]
-        report.sections[f"{prefix}{cls}"] = {
-            names[k]: v for k, v in sorted(result.per_keypoint[cls].items())
-        }
-    report.sections[f"{prefix}mean"] = dict(
-        sorted(result.per_class.items()), all=result.mean()
-    )
-    report.sections[f"{prefix}pooled"] = dict(sorted(result.pooled_per_class.items()))
-
-
 def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
-    dataset = dataio.load_dataset(args.dataset)
+    manifest, instances = dataio.load_ground_truth(args.dataset)
     report = EvalReport()
     if args.mode == "pck":
         preds = dataio.load_keypoint_predictions(args.preds)
-        result = metrics.pck(dataset.instances, preds, args.alpha)
-        _pck_sections(report, result, dataset.manifest, "pck/")
+        result = metrics.pck(instances, preds, args.alpha)
+        report.sections["pck/pooled"] = dict(sorted(result.pooled_per_class.items()))
     else:
-        dets = dataio.load_detections(args.preds, dataset.manifest)
+        dets = dataio.load_detections(args.preds, manifest)
         rescored = [
             dataclasses.replace(
                 det,
@@ -212,23 +161,22 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
             )
             for det in dets
         ]
-        result = metrics.apk(rescored, dataset.instances, args.alpha)
-        for cls in sorted(result.per_keypoint):
-            names = dataset.manifest.keypoint_names[cls]
-            report.sections[f"apk/{cls}"] = {
-                names[k]: v for k, v in sorted(result.per_keypoint[cls].items())
-            }
-        report.sections["apk/mean"] = dict(
-            sorted(result.per_class.items()), all=result.mean()
-        )
+        result = metrics.apk(rescored, instances, args.alpha)
+    for cls in sorted(result.per_keypoint):
+        names = manifest.keypoint_names[cls]
+        report.sections[f"{args.mode}/{cls}"] = {
+            names[k]: v for k, v in sorted(result.per_keypoint[cls].items())
+        }
+    report.sections[f"{args.mode}/mean"] = dict(
+        sorted(result.per_class.items()), all=result.mean()
+    )
     _emit_report(report, args)
     return 0
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     base = Path(args.dataset)
-    manifest = dataio.load_manifest(base / "manifest.json")
-    instances = dataio.load_instances(base / "instances.jsonl", manifest)
+    manifest, instances = dataio.load_ground_truth(base)
     maps_dir = Path(args.maps) if args.maps else base / "responses"
     bank_path = Path(args.prior_bank) if args.prior_bank else base / "prior_bank.jsonl"
     dataset = dataio.Dataset(
@@ -255,29 +203,17 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    dataset = dataio.load_dataset(args.dataset)
-    dets = dataio.load_detections(args.preds, dataset.manifest)
-    matched = match_by_box(dataset.instances, dets)
-    excluded = set(dataset.manifest.excluded_classes)
-    kept = [inst for inst in dataset.instances if inst.class_name not in excluded]
+    manifest, instances = dataio.load_ground_truth(args.dataset)
+    matched = match_by_box(instances, dataio.load_detections(args.preds, manifest))
+    excluded = set(manifest.excluded_classes)
+    kept = [inst for inst in instances if inst.class_name not in excluded]
+    if not kept:
+        raise dataio.ValidationError("no instances left after class exclusion")
     report = EvalReport()
-
     if args.slices or args.error_modes:
-        if not kept:
-            raise dataio.ValidationError("no instances left after class exclusion")
+        views = diagnostics.viewpoint_pairs(kept, matched)
 
     if args.slices:
-        pair_by_id = {}
-        for inst in kept:
-            det = matched[inst.id]
-            if inst.viewpoint is None or det.viewpoint is None:
-                raise dataio.ValidationError(
-                    f"instance {inst.id!r}: slicing needs viewpoints"
-                )
-            pair_by_id[inst.id] = (
-                euler_to_rotation(inst.viewpoint),
-                euler_to_rotation(det.viewpoint),
-            )
         specs = []
         for token in args.slices.split(","):
             token = token.strip()
@@ -291,28 +227,14 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"unknown slice {token!r} (known: size, occlusion, truncation)"
                 )
-        fns: dict[str, diagnostics.MetricFn] = {
-            "acc": lambda insts: metrics.accuracy_at(
-                [pair_by_id[i.id] for i in insts], args.theta
-            ),
-            "mederr_deg": lambda insts: metrics.median_error(
-                [pair_by_id[i.id] for i in insts]
-            ),
-        }
+        fns = diagnostics.viewpoint_error_metrics(views, args.theta)
         sliced = diagnostics.sliced_report(kept, fns, specs, exclude_classes=())
         for name, rows in sliced.sections.items():
             report.sections[f"slice/{name}"] = rows
 
     if args.error_modes:
-        pairs = []
-        for inst in kept:
-            det = matched[inst.id]
-            if inst.viewpoint is None or det.viewpoint is None:
-                raise dataio.ValidationError(
-                    f"instance {inst.id!r}: error modes need viewpoints"
-                )
-            pairs.append((inst.viewpoint.azimuth, det.viewpoint.azimuth))
-        tally = diagnostics.error_mode_decomposition(pairs)
+        azimuths = [(gt.azimuth, pred.azimuth) for gt, pred in views.values()]
+        tally = diagnostics.error_mode_decomposition(azimuths)
         rows = dict(sorted(tally.percentages().items()))
         rows["count"] = float(tally.total)
         report.sections["error-modes"] = rows
@@ -320,11 +242,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if args.left_right:
         preds_kp = {
             inst.id: {k: (h.x, h.y) for k, h in matched[inst.id].keypoint_hypotheses.items()}
-            for inst in dataset.instances
+            for inst in kept
         }
-        base = metrics.pck(dataset.instances, preds_kp, args.alpha)
+        base = metrics.pck(kept, preds_kp, args.alpha)
         swapped = diagnostics.left_right_pck(
-            dataset.instances, preds_kp, dataset.manifest.symmetry_pairs, args.alpha
+            kept, preds_kp, manifest.symmetry_pairs, args.alpha
         )
         report.sections["pck"] = dict(sorted(base.per_class.items()), all=base.mean())
         report.sections["left-right-pck"] = dict(
@@ -368,6 +290,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """argparse type for --alpha and --theta: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", help="write the report here instead of stdout")
     p.add_argument(
@@ -390,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--preds", required=True, help="detections.jsonl-format predictions")
-    p.add_argument("--theta", type=float, default=math.pi / 6, help="radians")
+    p.add_argument("--theta", type=_positive, default=math.pi / 6, help="radians")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--gt-boxes", action="store_true", help="known boxes: MedErr and Acc_theta"
@@ -409,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="keypoint predictions (pck) or detections.jsonl (apk)",
     )
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=_positive, default=0.1)
     p.add_argument("--mode", choices=("pck", "apk"), default="pck")
     p.add_argument(
         "--lambda",
@@ -444,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", help="comma list from: size, occlusion, truncation")
     p.add_argument("--error-modes", action="store_true")
     p.add_argument("--left-right", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--theta", type=float, default=math.pi / 6)
+    p.add_argument("--alpha", type=_positive, default=0.1)
+    p.add_argument("--theta", type=_positive, default=math.pi / 6)
     _add_report_flags(p)
     p.set_defaults(func=_cmd_diagnose)
 

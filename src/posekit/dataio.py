@@ -299,14 +299,14 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
         raise ValidationError(f"{where}: unknown class {cls!r}")
     if not isinstance(record["keypoint_hypotheses"], dict):
         raise ParseError(f"{where}: keypoint_hypotheses must be an object")
-    hyps: dict[int, KeypointHypothesis] = {}
+    hyps: dict[int, tuple[float, float, float]] = {}
     for k, entry in _keypoint_ids(
         record["keypoint_hypotheses"], manifest, cls, where
     ).items():
         if len(entry) != 3:
             raise ParseError(f"{where}: hypothesis {k} must be [x, y, score]")
         try:
-            hyps[k] = KeypointHypothesis(float(entry[0]), float(entry[1]), float(entry[2]))
+            hyps[k] = (float(entry[0]), float(entry[1]), float(entry[2]))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: hypothesis {k} is not numeric") from exc
     try:
@@ -320,7 +320,7 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
             bbox=_as_bbox(record["bbox"], where),
             score=score,
             viewpoint=_viewpoint_from_record(record["viewpoint"], where),
-            keypoint_hypotheses=hyps,
+            keypoint_hypotheses={k: KeypointHypothesis(*h) for k, h in hyps.items()},
         )
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -391,6 +391,13 @@ def load_instances(path: str | Path, manifest: Manifest) -> list[Instance]:
         seen.add(inst.id)
         instances.append(inst)
     return instances
+
+
+def load_ground_truth(path: str | Path) -> tuple[Manifest, list[Instance]]:
+    """Read only a dataset's manifest.json and instances.jsonl."""
+    base = Path(path)
+    manifest = load_manifest(base / "manifest.json")
+    return manifest, load_instances(base / "instances.jsonl", manifest)
 
 
 def save_instances(instances: Iterable[Instance], path: str | Path) -> None:

@@ -1,4 +1,5 @@
-"""Error analysis: object-characteristic slices and azimuth error modes.
+"""Error analysis: known-box viewpoint errors, object-characteristic slices
+and azimuth error modes.
 
 The decomposition follows a fixed precedence so every instance lands in
 exactly one category even where the raw conditions overlap: small error,
@@ -13,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .metrics import EvalReport, Instance, PckResult, pck
-from .so3 import azimuth_distance, z_reflect_azimuth
+from .dataio import ValidationError
+from .metrics import Detection, EvalReport, Instance, PckResult, accuracy_at, median_error, pck
+from .so3 import EulerAngles, azimuth_distance, euler_to_rotation, z_reflect_azimuth
 
 SMALL_ERROR = math.pi / 9
 MEDIUM_ERROR = 2 * math.pi / 9
@@ -117,6 +119,40 @@ def truncated_slice() -> SliceSpec:
 
 
 MetricFn = Callable[[Sequence[Instance]], float | None]
+
+ViewpointPairs = dict[str, tuple[EulerAngles, EulerAngles]]
+
+
+def viewpoint_pairs(
+    instances: Iterable[Instance], matched: Mapping[str, Detection]
+) -> ViewpointPairs:
+    """(annotated, predicted) viewpoint of each instance, keyed by its id.
+
+    Raises ValidationError naming the first instance where one is missing.
+    """
+    pairs: ViewpointPairs = {}
+    for inst in instances:
+        det = matched[inst.id]
+        if inst.viewpoint is None or det.viewpoint is None:
+            raise ValidationError(
+                f"instance {inst.id!r}: viewpoint evaluation needs viewpoints"
+                " on both the annotation and the prediction"
+            )
+        pairs[inst.id] = (inst.viewpoint, det.viewpoint)
+    return pairs
+
+
+def viewpoint_error_metrics(pairs: ViewpointPairs, theta: float) -> dict[str, MetricFn]:
+    """acc (accuracy_at theta) and mederr_deg (median_error) of a subset of
+    the instances in pairs, as functions of that subset."""
+    rotations = {
+        iid: (euler_to_rotation(gt), euler_to_rotation(pred))
+        for iid, (gt, pred) in pairs.items()
+    }
+    return {
+        "acc": lambda insts: accuracy_at([rotations[i.id] for i in insts], theta),
+        "mederr_deg": lambda insts: median_error([rotations[i.id] for i in insts]),
+    }
 
 
 def sliced_report(

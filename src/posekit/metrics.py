@@ -5,7 +5,8 @@ Two settings are covered. With known boxes: median geodesic viewpoint error
 detection setting: average precision where a detection must localize
 (IoU > 0.5) and additionally pass a viewpoint test (bin match for AVP,
 azimuth error for AVP_theta, full rotation error for ARP_theta), and APK
-for scored keypoint hypotheses. All APs are all-points interpolated.
+for scored keypoint hypotheses. All of them share one greedy matcher and
+one all-points interpolated AP.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +39,10 @@ class KeypointHypothesis:
     x: float
     y: float
     score: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.score)):
+            raise ValueError("keypoint hypothesis has non-finite values")
 
 
 @dataclass
@@ -106,6 +112,12 @@ class EvalReport:
                 raise ValueError(f"curve {name!r}: recall must be nondecreasing")
 
 
+def mean_present(values: Iterable[float | None]) -> float | None:
+    """Mean of the values that are not None, summed in order (None if none are)."""
+    vals = [v for v in values if v is not None]
+    return sum(vals) / len(vals) if vals else None
+
+
 def median_error(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
     """Median geodesic distance over (gt, predicted) rotations, in degrees."""
     if len(pairs) == 0:
@@ -120,8 +132,7 @@ def accuracy_at(
     """Fraction of pairs with geodesic distance strictly below theta."""
     if len(pairs) == 0:
         raise ValueError("accuracy_at needs at least one pair")
-    hits = sum(1 for r1, r2 in pairs if geodesic_distance(r1, r2) < theta)
-    return hits / len(pairs)
+    return mean_present([geodesic_distance(r1, r2) < theta for r1, r2 in pairs])
 
 
 def iou(b1: Box, b2: Box) -> float:
@@ -174,50 +185,96 @@ class DetectionEval:
 CorrectFn = Callable[[Detection, Instance], bool]
 
 
-def _match_class(
-    detections: list[Detection],
-    gts: list[Instance],
-    correct: CorrectFn,
-    consume_on_localization: bool,
-) -> DetectionEval:
-    """Greedy score-ordered matching of one class's detections to its GT.
+def _greedy_match(
+    cands: Sequence[tuple[float, str, object]],
+    gts: Sequence[tuple[str, object]],
+    cost: Callable[[object, object], float | None],
+    keep: Callable[[object, object], bool] | None = None,
+) -> list[tuple[object, object | None]]:
+    """Greedy score-ordered matching of candidates to ground truths.
 
-    Each detection grabs the highest-IoU unmatched ground truth in its
-    image when that IoU exceeds 0.5. With consume_on_localization (the
-    default everywhere) the ground truth is consumed even when the
-    viewpoint/correctness test then fails, so a wrong-viewpoint detection
-    blocks re-matching; otherwise only true positives consume.
+    cands are (score, image_id, item) and gts (image_id, item). Candidates
+    are walked in descending score order (stable on ties); each claims the
+    unconsumed same-image ground truth of lowest cost(item, gt_item), the
+    first one winning a tie, where a cost of None rules it out. A claim
+    consumes its ground truth unless keep(item, gt_item) is false, which
+    drops the claim. Returns (item, claimed gt_item or None) per rank.
     """
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    order = sorted(range(len(cands)), key=lambda i: -cands[i][0])
     by_image: dict[str, list[int]] = {}
-    for g, gt in enumerate(gts):
-        by_image.setdefault(gt.image_id, []).append(g)
+    for g, (image_id, _) in enumerate(gts):
+        by_image.setdefault(image_id, []).append(g)
     taken = [False] * len(gts)
-    tp = np.zeros(len(detections), dtype=np.int64)
-    for rank, i in enumerate(order):
-        det = detections[i]
-        best_iou, best_g = 0.0, -1
-        for g in by_image.get(det.image_id, ()):
+    claims: list[tuple[object, object | None]] = []
+    for i in order:
+        _, image_id, item = cands[i]
+        best_cost, best_g = math.inf, -1
+        for g in by_image.get(image_id, ()):
             if taken[g]:
                 continue
-            ov = iou(det.bbox, gts[g].bbox)
-            if ov > best_iou:
-                best_iou, best_g = ov, g
-        if best_g >= 0 and best_iou > IOU_THRESHOLD:
-            ok = correct(det, gts[best_g])
-            if ok or consume_on_localization:
-                taken[best_g] = True
-            if ok:
-                tp[rank] = 1
-    cum_tp = np.cumsum(tp)
-    n_gt = len(gts)
-    if n_gt == 0:
-        recalls = np.zeros(len(detections))
-    else:
-        recalls = cum_tp / n_gt
-    precisions = cum_tp / np.arange(1, len(detections) + 1) if len(detections) else np.zeros(0)
-    ap = voc_ap(recalls, precisions) if n_gt > 0 else 0.0
+            c = cost(item, gts[g][1])
+            if c is not None and c < best_cost:
+                best_cost, best_g = c, g
+        if best_g >= 0 and (keep is None or keep(item, gts[best_g][1])):
+            taken[best_g] = True
+            claims.append((item, gts[best_g][1]))
+        else:
+            claims.append((item, None))
+    return claims
+
+
+def _pr_eval(tp: Sequence[bool], n_gt: int) -> DetectionEval:
+    """Recall, precision and all-points AP of a ranked true-positive list."""
+    cum_tp = np.cumsum(np.asarray(tp, dtype=np.int64))
+    recalls = cum_tp / n_gt if n_gt else np.zeros(len(tp))
+    precisions = cum_tp / np.arange(1, len(tp) + 1)
+    ap = voc_ap(recalls, precisions) if n_gt else 0.0
     return DetectionEval(ap=ap, recalls=recalls, precisions=precisions, num_gt=n_gt)
+
+
+def _iou_cost(det: Detection, gt: Instance) -> float | None:
+    """Localization: IoU above 0.5, the highest IoU claimed first."""
+    ov = iou(det.bbox, gt.bbox)
+    return -ov if ov > IOU_THRESHOLD else None
+
+
+def evaluate_detection_tests(
+    detections: Iterable[Detection],
+    gt_instances: Iterable[Instance],
+    tests: Mapping[str, CorrectFn],
+    consume_on_localization: bool = True,
+) -> dict[str, dict[str, DetectionEval]]:
+    """AP plus PR curves per class under each named correctness test.
+
+    Returns class -> test name -> DetectionEval. A detection localizes on
+    the highest-IoU unmatched same-image ground truth with IoU > 0.5 and
+    is a true positive of each test that accepts the pair. With
+    consume_on_localization (the default everywhere) the ground truth is
+    consumed even when a test fails, so a wrong-viewpoint detection blocks
+    re-matching and one match per class serves every test; otherwise only
+    true positives consume, and each test runs its own match.
+    """
+    dets_by_class: dict[str, list[Detection]] = {}
+    for d in detections:
+        dets_by_class.setdefault(d.class_name, []).append(d)
+    gts_by_class: dict[str, list[Instance]] = {}
+    for g in gt_instances:
+        gts_by_class.setdefault(g.class_name, []).append(g)
+    out: dict[str, dict[str, DetectionEval]] = {}
+    for cls in sorted(set(dets_by_class) | set(gts_by_class)):
+        cands = [(d.score, d.image_id, d) for d in dets_by_class.get(cls, [])]
+        gts = [(g.image_id, g) for g in gts_by_class.get(cls, [])]
+        if not gts:
+            warnings.warn(f"class {cls!r} has no ground truth; AP reported as 0")
+        claims = _greedy_match(cands, gts, _iou_cost) if consume_on_localization else None
+        out[cls] = {}
+        for name, test in tests.items():
+            if claims is None:
+                tp = [gt is not None for _, gt in _greedy_match(cands, gts, _iou_cost, test)]
+            else:
+                tp = [gt is not None and test(det, gt) for det, gt in claims]
+            out[cls][name] = _pr_eval(tp, len(gts))
+    return out
 
 
 def evaluate_detections(
@@ -226,28 +283,35 @@ def evaluate_detections(
     correct: CorrectFn,
     consume_on_localization: bool = True,
 ) -> dict[str, DetectionEval]:
-    """Run detection matching per class and return AP plus PR curves."""
-    dets_by_class: dict[str, list[Detection]] = {}
-    for d in detections:
-        dets_by_class.setdefault(d.class_name, []).append(d)
-    gts_by_class: dict[str, list[Instance]] = {}
-    for g in gt_instances:
-        gts_by_class.setdefault(g.class_name, []).append(g)
-    out: dict[str, DetectionEval] = {}
-    for cls in sorted(set(dets_by_class) | set(gts_by_class)):
-        gts = gts_by_class.get(cls, [])
-        if not gts:
-            warnings.warn(f"class {cls!r} has no ground truth; AP reported as 0")
-        out[cls] = _match_class(
-            dets_by_class.get(cls, []), gts, correct, consume_on_localization
-        )
-    return out
+    """evaluate_detection_tests with the single test correct."""
+    evals = evaluate_detection_tests(
+        detections, gt_instances, {"correct": correct}, consume_on_localization
+    )
+    return {cls: by_test["correct"] for cls, by_test in evals.items()}
 
 
 def _require_viewpoints(det: Detection, gt: Instance) -> tuple[EulerAngles, EulerAngles]:
     if det.viewpoint is None or gt.viewpoint is None:
         raise ValueError("viewpoint metrics need viewpoints on detections and GT")
     return gt.viewpoint, det.viewpoint
+
+
+def bin_match(n_bins: int, det: Detection, gt: Instance) -> bool:
+    """AVP's viewpoint test: both azimuths fall in the same of n_bins bins."""
+    vg, vp = _require_viewpoints(det, gt)
+    return angle_to_bin(vp.azimuth, n_bins) == angle_to_bin(vg.azimuth, n_bins)
+
+
+def azimuth_within(theta: float, det: Detection, gt: Instance) -> bool:
+    """AVP_theta's viewpoint test: azimuth_distance < theta."""
+    vg, vp = _require_viewpoints(det, gt)
+    return azimuth_distance(vg.azimuth, vp.azimuth) < theta
+
+
+def rotation_within(theta: float, det: Detection, gt: Instance) -> bool:
+    """ARP_theta's viewpoint test: full rotation geodesic_distance < theta."""
+    vg, vp = _require_viewpoints(det, gt)
+    return geodesic_distance(euler_to_rotation(vg), euler_to_rotation(vp)) < theta
 
 
 def avp(
@@ -257,12 +321,8 @@ def avp(
     consume_on_localization: bool = True,
 ) -> dict[str, float]:
     """Detection AP where correctness also requires an azimuth bin match."""
-
-    def correct(det: Detection, gt: Instance) -> bool:
-        vg, vp = _require_viewpoints(det, gt)
-        return angle_to_bin(vp.azimuth, n_bins) == angle_to_bin(vg.azimuth, n_bins)
-
-    evals = evaluate_detections(detections, gt_instances, correct, consume_on_localization)
+    test = partial(bin_match, n_bins)
+    evals = evaluate_detections(detections, gt_instances, test, consume_on_localization)
     return {cls: e.ap for cls, e in evals.items()}
 
 
@@ -273,12 +333,8 @@ def avp_theta(
     consume_on_localization: bool = True,
 ) -> dict[str, float]:
     """Detection AP with the viewpoint test azimuth_distance < theta."""
-
-    def correct(det: Detection, gt: Instance) -> bool:
-        vg, vp = _require_viewpoints(det, gt)
-        return azimuth_distance(vg.azimuth, vp.azimuth) < theta
-
-    evals = evaluate_detections(detections, gt_instances, correct, consume_on_localization)
+    test = partial(azimuth_within, theta)
+    evals = evaluate_detections(detections, gt_instances, test, consume_on_localization)
     return {cls: e.ap for cls, e in evals.items()}
 
 
@@ -289,12 +345,8 @@ def arp_theta(
     consume_on_localization: bool = True,
 ) -> dict[str, float]:
     """Detection AP with the full rotation test geodesic_distance < theta."""
-
-    def correct(det: Detection, gt: Instance) -> bool:
-        vg, vp = _require_viewpoints(det, gt)
-        return geodesic_distance(euler_to_rotation(vg), euler_to_rotation(vp)) < theta
-
-    evals = evaluate_detections(detections, gt_instances, correct, consume_on_localization)
+    test = partial(rotation_within, theta)
+    evals = evaluate_detections(detections, gt_instances, test, consume_on_localization)
     return {cls: e.ap for cls, e in evals.items()}
 
 
@@ -318,8 +370,7 @@ class PckResult:
     pooled_per_class: dict[str, float | None]
 
     def mean(self) -> float | None:
-        vals = [v for v in self.per_class.values() if v is not None]
-        return sum(vals) / len(vals) if vals else None
+        return mean_present(self.per_class.values())
 
 
 PredictedKeypoints = Mapping[str, Mapping[int, tuple[float, float]]]
@@ -369,16 +420,9 @@ def pck(
     per_class: dict[str, float | None] = {}
     pooled: dict[str, float | None] = {}
     for cls, kp_hits in per_kp_hits.items():
-        fracs = {}
-        all_hits: list[int] = []
-        for k in sorted(kp_hits):
-            hits = kp_hits[k]
-            fracs[k] = sum(hits) / len(hits)
-            all_hits.extend(hits)
-        per_keypoint[cls] = fracs
-        vals = [v for v in fracs.values() if v is not None]
-        per_class[cls] = sum(vals) / len(vals) if vals else None
-        pooled[cls] = sum(all_hits) / len(all_hits) if all_hits else None
+        per_keypoint[cls] = {k: mean_present(kp_hits[k]) for k in sorted(kp_hits)}
+        per_class[cls] = mean_present(per_keypoint[cls].values())
+        pooled[cls] = mean_present(h for k in sorted(kp_hits) for h in kp_hits[k])
     return PckResult(per_keypoint=per_keypoint, per_class=per_class, pooled_per_class=pooled)
 
 
@@ -390,8 +434,13 @@ class ApkResult:
     per_class: dict[str, float | None]
 
     def mean(self) -> float | None:
-        vals = [v for v in self.per_class.values() if v is not None]
-        return sum(vals) / len(vals) if vals else None
+        return mean_present(self.per_class.values())
+
+
+def _within_radius(hyp: tuple[float, float], gt: tuple[float, float, float]) -> float | None:
+    """APK's match: distance within the instance's radius, the nearest first."""
+    d = math.hypot(hyp[0] - gt[0], hyp[1] - gt[1])
+    return d if d <= gt[2] else None
 
 
 def apk(
@@ -407,7 +456,7 @@ def apk(
     instance's alpha * max(h, w) radius, and is otherwise a false positive.
     Only annotated visible keypoints form the ground-truth set.
     """
-    gt_by_type: dict[tuple[str, int], list[tuple[str, float, float, float]]] = {}
+    gt_by_type: dict[tuple[str, int], list[tuple[str, tuple[float, float, float]]]] = {}
     classes: set[str] = set()
     kp_ids: dict[str, set[int]] = {}
     for inst in gt_instances:
@@ -416,14 +465,14 @@ def apk(
             kp_ids.setdefault(inst.class_name, set()).add(k)
             if kp.visible:
                 gt_by_type.setdefault((inst.class_name, k), []).append(
-                    (inst.image_id, kp.x, kp.y, pck_threshold(inst.bbox, alpha))
+                    (inst.image_id, (kp.x, kp.y, pck_threshold(inst.bbox, alpha)))
                 )
-    hyps: dict[tuple[str, int], list[tuple[float, str, float, float]]] = {}
+    hyps: dict[tuple[str, int], list[tuple[float, str, tuple[float, float]]]] = {}
     for det in detections:
         for k, h in det.keypoint_hypotheses.items():
             kp_ids.setdefault(det.class_name, set()).add(k)
             hyps.setdefault((det.class_name, k), []).append(
-                (h.score, det.image_id, h.x, h.y)
+                (h.score, det.image_id, (h.x, h.y))
             )
 
     per_keypoint: dict[str, dict[int, float]] = {}
@@ -431,39 +480,10 @@ def apk(
         per_keypoint[cls] = {}
         for k in sorted(kp_ids.get(cls, ())):
             gts = gt_by_type.get((cls, k), [])
-            cands = hyps.get((cls, k), [])
-            order = sorted(range(len(cands)), key=lambda i: -cands[i][0])
-            by_image: dict[str, list[int]] = {}
-            for g, gt in enumerate(gts):
-                by_image.setdefault(gt[0], []).append(g)
-            taken = [False] * len(gts)
-            tp = np.zeros(len(cands), dtype=np.int64)
-            for rank, i in enumerate(order):
-                _, image_id, hx, hy = cands[i]
-                best_d, best_g = math.inf, -1
-                for g in by_image.get(image_id, ()):
-                    if taken[g]:
-                        continue
-                    _, gx, gy, radius = gts[g]
-                    d = math.hypot(hx - gx, hy - gy)
-                    if d <= radius and d < best_d:
-                        best_d, best_g = d, g
-                if best_g >= 0:
-                    taken[best_g] = True
-                    tp[rank] = 1
-            n_gt = len(gts)
-            if n_gt == 0:
-                per_keypoint[cls][k] = 0.0
-                continue
-            cum_tp = np.cumsum(tp)
-            recalls = cum_tp / n_gt
-            precisions = (
-                cum_tp / np.arange(1, len(cands) + 1) if len(cands) else np.zeros(0)
-            )
-            per_keypoint[cls][k] = voc_ap(recalls, precisions)
-    per_class: dict[str, float | None] = {}
-    for cls, aps in per_keypoint.items():
-        per_class[cls] = sum(aps.values()) / len(aps) if aps else None
+            claims = _greedy_match(hyps.get((cls, k), []), gts, _within_radius)
+            tp = [gt is not None for _, gt in claims]
+            per_keypoint[cls][k] = _pr_eval(tp, len(gts)).ap
+    per_class = {cls: mean_present(aps.values()) for cls, aps in per_keypoint.items()}
     return ApkResult(per_keypoint=per_keypoint, per_class=per_class)
 
 

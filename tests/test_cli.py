@@ -594,3 +594,74 @@ class TestReportFormats:
         )
         assert rc == 0
         assert _machine(out)["schema_version"] == 1
+
+
+class TestInputsRead:
+    def test_evaluate_commands_skip_response_maps(self, tmp_path, capsys):
+        """Only fuse reads the VKRM blobs; a corrupt one fails fuse alone."""
+        ds = _synth(tmp_path, n=6)
+        fused = tmp_path / "fused.jsonl"
+        assert cli.main(["fuse", "--dataset", str(ds), "--out", str(fused)]) == 0
+        blob = sorted((ds / "responses").glob("*.vkrm"))[0]
+        blob.write_bytes(b"not a response map")
+        dets = str(ds / "detections.jsonl")
+        for args in (
+            ["evaluate-viewpoint", "--preds", dets, "--gt-boxes"],
+            ["evaluate-viewpoint", "--preds", dets, "--detections"],
+            ["evaluate-keypoints", "--preds", str(fused), "--mode", "pck"],
+            ["evaluate-keypoints", "--preds", dets, "--mode", "apk"],
+            ["diagnose", "--preds", dets, "--slices", "size", "--error-modes", "--left-right"],
+        ):
+            assert cli.main(args + ["--dataset", str(ds)]) == 0, args
+        capsys.readouterr()
+        rc = cli.main(["fuse", "--dataset", str(ds), "--out", str(tmp_path / "again.jsonl")])
+        assert rc == 2
+        assert blob.name in capsys.readouterr().err
+
+
+class TestThresholdFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "0"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["evaluate-viewpoint", "--detections"], "--theta"),
+            (["evaluate-keypoints", "--mode", "apk"], "--alpha"),
+            (["diagnose", "--error-modes"], "--theta"),
+            (["diagnose", "--left-right"], "--alpha"),
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite(self, capsys, command, flag, value):
+        args = command + ["--dataset", "ds", "--preds", "p.jsonl", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+class TestDiagnoseExclusion:
+    def test_excluded_class_dropped_from_every_section(self, tmp_path):
+        ds = _synth(tmp_path, seed=17, n=18)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["excluded_classes"] = ["car"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        classes = [
+            json.loads(line)["class"]
+            for line in (ds / "instances.jsonl").read_text().splitlines()
+            if line
+        ]
+        assert 0 < classes.count("car") < len(classes)
+        out = tmp_path / "report.json"
+        rc = cli.main(
+            [
+                "diagnose", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                "--slices", "size", "--error-modes", "--left-right",
+                "--report", str(out), "--format", "machine",
+            ]
+        )
+        assert rc == 0
+        sections = _machine(out)["sections"]
+        kept = len(classes) - classes.count("car")
+        assert sections["error-modes"]["count"] == float(kept)
+        for name in ("pck", "left-right-pck"):
+            assert "car" not in sections[name]
+            assert set(sections[name]) == set(classes) - {"car"} | {"all"}

@@ -266,6 +266,21 @@ class TestDetectionRecords:
         with pytest.raises(ValidationError):
             load_detections(p, _manifest())
 
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["x", "y", "score"])
+    def test_non_finite_hypothesis_names_line(self, tmp_path, field):
+        det = Detection(image_id="im0", class_name="car", bbox=(0.0, 0.0, 5.0, 5.0),
+                        score=0.5, keypoint_hypotheses={1: KeypointHypothesis(1.0, 2.0, 3.0)})
+        p = tmp_path / "detections.jsonl"
+        save_detections([det, det], p)
+        first, second = p.read_text().splitlines()
+        values = ["1.0", "2.0", "3.0"]
+        values[field] = "NaN"
+        forged = second.replace("[1.0,2.0,3.0]", "[" + ",".join(values) + "]")
+        assert forged != second
+        p.write_text(first + "\n" + forged + "\n")
+        with pytest.raises(ValidationError, match="detections.jsonl:2: .*non-finite"):
+            load_detections(p, _manifest())
+
 
 class TestPriorBankIO:
     def _bank(self, cls, n, k, seed):

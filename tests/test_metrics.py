@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,15 +18,21 @@ from posekit.metrics import (
     arp_theta,
     avp,
     avp_theta,
+    azimuth_within,
+    bin_match,
+    evaluate_detection_tests,
     evaluate_detections,
     iou,
     median_error,
     pck,
     pck_threshold,
+    rotation_within,
     score_hypothesis,
     voc_ap,
 )
-from posekit.so3 import EulerAngles, euler_to_rotation
+from posekit.so3 import EulerAngles, azimuth_distance, euler_to_rotation, geodesic_distance
+from posekit.synth import generate_scene, noise_preset
+from posekit.viewpoint import angle_to_bin
 
 
 def _rotz(angle):
@@ -489,3 +496,177 @@ class TestDataShapes:
 
     def test_instance_area(self):
         assert _inst(bbox=(5.0, 5.0, 20.0, 30.0)).area == 600.0
+
+
+def _reference_match_class(dets, gts, correct, consume_on_localization):
+    """The per-test matcher as it stood before the shared core: one full
+    localization pass per correctness test."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    by_image = {}
+    for g, gt in enumerate(gts):
+        by_image.setdefault(gt.image_id, []).append(g)
+    taken = [False] * len(gts)
+    tp = np.zeros(len(dets), dtype=np.int64)
+    for rank, i in enumerate(order):
+        best_iou, best_g = 0.0, -1
+        for g in by_image.get(dets[i].image_id, ()):
+            if taken[g]:
+                continue
+            ov = iou(dets[i].bbox, gts[g].bbox)
+            if ov > best_iou:
+                best_iou, best_g = ov, g
+        if best_g >= 0 and best_iou > 0.5:
+            ok = correct(dets[i], gts[best_g])
+            if ok or consume_on_localization:
+                taken[best_g] = True
+            if ok:
+                tp[rank] = 1
+    cum_tp = np.cumsum(tp)
+    recalls = cum_tp / len(gts) if gts else np.zeros(len(dets))
+    precisions = cum_tp / np.arange(1, len(dets) + 1) if dets else np.zeros(0)
+    ap = voc_ap(recalls, precisions) if gts else 0.0
+    return ap, recalls, precisions
+
+
+def _reference_apk(dets, gts_in, alpha):
+    """APK's inline greedy loop as it stood before the shared core."""
+    gt_by_type, hyps, kp_ids = {}, {}, {}
+    for inst in gts_in:
+        for k, kp in inst.keypoints.items():
+            kp_ids.setdefault(inst.class_name, set()).add(k)
+            if kp.visible:
+                gt_by_type.setdefault((inst.class_name, k), []).append(
+                    (inst.image_id, kp.x, kp.y, pck_threshold(inst.bbox, alpha))
+                )
+    for det in dets:
+        for k, h in det.keypoint_hypotheses.items():
+            kp_ids.setdefault(det.class_name, set()).add(k)
+            hyps.setdefault((det.class_name, k), []).append((h.score, det.image_id, h.x, h.y))
+    out = {}
+    for cls in sorted(kp_ids):
+        out[cls] = {}
+        for k in sorted(kp_ids[cls]):
+            gts = gt_by_type.get((cls, k), [])
+            cands = hyps.get((cls, k), [])
+            order = sorted(range(len(cands)), key=lambda i: -cands[i][0])
+            by_image = {}
+            for g, gt in enumerate(gts):
+                by_image.setdefault(gt[0], []).append(g)
+            taken = [False] * len(gts)
+            tp = np.zeros(len(cands), dtype=np.int64)
+            for rank, i in enumerate(order):
+                _, image_id, hx, hy = cands[i]
+                best_d, best_g = math.inf, -1
+                for g in by_image.get(image_id, ()):
+                    if taken[g]:
+                        continue
+                    _, gx, gy, radius = gts[g]
+                    d = math.hypot(hx - gx, hy - gy)
+                    if d <= radius and d < best_d:
+                        best_d, best_g = d, g
+                if best_g >= 0:
+                    taken[best_g] = True
+                    tp[rank] = 1
+            if not gts:
+                out[cls][k] = 0.0
+                continue
+            cum_tp = np.cumsum(tp)
+            precisions = cum_tp / np.arange(1, len(cands) + 1) if cands else np.zeros(0)
+            out[cls][k] = voc_ap(cum_tp / len(gts), precisions)
+    return out
+
+
+class TestOnePassScorer:
+    """The shared greedy core against the per-test paths it replaced."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        """A seeded heavy-noise synth scene, crowded so that every greedy
+        choice matters: ten instances share each image, every fifth one has
+        a twin with the same box and keypoints but another azimuth (equal
+        IoU and distance ties), every detection has a shifted duplicate with
+        a random azimuth, and all scores are rounded so that they tie."""
+        base = generate_scene(11, 300, noise_preset("heavy"))
+        rng = np.random.default_rng(12)
+        image_of = {inst.image_id: f"im{i // 10}" for i, inst in enumerate(base.instances)}
+        gts = []
+        for i, inst in enumerate(base.instances):
+            inst = dataclasses.replace(inst, image_id=image_of[inst.image_id])
+            gts.append(inst)
+            if i % 5 == 0:
+                twin_vp = EulerAngles(float(rng.uniform(0, 2 * math.pi)), 0.0, 0.0)
+                gts.append(dataclasses.replace(inst, id=f"{inst.id}-twin", viewpoint=twin_vp))
+        dets = []
+        for det in base.detections:
+            x, y, w, h = det.bbox
+            dx, dy = rng.normal(0.0, 0.2, size=2) * (w, h)
+            dup_vp = EulerAngles(float(rng.uniform(0, 2 * math.pi)), 0.0, 0.0)
+            dup_drop = float(rng.uniform(0.0, 0.3))
+            for shift, drop, vp in ((0.0, 0.0, det.viewpoint), (1.0, dup_drop, dup_vp)):
+                hyps = {
+                    k: KeypointHypothesis(hp.x + shift * dx, hp.y + shift * dy,
+                                          round(hp.score - drop, 1))
+                    for k, hp in det.keypoint_hypotheses.items()
+                }
+                dets.append(dataclasses.replace(
+                    det, image_id=image_of[det.image_id], score=round(det.score - drop, 1),
+                    bbox=(x + shift * dx, y + shift * dy, w, h), viewpoint=vp,
+                    keypoint_hypotheses=hyps,
+                ))
+        return gts, dets
+
+    def _reference_tests(self):
+        theta = math.pi / 6
+        return {
+            "avp24": lambda d, g: angle_to_bin(d.viewpoint.azimuth, 24)
+            == angle_to_bin(g.viewpoint.azimuth, 24),
+            "avp_theta": lambda d, g: azimuth_distance(g.viewpoint.azimuth, d.viewpoint.azimuth)
+            < theta,
+            "arp_theta": lambda d, g: geodesic_distance(
+                euler_to_rotation(g.viewpoint), euler_to_rotation(d.viewpoint)
+            )
+            < theta,
+        }
+
+    def test_viewpoint_tests_equal_per_test_reference(self, scene):
+        gts_all, dets_all = scene
+        library = {
+            "avp24": partial(bin_match, 24),
+            "avp_theta": partial(azimuth_within, math.pi / 6),
+            "arp_theta": partial(rotation_within, math.pi / 6),
+        }
+        reference = self._reference_tests()
+        aps = {}
+        for consume in (True, False):
+            evals = evaluate_detection_tests(dets_all, gts_all, library, consume)
+            assert sorted(evals) == ["car", "chair", "sofa"]
+            for cls, by_test in evals.items():
+                dets = [d for d in dets_all if d.class_name == cls]
+                gts = [g for g in gts_all if g.class_name == cls]
+                assert list(by_test) == list(reference)
+                for name, got in by_test.items():
+                    ap, recalls, precisions = _reference_match_class(
+                        dets, gts, reference[name], consume
+                    )
+                    assert got.ap == ap
+                    assert got.recalls.dtype == recalls.dtype
+                    assert got.recalls.tolist() == recalls.tolist()
+                    assert got.precisions.tolist() == precisions.tolist()
+                    assert got.num_gt == len(gts)
+                    aps[consume, cls, name] = got.ap
+            wrappers = (
+                avp(dets_all, gts_all, 24, consume),
+                avp_theta(dets_all, gts_all, math.pi / 6, consume),
+                arp_theta(dets_all, gts_all, math.pi / 6, consume),
+            )
+            for name, wrapped in zip(reference, wrappers):
+                assert wrapped == {cls: by_test[name].ap for cls, by_test in evals.items()}
+        assert 0.0 < min(aps.values()) and max(aps.values()) < 1.0
+        # the consumption policy changes the outcome on this scene
+        assert any(aps[True, c, n] != aps[False, c, n] for _, c, n in aps)
+
+    def test_apk_equals_inline_reference(self, scene):
+        gts, dets = scene
+        got = apk(dets, gts, alpha=0.1)
+        assert got.per_keypoint == _reference_apk(dets, gts, 0.1)
+        assert 0.0 < got.mean() < 1.0
