@@ -8,6 +8,7 @@ from .dataio import (
     Dataset,
     DatasetError,
     Manifest,
+    NonFiniteError,
     ParseError,
     SchemaVersionError,
     ValidationError,

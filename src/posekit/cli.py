@@ -290,15 +290,28 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive(text: str) -> float:
-    """argparse type for --alpha and --theta: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
+def _checked(parse, ok, rule: str):
+    """argparse type: `parse` the text, then refuse it unless `ok(value)`.
+
+    argparse reports the refusal with the flag's name and exits 2.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_finite = _checked(float, math.isfinite, "a finite number")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
@@ -331,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--detections", action="store_true", help="detection setting: AVP/AVP_theta/ARP_theta"
     )
-    p.add_argument("--bins", type=int, default=24, help="azimuth bins for AVP")
+    p.add_argument("--bins", type=_count, default=24, help="azimuth bins for AVP")
     _add_report_flags(p)
     p.set_defaults(func=_cmd_evaluate_viewpoint)
 
@@ -347,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lambda",
         dest="lam",
-        type=float,
+        type=_finite,
         default=0.5,
         help="detector-score weight when rescoring apk hypotheses",
     )
@@ -364,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--preds",
         help="detections supplying predicted viewpoints (default: annotated ones)",
     )
-    p.add_argument("--w-fine", type=float, default=0.5)
-    p.add_argument("--w-coarse", type=float, default=0.5)
-    p.add_argument("--sigma", type=float, default=fusion.PRIOR_SIGMA)
-    p.add_argument("--threshold", type=float, default=fusion.NEIGHBOR_THRESHOLD)
+    p.add_argument("--w-fine", type=_nonnegative, default=0.5)
+    p.add_argument("--w-coarse", type=_nonnegative, default=0.5)
+    p.add_argument("--sigma", type=_positive, default=fusion.PRIOR_SIGMA)
+    p.add_argument("--threshold", type=_positive, default=fusion.NEIGHBOR_THRESHOLD)
     p.add_argument("--out", required=True, help="keypoint predictions file to write")
     p.set_defaults(func=_cmd_fuse)
 

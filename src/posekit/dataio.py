@@ -65,6 +65,10 @@ class SchemaVersionError(DatasetError):
     """A schema version this library does not understand."""
 
 
+class NonFiniteError(ParseError, ValidationError):
+    """A NaN or Infinity literal: not JSON, and not a finite value."""
+
+
 @dataclass
 class Manifest:
     """Dataset-level metadata; the keypoint id space is per class.
@@ -130,15 +134,29 @@ def _dump(record: object) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _non_finite(name: str) -> None:
+    raise NonFiniteError(f"non-finite number {name} is not JSON")
+
+
+# Python's json reads NaN, Infinity and -Infinity; the formats never hold them.
+_DECODER = json.JSONDecoder(parse_constant=_non_finite)
+
+
+def _parse_json(text: str, where: str) -> object:
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: bad JSON ({exc.msg})") from exc
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{where}: {exc}") from None
+
+
 def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path.name}:{line_no}: bad JSON ({exc.msg})") from exc
+            record = _parse_json(line, f"{path.name}:{line_no}")
             if not isinstance(record, dict):
                 raise ParseError(f"{path.name}:{line_no}: record is not an object")
             yield line_no, record
@@ -326,38 +344,58 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_pair_map(value: object) -> bool:
+    """A symmetry map as saved: {"<keypoint id>": <keypoint id>}."""
+    if not isinstance(value, dict) or not all(_is_int(b) for b in value.values()):
+        return False
+    try:
+        return all(str(int(a)) == a for a in value)
+    except ValueError:
+        return False
+
+
+# The type of every manifest field, as a test and the words that name it.
+_MANIFEST_FIELDS = {
+    "schema_version": (_is_int, "an integer"),
+    "euler_convention": (lambda v: isinstance(v, str), "a string"),
+    "classes": (_is_str_list, "a list of strings"),
+    "keypoint_names": (
+        lambda v: isinstance(v, dict) and all(_is_str_list(n) for n in v.values()),
+        "an object mapping each class to a list of strings",
+    ),
+    "symmetry_pairs": (
+        lambda v: isinstance(v, dict) and all(_is_pair_map(p) for p in v.values()),
+        'an object mapping each class to {"<keypoint id>": <keypoint id>}',
+    ),
+    "excluded_classes": (_is_str_list, "a list of strings"),
+}
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path.name}: bad JSON ({exc.msg})") from exc
+    record = _parse_json(path.read_text(encoding="utf-8"), path.name)
     if not isinstance(record, dict):
         raise ParseError(f"{path.name}: manifest must be an object")
-    _check_keys(
-        record,
-        (
-            "schema_version",
-            "euler_convention",
-            "classes",
-            "keypoint_names",
-            "symmetry_pairs",
-            "excluded_classes",
-        ),
-        path.name,
-    )
-    try:
-        symmetry = {
-            cls: {int(a): int(b) for a, b in pairs.items()}
-            for cls, pairs in record["symmetry_pairs"].items()
-        }
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path.name}: malformed symmetry_pairs") from exc
+    _check_keys(record, tuple(_MANIFEST_FIELDS), path.name)
+    for name, (ok, expected) in _MANIFEST_FIELDS.items():
+        if not ok(record[name]):
+            raise ParseError(f"{path.name}: {name} must be {expected}")
     return Manifest(
-        classes=list(record["classes"]),
-        keypoint_names={c: list(v) for c, v in record["keypoint_names"].items()},
-        symmetry_pairs=symmetry,
-        excluded_classes=list(record["excluded_classes"]),
+        classes=record["classes"],
+        keypoint_names=record["keypoint_names"],
+        symmetry_pairs={
+            cls: {int(a): b for a, b in pairs.items()}
+            for cls, pairs in record["symmetry_pairs"].items()
+        },
+        excluded_classes=record["excluded_classes"],
         schema_version=record["schema_version"],
         euler_convention=record["euler_convention"],
     )

@@ -11,6 +11,12 @@ log-Gaussian cones peaked at the (possibly swapped) predicted keypoint, so
 appearance-only decoding reproduces the prediction and a swapped map keeps
 a secondary peak at the true location one unit lower.
 
+The random stream is consumed in fixed per-instance blocks, but the
+arithmetic runs once per scene: every rotation, projection and response
+map of the scene is computed in stacked numpy passes, bitwise equal to
+the per-instance arithmetic (see the note above `_unit_rows` for the
+steps that stay scalar), and the records are built last.
+
 The module also carries brute-force re-derivations of the fused decode and
 of average precision. They share no arithmetic with the library code they
 check; keep it that way.
@@ -20,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataio import Dataset, Manifest
-from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank, normalize_keypoint
+from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank
 from .metrics import Detection, Instance, Keypoint, KeypointHypothesis
 from .so3 import pi_flip, rotation_to_euler
 
@@ -100,6 +107,18 @@ def class_template(class_index: int, num_keypoints: int) -> np.ndarray:
     return pts
 
 
+def _to_box(q: np.ndarray, x, y, w, h) -> np.ndarray:
+    """Map the x/y components of rotated template points (..., 3) onto boxes.
+
+    The box values broadcast against the leading axes of `q`; returns
+    (..., 2) pixels.
+    """
+    out = np.empty(q.shape[:-1] + (2,))
+    out[..., 0] = x + (q[..., 0] + 1.0) / 2.0 * w
+    out[..., 1] = y + (q[..., 1] + 1.0) / 2.0 * h
+    return out
+
+
 def project_template(
     template: np.ndarray, r: np.ndarray, bbox: tuple[float, float, float, float]
 ) -> np.ndarray:
@@ -108,23 +127,37 @@ def project_template(
     The rotated x/y components, which lie in [-1, 1] for unit-ball
     templates, are mapped affinely onto the box; returns (K, 2) pixels.
     """
-    q = np.asarray(template) @ np.asarray(r).T
-    x, y, w, h = bbox
-    out = np.empty((q.shape[0], 2))
-    out[:, 0] = x + (q[:, 0] + 1.0) / 2.0 * w
-    out[:, 1] = y + (q[:, 1] + 1.0) / 2.0 * h
-    return out
+    return _to_box(np.asarray(template) @ np.asarray(r).T, *bbox)
+
+
+# Which steps stay scalar. The generator's bytes are pinned, so a batched
+# step must be bitwise equal to the per-instance arithmetic it replaced.
+# Elementwise arithmetic is, and so are stacked matmuls such as
+# `template @ R.transpose(0, 2, 1)` and `A @ B` on (n, 3, 3) stacks;
+# `einsum` in their place is not. These stay one call per row:
+# - `np.linalg.norm` of a quaternion or an axis-angle vector: a 1-D norm
+#   is a BLAS `ddot`, whose summation order no batched sum or einsum
+#   reproduces;
+# - `math.sin`/`math.cos` of the rotation angle: `np.sin`/`np.cos` agree
+#   on common builds but dispatch to SIMD kernels on some CPUs;
+# - `so3.rotation_to_euler` (`math.asin`/`math.atan2`; `np.arctan2`
+#   differs in the last ulp on about a tenth of rotations).
+
+
+def _unit_rows(q: np.ndarray) -> np.ndarray:
+    """Each row of a (n, d) array divided by its own scalar norm."""
+    return q / np.array([np.linalg.norm(row) for row in q])[:, None]
 
 
 def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) as (w, x, y, z)."""
+    w, x, y, z = np.moveaxis(np.asarray(q), -1, 0)
+    entries = [
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]
+    return np.stack(entries, axis=-1).reshape(np.shape(w) + (3, 3))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -134,25 +167,66 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 def _exp_so3(w: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula: axis-angle vector to rotation matrix."""
-    theta = float(np.linalg.norm(w))
-    if theta < 1e-12:
-        return np.eye(3)
-    kx, ky, kz = w / theta
-    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+    """Rodrigues' formula: axis-angle vectors (n, 3) to rotations (n, 3, 3).
+
+    Angles below 1e-12 give the identity exactly.
+    """
+    theta = np.array([np.linalg.norm(v) for v in w])
+    out = np.tile(np.eye(3), (len(w), 1, 1))
+    turn = np.flatnonzero(theta >= 1e-12)
+    t = theta[turn]
+    kx, ky, kz = (w[turn] / t[:, None]).T
+    k = np.zeros((len(turn), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -kz, ky
+    k[:, 1, 0], k[:, 1, 2] = kz, -kx
+    k[:, 2, 0], k[:, 2, 1] = -ky, kx
+    sin = np.array([math.sin(v) for v in t])[:, None, None]
+    versin = np.array([1.0 - math.cos(v) for v in t])[:, None, None]
+    out[turn] = np.eye(3) + sin * k + versin * (k @ k)
+    return out
 
 
-def _log_cone(center: np.ndarray, size: int, sharpness: float) -> np.ndarray:
-    """Quadratic log-Gaussian peaked (at 0) at `center`, on an NxN grid."""
+def _response_maps(
+    peaks: np.ndarray, swap: np.ndarray, own: np.ndarray, size: int, sharpness: float
+) -> np.ndarray:
+    """Quadratic log-Gaussian cones, peaked (at 0) at each (x, y) of `peaks`.
+
+    Rows flagged in `swap` keep a secondary peak SWAP_MARGIN lower at
+    their `own` location. Returns a (m, size, size) float32 stack, rows
+    indexed by y; each grid row is computed in float64 for every map at
+    once and rounded once, so no float64 copy of the whole stack exists.
+    """
     c = np.arange(size) + 0.5
-    dx2 = (c[None, :] - center[0]) ** 2
-    dy2 = (c[:, None] - center[1]) ** 2
-    return -(dx2 + dy2) / (2.0 * sharpness * sharpness)
+    denom = 2.0 * sharpness * sharpness
+    own_px, own_py = own[swap, :1], own[swap, 1:]
+    own_dx2 = (c - own_px) ** 2
+    out = np.empty((len(peaks), size, size), dtype=np.float32)
+    row = np.empty((len(peaks), size))
+    for y in range(size):
+        np.subtract(c, peaks[:, :1], out=row)
+        np.square(row, out=row)
+        row += (c[y] - peaks[:, 1:]) ** 2
+        np.negative(row, out=row)
+        row /= denom
+        second = -(own_dx2 + (c[y] - own_py) ** 2) / denom - SWAP_MARGIN
+        row[swap] = np.maximum(row[swap], second)
+        out[:, y, :] = row
+    return out
 
 
-def _grid_coords(template: np.ndarray, r: np.ndarray) -> np.ndarray:
-    g = project_template(template, r, (0.0, 0.0, float(GRID_SIZE), float(GRID_SIZE)))
+def _grid_rows(px: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """fusion.normalize_keypoint for each pixel row of `px` in its box row."""
+    x, y, w, h = boxes.T
+    grid = np.empty_like(px)
+    grid[:, 0] = (px[:, 0] - x) / w * GRID_SIZE
+    grid[:, 1] = (px[:, 1] - y) / h * GRID_SIZE
+    return np.minimum(np.maximum(grid, 0.0), GRID_SIZE - 1e-9)
+
+
+def _grid_coords(template: np.ndarray, rots: np.ndarray) -> np.ndarray:
+    """Template keypoints on the 12x12 grid under a stack of rotations."""
+    q = template @ rots.transpose(0, 2, 1)
+    g = _to_box(q, 0.0, 0.0, float(GRID_SIZE), float(GRID_SIZE))
     return np.clip(g, 0.0, GRID_SIZE - 1e-9)
 
 
@@ -179,6 +253,154 @@ def _make_manifest(classes: Sequence[str], counts: Mapping[str, int]) -> Manifes
     )
 
 
+def _draw_stream(rng: np.random.Generator, n: int, k_all: Sequence[int]) -> SimpleNamespace:
+    """Consume the random stream in its fixed per-instance block.
+
+    Keypoint-sized draws are stacked in instance order: instance i owns
+    keypoint rows offsets[i]:offsets[i + 1], and owner[row] is i;
+    lateral-swap draws, one per keypoint pair, are stacked the same way.
+    """
+    k_max = max(k_all)
+    d = SimpleNamespace(
+        cls=np.empty(n, dtype=np.intp),
+        offsets=np.zeros(n + 1, dtype=np.intp),
+        dims=np.empty((n, 2)),
+        pos=np.empty((n, 2)),
+        q_gt=np.empty((n, 4)),
+        flags=np.empty((n, 2)),
+        eps_vp=np.empty((n, 3)),
+        u_flip=np.empty(n),
+        u_swap=np.empty(n * (k_max // 2)),
+        eps_kp=np.empty((n * k_max, 2)),
+        eps_kp_score=np.empty(n * k_max),
+        eps_score=np.empty(n),
+        u_fp=np.empty(n),
+        fp_shift=np.empty((n, 2)),
+        q_fp=np.empty((n, 4)),
+        eps_fp_score=np.empty(n),
+        eps_fp_kp_score=np.empty(n * k_max),
+    )
+    pairs = 0
+    for i in range(n):
+        ci = d.cls[i] = rng.integers(len(k_all))
+        k_c = k_all[ci]
+        rows = slice(d.offsets[i], d.offsets[i] + k_c)
+        d.offsets[i + 1] = rows.stop
+        d.dims[i] = rng.uniform(60.0, 160.0, size=2)
+        d.pos[i] = rng.uniform(0.0, 200.0, size=2)
+        d.q_gt[i] = rng.normal(size=4)
+        d.flags[i] = rng.random(2)
+        d.eps_vp[i] = rng.normal(size=3)
+        d.u_flip[i] = rng.random()
+        d.u_swap[pairs : pairs + k_c // 2] = rng.random(k_c // 2)
+        pairs += k_c // 2
+        d.eps_kp[rows] = rng.normal(size=(k_c, 2))
+        d.eps_kp_score[rows] = rng.normal(size=k_c)
+        d.eps_score[i] = rng.normal()
+        d.u_fp[i] = rng.random()
+        d.fp_shift[i] = rng.random(2)
+        d.q_fp[i] = rng.normal(size=4)
+        d.eps_fp_score[i] = rng.normal()
+        d.eps_fp_kp_score[rows] = rng.normal(size=k_c)
+    total = d.offsets[-1]
+    d.owner = np.repeat(np.arange(n), np.diff(d.offsets))
+    d.u_swap = d.u_swap[:pairs]
+    d.eps_kp, d.eps_kp_score, d.eps_fp_kp_score = (
+        a[:total] for a in (d.eps_kp, d.eps_kp_score, d.eps_fp_kp_score)
+    )
+    return d
+
+
+def _project_rows(
+    templates: Sequence[np.ndarray], d: SimpleNamespace, rots: np.ndarray, boxes: np.ndarray
+) -> np.ndarray:
+    """Each instance's class template under its rotation, mapped into its box.
+
+    One stacked matmul per class; returns the (total keypoints, 2) pixel
+    rows in instance order.
+    """
+    rotated = np.empty((d.offsets[-1], 3))
+    for ci, template in enumerate(templates):
+        sel = np.flatnonzero(d.cls == ci)
+        at = (d.offsets[sel][:, None] + np.arange(len(template))).ravel()
+        rotated[at] = (template @ rots[sel].transpose(0, 2, 1)).reshape(-1, 3)
+    x, y, w, h = boxes[d.owner].T
+    return _to_box(rotated, x, y, w, h)
+
+
+def _scene_columns(
+    d: SimpleNamespace,
+    profile: NoiseProfile,
+    templates: Sequence[np.ndarray],
+    box_size: tuple[float, float] | None,
+) -> SimpleNamespace:
+    """Every rotation, projection and response map of the scene at once.
+
+    Returns what the records are built from: per-instance and
+    per-keypoint-row values, as Python lists where a record takes them.
+    """
+    n, total, owner = len(d.cls), d.offsets[-1], d.owner
+    k_inst = np.diff(d.offsets)
+    local = np.arange(total) - d.offsets[owner]
+
+    size = d.dims if box_size is None else np.tile(np.asarray(box_size, float), (n, 1))
+    boxes = np.concatenate((d.pos, size), axis=1)
+    fp_boxes = np.concatenate((d.pos + size * (1.5 + d.fp_shift), size), axis=1)
+
+    r_gt = _quat_to_matrix(_unit_rows(d.q_gt))
+    r_pred = r_gt @ _exp_so3(profile.viewpoint_jitter * d.eps_vp)
+    flip = d.u_flip < profile.pi_flip_prob
+    r_pred[flip] = pi_flip(r_pred[flip])
+
+    gt_px = _project_rows(templates, d, r_gt, boxes)
+    pred_px = gt_px + profile.keypoint_jitter * d.eps_kp
+
+    # A swapped pair trades predictions: row 2m reads 2m+1 and back.
+    swap = np.zeros(total, dtype=bool)
+    swap[local < k_inst[owner] // 2 * 2] = np.repeat(
+        d.u_swap < profile.lateral_swap_prob, 2
+    )
+    target = np.arange(total)
+    target[swap] += 1 - 2 * (local[swap] % 2)
+
+    grid = _grid_rows(pred_px, boxes[owner])
+
+    fine = _response_maps(grid[target], swap, grid, GRID_SIZE, RESPONSE_SHARPNESS)
+    coarse = _response_maps(
+        grid[target] / 2.0, swap, grid / 2.0, COARSE_SIZE, RESPONSE_SHARPNESS / 2.0
+    )
+    hyp_px = pred_px[target]
+    is_fp = d.u_fp < profile.false_positive_rate
+    r_fp = _quat_to_matrix(_unit_rows(d.q_fp))
+    fp_px = _project_rows(templates, d, r_fp, fp_boxes)
+
+    noise = profile.score_noise
+    return SimpleNamespace(
+        cls=d.cls.tolist(),
+        offsets=d.offsets.tolist(),
+        boxes=boxes.tolist(),
+        occluded=(d.flags[:, 0] < OCCLUSION_RATE).tolist(),
+        truncated=(d.flags[:, 1] < TRUNCATION_RATE).tolist(),
+        euler_gt=[rotation_to_euler(r) for r in r_gt],
+        euler_pred=[rotation_to_euler(r) for r in r_pred],
+        score=(1.0 + noise * d.eps_score).tolist(),
+        gt_x=gt_px[:, 0].tolist(),
+        gt_y=gt_px[:, 1].tolist(),
+        hyp_x=hyp_px[:, 0].tolist(),
+        hyp_y=hyp_px[:, 1].tolist(),
+        kp_score=(1.0 + noise * d.eps_kp_score).tolist(),
+        fine=fine,
+        coarse=coarse,
+        # false positives, read for the few instances that have one
+        is_fp=is_fp.tolist(),
+        fp_boxes=fp_boxes,
+        euler_fp={i: rotation_to_euler(r_fp[i]) for i in np.flatnonzero(is_fp).tolist()},
+        fp_px=fp_px,
+        fp_score=0.5 + noise * d.eps_fp_score,
+        fp_kp_score=0.5 + noise * d.eps_fp_kp_score,
+    )
+
+
 def generate_scene(
     seed: int,
     n_instances: int,
@@ -193,24 +415,28 @@ def generate_scene(
     Deterministic in the seed. The random stream is consumed in a fixed
     per-instance block regardless of the profile's values, so two scenes
     generated with the same seed but different profiles share identical
-    ground truth and differ only in the injected errors.
+    ground truth and differ only in the injected errors. Only the draws
+    run per instance; rotations, projections and response maps are
+    computed once for the whole scene, then the records are built.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be at least 1")
     if bank_size < 1:
         raise ValueError("bank_size must be at least 1")
+    if box_size is not None and not all(math.isfinite(v) and v > 0 for v in box_size):
+        raise ValueError(f"box_size must be positive and finite, got {box_size!r}")
     counts = dict(DEFAULT_KEYPOINT_COUNTS if keypoint_counts is None else keypoint_counts)
     missing = [c for c in classes if c not in counts]
     if missing:
         raise ValueError(f"no keypoint count for classes {missing}")
     manifest = _make_manifest(classes, counts)
-    templates = {cls: class_template(ci, counts[cls]) for ci, cls in enumerate(classes)}
+    templates = [class_template(ci, counts[cls]) for ci, cls in enumerate(classes)]
 
     rng = np.random.default_rng(seed)
     banks = {}
-    for cls in classes:
-        rots = np.stack([random_rotation(rng) for _ in range(bank_size)])
-        kps = np.stack([_grid_coords(templates[cls], r) for r in rots])
+    for cls, template in zip(classes, templates):
+        rots = _quat_to_matrix(_unit_rows(rng.normal(size=(bank_size, 4))))
+        kps = _grid_coords(template, rots)
         banks[cls] = PriorBank(
             class_name=cls,
             rotations=rots,
@@ -218,124 +444,61 @@ def generate_scene(
             present=np.ones(kps.shape[:2], dtype=bool),
         )
 
+    draws = _draw_stream(rng, n_instances, [counts[cls] for cls in classes])
+    c = _scene_columns(draws, profile, templates, box_size)
+    del draws  # free the draws before the records grow
+
     instances: list[Instance] = []
     detections: list[Detection] = []
     response_maps: dict[str, dict[str, np.ndarray]] = {}
     for i in range(n_instances):
-        ci = int(rng.integers(len(classes)))
-        cls = classes[ci]
-        template = templates[cls]
-        k_c = counts[cls]
-        n_pairs = k_c // 2
-
-        dims = rng.uniform(60.0, 160.0, size=2)
-        pos = rng.uniform(0.0, 200.0, size=2)
-        r_gt = random_rotation(rng)
-        flags = rng.random(2)
-        eps_vp = rng.normal(size=3)
-        u_flip = rng.random()
-        u_swap = rng.random(n_pairs)
-        eps_kp = rng.normal(size=(k_c, 2))
-        eps_kp_score = rng.normal(size=k_c)
-        eps_score = rng.normal()
-        u_fp = rng.random()
-        fp_shift = rng.random(2)
-        r_fp = random_rotation(rng)
-        eps_fp_score = rng.normal()
-        eps_fp_kp_score = rng.normal(size=k_c)
-
-        w, h = box_size if box_size is not None else (dims[0], dims[1])
-        bbox = (float(pos[0]), float(pos[1]), float(w), float(h))
+        cls = classes[c.cls[i]]
+        start, stop = c.offsets[i], c.offsets[i + 1]
+        bbox = tuple(c.boxes[i])
         image_id = f"im{i:06d}"
         iid = f"inst{i:06d}"
-        gt_px = project_template(template, r_gt, bbox)
         instances.append(
             Instance(
                 id=iid,
                 image_id=image_id,
                 class_name=cls,
                 bbox=bbox,
-                occluded=bool(flags[0] < OCCLUSION_RATE),
-                truncated=bool(flags[1] < TRUNCATION_RATE),
-                viewpoint=rotation_to_euler(r_gt),
+                occluded=c.occluded[i],
+                truncated=c.truncated[i],
+                viewpoint=c.euler_gt[i],
                 keypoints={
-                    k: Keypoint(float(gt_px[k, 0]), float(gt_px[k, 1]), True)
-                    for k in range(k_c)
+                    k: Keypoint(c.gt_x[r], c.gt_y[r], True)
+                    for k, r in enumerate(range(start, stop))
                 },
             )
         )
-
-        r_pred = r_gt @ _exp_so3(profile.viewpoint_jitter * eps_vp)
-        if u_flip < profile.pi_flip_prob:
-            r_pred = pi_flip(r_pred)
-
-        pred_px = gt_px + profile.keypoint_jitter * eps_kp
-        target = np.arange(k_c)
-        for m in range(n_pairs):
-            if u_swap[m] < profile.lateral_swap_prob:
-                target[2 * m], target[2 * m + 1] = 2 * m + 1, 2 * m
-
-        grid = np.array([normalize_keypoint(bbox, (p[0], p[1])) for p in pred_px])
-        fine = np.empty((k_c, GRID_SIZE, GRID_SIZE), dtype=np.float32)
-        coarse = np.empty((k_c, COARSE_SIZE, COARSE_SIZE), dtype=np.float32)
-        for k in range(k_c):
-            t = int(target[k])
-            fine_k = _log_cone(grid[t], GRID_SIZE, RESPONSE_SHARPNESS)
-            coarse_k = _log_cone(grid[t] / 2.0, COARSE_SIZE, RESPONSE_SHARPNESS / 2.0)
-            if t != k:
-                fine_k = np.maximum(
-                    fine_k, _log_cone(grid[k], GRID_SIZE, RESPONSE_SHARPNESS) - SWAP_MARGIN
-                )
-                coarse_k = np.maximum(
-                    coarse_k,
-                    _log_cone(grid[k] / 2.0, COARSE_SIZE, RESPONSE_SHARPNESS / 2.0)
-                    - SWAP_MARGIN,
-                )
-            fine[k] = fine_k
-            coarse[k] = coarse_k
-        response_maps[iid] = {"fine": fine, "coarse": coarse}
-
-        hyp_px = pred_px[target]
+        response_maps[iid] = {"fine": c.fine[start:stop], "coarse": c.coarse[start:stop]}
         detections.append(
             Detection(
                 image_id=image_id,
                 class_name=cls,
                 bbox=bbox,
-                score=float(1.0 + profile.score_noise * eps_score),
-                viewpoint=rotation_to_euler(r_pred),
+                score=c.score[i],
+                viewpoint=c.euler_pred[i],
                 keypoint_hypotheses={
-                    k: KeypointHypothesis(
-                        float(hyp_px[k, 0]),
-                        float(hyp_px[k, 1]),
-                        float(1.0 + profile.score_noise * eps_kp_score[k]),
-                    )
-                    for k in range(k_c)
+                    k: KeypointHypothesis(c.hyp_x[r], c.hyp_y[r], c.kp_score[r])
+                    for k, r in enumerate(range(start, stop))
                 },
             )
         )
-
-        if u_fp < profile.false_positive_rate:
-            fp_box = (
-                float(pos[0] + w * (1.5 + fp_shift[0])),
-                float(pos[1] + h * (1.5 + fp_shift[1])),
-                float(w),
-                float(h),
-            )
-            fp_px = project_template(template, r_fp, fp_box)
+        if c.is_fp[i]:
+            fp_x, fp_y = c.fp_px[start:stop].T.tolist()
+            fp_kp_score = c.fp_kp_score[start:stop].tolist()
             detections.append(
                 Detection(
                     image_id=image_id,
                     class_name=cls,
-                    bbox=fp_box,
-                    score=float(0.5 + profile.score_noise * eps_fp_score),
-                    viewpoint=rotation_to_euler(r_fp),
+                    bbox=tuple(c.fp_boxes[i].tolist()),
+                    score=float(c.fp_score[i]),
+                    viewpoint=c.euler_fp[i],
                     keypoint_hypotheses={
-                        k: KeypointHypothesis(
-                            float(fp_px[k, 0]),
-                            float(fp_px[k, 1]),
-                            float(0.5 + profile.score_noise * eps_fp_kp_score[k]),
-                        )
-                        for k in range(k_c)
+                        k: KeypointHypothesis(fp_x[k], fp_y[k], fp_kp_score[k])
+                        for k in range(stop - start)
                     },
                 )
             )

@@ -313,11 +313,13 @@ class TestFuseCommand:
 
     def test_bad_sigma(self, tmp_path, capsys):
         ds = _synth(tmp_path, n=2)
-        rc = cli.main(
-            ["fuse", "--dataset", str(ds), "--sigma", "0", "--out", str(tmp_path / "p.jsonl")]
-        )
-        assert rc == 2
-        assert "sigma" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["fuse", "--dataset", str(ds), "--sigma", "0", "--out", str(tmp_path / "p.jsonl")]
+            )
+        assert exc.value.code == 2
+        assert "argument --sigma" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_missing_bank_file(self, tmp_path):
         ds = _synth(tmp_path, n=2)
@@ -636,6 +638,92 @@ class TestThresholdFlags:
             cli.main(args)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["fuse"], "--w-fine", "-1"),
+            (["fuse"], "--w-fine", "nan"),
+            (["fuse"], "--w-coarse", "-0.5"),
+            (["fuse"], "--w-coarse", "inf"),
+            (["fuse"], "--sigma", "-1"),
+            (["fuse"], "--sigma", "nan"),
+            (["fuse"], "--threshold", "-1"),
+            (["fuse"], "--threshold", "0"),
+            (["fuse"], "--threshold", "inf"),
+            (["evaluate-viewpoint", "--preds", "p.jsonl", "--detections"], "--bins", "0"),
+            (["evaluate-viewpoint", "--preds", "p.jsonl", "--detections"], "--bins", "-3"),
+            (["evaluate-viewpoint", "--preds", "p.jsonl", "--detections"], "--bins", "2.5"),
+            (["evaluate-keypoints", "--preds", "p.jsonl", "--mode", "apk"], "--lambda", "nan"),
+            (["evaluate-keypoints", "--preds", "p.jsonl", "--mode", "apk"], "--lambda", "-inf"),
+        ],
+    )
+    def test_rejected_at_the_parser(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "fused.jsonl"
+        args = command + ["--dataset", "ds", flag, value]
+        if command == ["fuse"]:
+            args += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_values_accepted(self, tmp_path):
+        ds = _synth(tmp_path, n=4, noise="mild")
+        out = tmp_path / "fused.jsonl"
+        rc = cli.main(
+            ["fuse", "--dataset", str(ds), "--w-fine", "0", "--w-coarse", "0", "--out", str(out)]
+        )
+        assert rc == 0 and out.exists()
+        rc = cli.main(
+            [
+                "evaluate-viewpoint", "--dataset", str(ds), "--preds",
+                str(ds / "detections.jsonl"), "--detections", "--bins", "1",
+            ]
+        )
+        assert rc == 0
+        rc = cli.main(
+            [
+                "evaluate-keypoints", "--dataset", str(ds), "--preds",
+                str(ds / "detections.jsonl"), "--mode", "apk", "--lambda", "-2",
+            ]
+        )
+        assert rc == 0
+
+
+class TestManifestFieldTypes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("classes", "car"),
+            ("classes", [1, 2]),
+            ("keypoint_names", ["a", "b"]),
+            ("keypoint_names", {"car": "abc"}),
+            ("symmetry_pairs", []),
+            ("symmetry_pairs", {"car": {"0": "1"}}),
+            ("excluded_classes", "car"),
+            ("schema_version", True),
+            ("euler_convention", 7),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_the_field(self, tmp_path, capsys, field, value):
+        ds = _synth(tmp_path, n=3)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest[field] = value
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(
+            [
+                "evaluate-viewpoint", "--dataset", str(ds), "--preds",
+                str(ds / "detections.jsonl"), "--gt-boxes",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"manifest.json: {field} must be" in err
+        assert "Traceback" not in err
 
 
 class TestDiagnoseExclusion:

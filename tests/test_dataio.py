@@ -7,6 +7,7 @@ re-reading a dataset must reproduce the numbers bit for bit.
 
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from posekit.dataio import (
     SCHEMA_VERSION,
     Dataset,
     Manifest,
+    NonFiniteError,
     ParseError,
     SchemaVersionError,
     ValidationError,
@@ -124,6 +126,74 @@ class TestManifest:
 
     def test_convention_tag_value(self):
         assert EULER_CONVENTION == "ZYX-intrinsic"
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("classes", "car"),
+            ("classes", ["car", 3]),
+            ("keypoint_names", ["a", "b"]),
+            ("keypoint_names", {"car": ["a", None]}),
+            ("symmetry_pairs", {"car": {"0": 1.0}}),
+            ("symmetry_pairs", {"car": {"01": 1}}),
+            ("symmetry_pairs", {"car": [[0, 1]]}),
+            ("excluded_classes", {"car": True}),
+            ("schema_version", "1"),
+            ("euler_convention", None),
+        ],
+    )
+    def test_rejects_wrong_field_type(self, tmp_path, field, value):
+        save_manifest(_manifest(), tmp_path / "manifest.json")
+        record = json.loads((tmp_path / "manifest.json").read_text())
+        record[field] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(record))
+        with pytest.raises(ParseError, match=f"manifest.json: {field} must be"):
+            load_manifest(tmp_path / "manifest.json")
+
+
+class TestNonFiniteLiterals:
+    """NaN and Infinity are not JSON: every text format refuses them at parse time."""
+
+    @staticmethod
+    def _poison(path, constant):
+        """Put `constant` in place of the first decimal number of line 2."""
+        lines = path.read_text().splitlines()
+        lines[1] = re.sub(r"-?\d+\.\d+(?:e-?\d+)?", constant, lines[1], count=1)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "name, load",
+        [
+            ("instances.jsonl", lambda p, m: load_instances(p, m)),
+            ("detections.jsonl", lambda p, m: load_detections(p, m)),
+            ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
+            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p, m)),
+        ],
+    )
+    def test_jsonl_names_file_and_line(self, tmp_path, name, load, constant):
+        scene = generate_scene(seed=3, n_instances=3, profile=noise_preset("mild"),
+                               bank_size=2)
+        save_dataset(scene, tmp_path)
+        preds = {inst.id: {0: (inst.bbox[0] + 0.5, inst.bbox[1] + 0.25)}
+                 for inst in scene.instances}
+        save_keypoint_predictions(preds, tmp_path / "fused.jsonl")
+        self._poison(tmp_path / name, constant)
+        with pytest.raises(NonFiniteError, match=f"{name}:2: non-finite number {constant}"):
+            load(tmp_path / name, scene.manifest)
+
+    def test_manifest(self, tmp_path):
+        save_manifest(_manifest(), tmp_path / "manifest.json")
+        path = tmp_path / "manifest.json"
+        text = re.sub(r'"schema_version": \d+', '"schema_version": NaN', path.read_text())
+        path.write_text(text)
+        with pytest.raises(NonFiniteError, match="manifest.json: non-finite number NaN"):
+            load_manifest(path)
+
+    def test_is_both_a_parse_and_a_validation_error(self):
+        assert issubclass(NonFiniteError, ParseError)
+        assert issubclass(NonFiniteError, ValidationError)
 
 
 class TestInstanceRecords:

@@ -1,10 +1,12 @@
 """Tests for the synthetic scene generator and its brute-force oracles."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from posekit.dataio import save_dataset
 from posekit.fusion import fuse_and_decode, normalize_keypoint, uniform_prior
 from posekit.metrics import iou, voc_ap
 from posekit.so3 import azimuth_distance, geodesic_distance, euler_to_rotation
@@ -256,6 +258,65 @@ class TestInjectedErrors:
             for k in inst.keypoints
         ]
         assert max(moved) > 0.5
+
+
+# SHA-256 of the saved dataset tree (relative path, NUL, file bytes, in
+# sorted path order) for scenes whose bytes must never change: every
+# noise preset, a fixed box size, odd and single-keypoint classes, a
+# small bank, and a profile forcing every injected error.
+SCENE_DIGESTS = {
+    "zero": (
+        dict(seed=21, n_instances=60, profile=noise_preset("zero")),
+        "6ef77d6c647e827ca69f410034df00fcf72a01fc2ae7a9e14bccff745b53bbef",
+    ),
+    "mild": (
+        dict(seed=22, n_instances=60, profile=noise_preset("mild")),
+        "7cf3513941b4735cc165fe4bf0852b014e40ea8b956d6842b046604ca24ff723",
+    ),
+    "moderate": (
+        dict(seed=23, n_instances=60, profile=noise_preset("moderate")),
+        "b7bbd578df1aa300cd50d9a49140d53f61e52a76c15a3d3a0cdcec330f0f0c62",
+    ),
+    "heavy": (
+        dict(seed=24, n_instances=60, profile=noise_preset("heavy")),
+        "396e19a1b16b118c67b20ecfc1c41ce4b17ec918e95188c13adb6de8d45b54ac",
+    ),
+    "box_size": (
+        dict(seed=25, n_instances=60, profile=noise_preset("moderate"),
+             box_size=(100.0, 100.0)),
+        "badc87122969abba3dcd180cda8dc3f755c8a8998e350d61484657cd489d5c59",
+    ),
+    "odd_counts": (
+        dict(seed=26, n_instances=60, profile=noise_preset("heavy"),
+             classes=("car", "bus", "bike"),
+             keypoint_counts={"car": 5, "bus": 1, "bike": 2}),
+        "7c4bbacdb5a2c2d58f7d7898cc68be88eb57eff6d333ac327bfb542bf081fe4e",
+    ),
+    "bank_size": (
+        dict(seed=27, n_instances=60, profile=noise_preset("mild"), bank_size=7),
+        "e3b1306aece3b081a9ec3269cebe85cc7da2d5b015296295de14ce589072fca7",
+    ),
+    "forced": (
+        dict(seed=28, n_instances=60, profile=NoiseProfile(0.3, 1.0, 1.0, 8.0, 1.0, 0.2)),
+        "c31d40ed8eda57982b2be05d7919cde6abe64fa940408555c9b50e9aba88b01d",
+    ),
+}
+
+
+def _tree_digest(base):
+    h = hashlib.sha256()
+    for path in sorted(p for p in base.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(base)).encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestSceneBytes:
+    @pytest.mark.parametrize("case", sorted(SCENE_DIGESTS))
+    def test_saved_tree_digest(self, case, tmp_path):
+        kwargs, digest = SCENE_DIGESTS[case]
+        save_dataset(generate_scene(**kwargs), tmp_path)
+        assert _tree_digest(tmp_path) == digest
 
 
 class TestOracleFuse:
