@@ -57,7 +57,6 @@ sliced = diagnostics.sliced_report(
         math.pi / 6,
     )},
     diagnostics.size_slice_specs(scene.instances),
-    exclude_classes=(),
 )
 for name, rows in sliced.sections.items():
     print("  %-6s acc=%.2f" % (name, rows["acc"]))

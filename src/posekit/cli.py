@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from functools import partial
@@ -228,7 +227,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                     f"unknown slice {token!r} (known: size, occlusion, truncation)"
                 )
         fns = diagnostics.viewpoint_error_metrics(views, args.theta)
-        sliced = diagnostics.sliced_report(kept, fns, specs, exclude_classes=())
+        sliced = diagnostics.sliced_report(kept, fns, specs)
         for name, rows in sliced.sections.items():
             report.sections[f"slice/{name}"] = rows
 
@@ -264,7 +263,7 @@ def _load_profile(value: str) -> synth.NoiseProfile:
         return synth.NOISE_PRESETS[value]
     path = Path(value)
     if path.exists():
-        record = json.loads(path.read_text(encoding="utf-8"))
+        record = dataio.read_json(path)
         if not isinstance(record, dict):
             raise ValueError(f"{path.name}: noise profile must be an object")
         known = {f.name for f in dataclasses.fields(synth.NoiseProfile)}
@@ -274,7 +273,10 @@ def _load_profile(value: str) -> synth.NoiseProfile:
                 f"{path.name}: unknown noise profile key {unknown[0]!r}"
                 f" (known: {', '.join(sorted(known))})"
             )
-        return synth.NoiseProfile(**record)
+        try:
+            return synth.NoiseProfile(**record)
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
     known = ", ".join(sorted(synth.NOISE_PRESETS))
     raise ValueError(f"unknown noise profile {value!r}: not a preset ({known}) or a file")
 

@@ -138,8 +138,15 @@ def _non_finite(name: str) -> None:
     raise NonFiniteError(f"non-finite number {name} is not JSON")
 
 
-# Python's json reads NaN, Infinity and -Infinity; the formats never hold them.
-_DECODER = json.JSONDecoder(parse_constant=_non_finite)
+def _parse_int(text: str) -> int:
+    if math.isinf(float(text)):
+        raise NonFiniteError(f"integer of {len(text)} digits is beyond float range")
+    return int(text)
+
+
+# Python's json reads NaN, Infinity and -Infinity, and integers of any size;
+# the formats never hold them.
+_DECODER = json.JSONDecoder(parse_constant=_non_finite, parse_int=_parse_int)
 
 
 def _parse_json(text: str, where: str) -> object:
@@ -151,15 +158,23 @@ def _parse_json(text: str, where: str) -> object:
         raise NonFiniteError(f"{where}: {exc}") from None
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+def _read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+    """Each non-blank line's record, with its "file:line" for messages."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = _parse_json(line, f"{path.name}:{line_no}")
+            where = f"{path.name}:{line_no}"
+            record = _parse_json(line, where)
             if not isinstance(record, dict):
-                raise ParseError(f"{path.name}:{line_no}: record is not an object")
-            yield line_no, record
+                raise ParseError(f"{where}: record is not an object")
+            yield where, record
+
+
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(_dump(record) + "\n")
 
 
 def _check_keys(record: dict, required: tuple[str, ...], where: str) -> None:
@@ -211,22 +226,40 @@ def _viewpoint_from_record(value: object, where: str) -> EulerAngles | None:
         raise ValidationError(f"{where}: bad viewpoint ({exc})") from exc
 
 
-def _keypoint_ids(mapping: dict, manifest: Manifest, cls: str, where: str) -> dict[int, list]:
+def _id_of(key: str) -> int | None:
+    """k if the key is a keypoint id as saved, str(k) of an integer k >= 0;
+    None for "00", "+1", " 7" and the like, not a second 0, 1 or 7."""
+    k = int(key) if key.isdecimal() else None
+    return k if str(k) == key else None
+
+
+def _keypoint_ids(
+    record: dict, name: str, fields: tuple[str, ...], where: str, k_c: int | None = None
+) -> dict[int, list]:
+    """The keypoint map record[name] as {id: entry}, each entry a list of
+    len(fields) values; ids must be below k_c when a count is given."""
+    mapping = record[name]
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{where}: {name} must be an object")
     out: dict[int, list] = {}
-    k_c = manifest.num_keypoints(cls)
     for key, value in mapping.items():
-        try:
-            k = int(key)
-        except ValueError as exc:
-            raise ParseError(f"{where}: keypoint id {key!r} is not an integer") from exc
-        if not 0 <= k < k_c:
-            raise ValidationError(
-                f"{where}: keypoint id {k} out of range for class {cls!r} ({k_c} keypoints)"
-            )
-        if not isinstance(value, list):
-            raise ParseError(f"{where}: keypoint {k} entry must be a list")
+        k = _id_of(key)
+        if k is None:
+            raise ParseError(f"{where}: keypoint id {key!r} is not an integer in canonical form")
+        if k_c is not None and k >= k_c:
+            raise ValidationError(f"{where}: keypoint id {k} out of range ({k_c} keypoints)")
+        if not isinstance(value, list) or len(value) != len(fields):
+            raise ParseError(f"{where}: keypoint {k} must be [{', '.join(fields)}]")
         out[k] = value
     return out
+
+
+def _class_of(record: dict, manifest: Manifest, where: str) -> tuple[str, int]:
+    """The record's class and that class's keypoint count."""
+    cls = record["class"]
+    if not isinstance(cls, str) or cls not in manifest.keypoint_names:
+        raise ValidationError(f"{where}: unknown class {cls!r}")
+    return cls, manifest.num_keypoints(cls)
 
 
 INSTANCE_FIELDS = (
@@ -258,15 +291,10 @@ def instance_to_record(inst: Instance) -> dict:
 
 def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instance:
     _check_keys(record, INSTANCE_FIELDS, where)
-    cls = record["class"]
-    if cls not in manifest.keypoint_names:
-        raise ValidationError(f"{where}: unknown class {cls!r}")
-    if not isinstance(record["keypoints"], dict):
-        raise ParseError(f"{where}: keypoints must be an object")
+    cls, k_c = _class_of(record, manifest, where)
     keypoints: dict[int, Keypoint] = {}
-    for k, entry in _keypoint_ids(record["keypoints"], manifest, cls, where).items():
-        if len(entry) != 3:
-            raise ParseError(f"{where}: keypoint {k} must be [x, y, visible]")
+    entries = _keypoint_ids(record, "keypoints", ("x", "y", "visible"), where, k_c)
+    for k, entry in entries.items():
         try:
             keypoints[k] = Keypoint(float(entry[0]), float(entry[1]), bool(entry[2]))
         except (TypeError, ValueError) as exc:
@@ -312,17 +340,10 @@ def detection_to_record(det: Detection) -> dict:
 
 def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detection:
     _check_keys(record, DETECTION_FIELDS, where)
-    cls = record["class"]
-    if cls not in manifest.keypoint_names:
-        raise ValidationError(f"{where}: unknown class {cls!r}")
-    if not isinstance(record["keypoint_hypotheses"], dict):
-        raise ParseError(f"{where}: keypoint_hypotheses must be an object")
+    cls, k_c = _class_of(record, manifest, where)
     hyps: dict[int, tuple[float, float, float]] = {}
-    for k, entry in _keypoint_ids(
-        record["keypoint_hypotheses"], manifest, cls, where
-    ).items():
-        if len(entry) != 3:
-            raise ParseError(f"{where}: hypothesis {k} must be [x, y, score]")
+    entries = _keypoint_ids(record, "keypoint_hypotheses", ("x", "y", "score"), where, k_c)
+    for k, entry in entries.items():
         try:
             hyps[k] = (float(entry[0]), float(entry[1]), float(entry[2]))
         except (TypeError, ValueError) as exc:
@@ -354,12 +375,9 @@ def _is_int(value: object) -> bool:
 
 def _is_pair_map(value: object) -> bool:
     """A symmetry map as saved: {"<keypoint id>": <keypoint id>}."""
-    if not isinstance(value, dict) or not all(_is_int(b) for b in value.values()):
-        return False
-    try:
-        return all(str(int(a)) == a for a in value)
-    except ValueError:
-        return False
+    return isinstance(value, dict) and all(
+        _id_of(a) is not None and _is_int(b) for a, b in value.items()
+    )
 
 
 # The type of every manifest field, as a test and the words that name it.
@@ -379,9 +397,15 @@ _MANIFEST_FIELDS = {
 }
 
 
+def read_json(path: str | Path) -> object:
+    """Parse a JSON file; errors name the file, NaN and Infinity are refused."""
+    path = Path(path)
+    return _parse_json(path.read_text(encoding="utf-8"), path.name)
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    record = _parse_json(path.read_text(encoding="utf-8"), path.name)
+    record = read_json(path)
     if not isinstance(record, dict):
         raise ParseError(f"{path.name}: manifest must be an object")
     _check_keys(record, tuple(_MANIFEST_FIELDS), path.name)
@@ -421,8 +445,7 @@ def load_instances(path: str | Path, manifest: Manifest) -> list[Instance]:
     path = Path(path)
     instances = []
     seen: set[str] = set()
-    for line_no, record in _read_jsonl(path):
-        where = f"{path.name}:{line_no}"
+    for where, record in _read_jsonl(path):
         inst = instance_from_record(record, manifest, where)
         if inst.id in seen:
             raise ValidationError(f"{where}: duplicate instance id {inst.id!r}")
@@ -439,23 +462,19 @@ def load_ground_truth(path: str | Path) -> tuple[Manifest, list[Instance]]:
 
 
 def save_instances(instances: Iterable[Instance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(_dump(instance_to_record(inst)) + "\n")
+    _write_jsonl(path, map(instance_to_record, instances))
 
 
 def load_detections(path: str | Path, manifest: Manifest) -> list[Detection]:
     path = Path(path)
     return [
-        detection_from_record(record, manifest, f"{path.name}:{line_no}")
-        for line_no, record in _read_jsonl(path)
+        detection_from_record(record, manifest, where)
+        for where, record in _read_jsonl(path)
     ]
 
 
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in detections:
-            fh.write(_dump(detection_to_record(det)) + "\n")
+    _write_jsonl(path, map(detection_to_record, detections))
 
 
 def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBank]:
@@ -466,18 +485,17 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
     """
     path = Path(path)
     rows: dict[str, list[tuple[list, list, list]]] = {}
-    for line_no, record in _read_jsonl(path):
-        where = f"{path.name}:{line_no}"
+    for where, record in _read_jsonl(path):
         _check_keys(record, ("class", "rotation", "keypoints", "present"), where)
-        cls = record["class"]
-        if cls not in manifest.keypoint_names:
-            raise ValidationError(f"{where}: unknown class {cls!r}")
+        cls, k_c = _class_of(record, manifest, where)
         try:
             rotation_matrix(np.asarray(record["rotation"], dtype=np.float64))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: bad rotation ({exc})") from exc
-        k_c = manifest.num_keypoints(cls)
-        if len(record["keypoints"]) != k_c or len(record["present"]) != k_c:
+        if not all(
+            isinstance(record[f], list) and len(record[f]) == k_c
+            for f in ("keypoints", "present")
+        ):
             raise ValidationError(
                 f"{where}: expected {k_c} keypoints for class {cls!r}"
             )
@@ -493,23 +511,25 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
                 keypoints=np.array([e[1] for e in entries], dtype=np.float64),
                 present=np.array([e[2] for e in entries], dtype=bool),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path.name}: bank for {cls!r}: {exc}") from exc
     return banks
 
 
 def save_prior_banks(banks: Mapping[str, PriorBank], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for cls in sorted(banks):
-            bank = banks[cls]
-            for i in range(len(bank)):
-                record = {
-                    "class": cls,
-                    "rotation": bank.rotations[i].tolist(),
-                    "keypoints": bank.keypoints[i].tolist(),
-                    "present": bank.present[i].tolist(),
-                }
-                fh.write(_dump(record) + "\n")
+    _write_jsonl(
+        path,
+        (
+            {
+                "class": cls,
+                "rotation": bank.rotations[i].tolist(),
+                "keypoints": bank.keypoints[i].tolist(),
+                "present": bank.present[i].tolist(),
+            }
+            for cls, bank in sorted(banks.items())
+            for i in range(len(bank))
+        ),
+    )
 
 
 def write_response_map(path: str | Path, grid: np.ndarray, class_id: int) -> None:
@@ -644,29 +664,21 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
                 write_response_map(responses / f"{iid}_{kind}.vkrm", grid, class_id)
 
 
-def load_keypoint_predictions(
-    path: str | Path, manifest: Manifest | None = None
-) -> dict[str, dict[int, tuple[float, float]]]:
+def load_keypoint_predictions(path: str | Path) -> dict[str, dict[int, tuple[float, float]]]:
     """Read per-instance keypoint predictions ({"id", "keypoints"} lines)."""
     path = Path(path)
     preds: dict[str, dict[int, tuple[float, float]]] = {}
-    for line_no, record in _read_jsonl(path):
-        where = f"{path.name}:{line_no}"
+    for where, record in _read_jsonl(path):
         _check_keys(record, ("id", "keypoints"), where)
         iid = str(record["id"])
         if iid in preds:
             raise ValidationError(f"{where}: duplicate prediction for {iid!r}")
-        if not isinstance(record["keypoints"], dict):
-            raise ParseError(f"{where}: keypoints must be an object")
         kps = {}
-        for key, entry in record["keypoints"].items():
+        for k, entry in _keypoint_ids(record, "keypoints", ("x", "y"), where).items():
             try:
-                k = int(key)
-            except ValueError as exc:
-                raise ParseError(f"{where}: keypoint id {key!r} is not an integer") from exc
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(f"{where}: keypoint {k} must be [x, y]")
-            x, y = float(entry[0]), float(entry[1])
+                x, y = float(entry[0]), float(entry[1])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{where}: keypoint {k} is not numeric") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValidationError(f"{where}: keypoint {k} not finite")
             kps[k] = (x, y)
@@ -677,13 +689,13 @@ def load_keypoint_predictions(
 def save_keypoint_predictions(
     preds: Mapping[str, Mapping[int, tuple[float, float]]], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for iid in sorted(preds):
-            record = {
-                "id": iid,
-                "keypoints": {str(k): list(p) for k, p in sorted(preds[iid].items())},
-            }
-            fh.write(_dump(record) + "\n")
+    _write_jsonl(
+        path,
+        (
+            {"id": iid, "keypoints": {str(k): list(p) for k, p in sorted(preds[iid].items())}}
+            for iid in sorted(preds)
+        ),
+    )
 
 
 def _fmt(value: float | None) -> str:

@@ -21,8 +21,6 @@ from .so3 import EulerAngles, azimuth_distance, euler_to_rotation, z_reflect_azi
 SMALL_ERROR = math.pi / 9
 MEDIUM_ERROR = 2 * math.pi / 9
 
-DEFAULT_EXCLUDED_CLASSES = frozenset({"diningtable", "bottle"})
-
 ERROR_MODE_NAMES = ("correct", "medium", "pi_flip", "z_ref", "other")
 
 
@@ -159,19 +157,17 @@ def sliced_report(
     instances: Sequence[Instance],
     metrics: Mapping[str, MetricFn],
     slices: Sequence[SliceSpec],
-    exclude_classes: Iterable[str] = DEFAULT_EXCLUDED_CLASSES,
 ) -> EvalReport:
-    """Evaluate each metric independently on each slice.
+    """Evaluate each metric independently on each slice of the instances.
 
-    Excluded classes are dropped before slicing. A slice with no
-    surviving instances reports None for every metric (absent, never a
-    zero that could be mistaken for a measurement).
+    Callers pass only the instances they want scored (diagnose drops the
+    manifest's excluded classes first). A slice with no members reports
+    None for every metric (absent, never a zero that could be mistaken
+    for a measurement).
     """
-    excluded = set(exclude_classes)
-    kept = [inst for inst in instances if inst.class_name not in excluded]
     report = EvalReport()
     for spec in slices:
-        members = [inst for inst in kept if spec.predicate(inst)]
+        members = [inst for inst in instances if spec.predicate(inst)]
         rows: dict[str, float | None] = {}
         for metric_name, fn in metrics.items():
             rows[metric_name] = fn(members) if members else None

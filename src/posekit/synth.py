@@ -46,6 +46,11 @@ OCCLUSION_RATE = 0.2
 TRUNCATION_RATE = 0.1
 
 
+def _is_number(value: object) -> bool:
+    """An int or a float, but not a bool (an int subclass: True would be 1)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseProfile:
     """Error rates and magnitudes injected into predictions."""
@@ -60,11 +65,11 @@ class NoiseProfile:
     def __post_init__(self) -> None:
         for name in ("pi_flip_prob", "lateral_swap_prob", "false_positive_rate"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
+            if not (_is_number(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {v!r}")
         for name in ("viewpoint_jitter", "keypoint_jitter", "score_noise"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
+            if not (_is_number(v) and math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a nonnegative stddev, got {v!r}")
 
 
@@ -119,17 +124,6 @@ def _to_box(q: np.ndarray, x, y, w, h) -> np.ndarray:
     return out
 
 
-def project_template(
-    template: np.ndarray, r: np.ndarray, bbox: tuple[float, float, float, float]
-) -> np.ndarray:
-    """Orthographic projection of rotated template points into a box.
-
-    The rotated x/y components, which lie in [-1, 1] for unit-ball
-    templates, are mapped affinely onto the box; returns (K, 2) pixels.
-    """
-    return _to_box(np.asarray(template) @ np.asarray(r).T, *bbox)
-
-
 # Which steps stay scalar. The generator's bytes are pinned, so a batched
 # step must be bitwise equal to the per-instance arithmetic it replaced.
 # Elementwise arithmetic is, and so are stacked matmuls such as
@@ -158,12 +152,6 @@ def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     ]
     return np.stack(entries, axis=-1).reshape(np.shape(w) + (3, 3))
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random rotation via a normalized Gaussian quaternion."""
-    q = rng.normal(size=4)
-    return _quat_to_matrix(q / np.linalg.norm(q))
 
 
 def _exp_so3(w: np.ndarray) -> np.ndarray:

@@ -114,6 +114,28 @@ class TestSynthCommand:
         assert rc == 2
         assert "'keypoint_jiter'" in capsys.readouterr().err
 
+    def test_profile_file_bad_json_names_the_file(self, tmp_path, capsys):
+        prof = tmp_path / "p.json"
+        prof.write_text("{pi_flip_prob: 0.5}")
+        rc = cli.main(
+            ["synth", "--seed", "1", "--n", "2", "--noise", str(prof), "--out", str(tmp_path / "d")]
+        )
+        assert rc == 2
+        assert "error: p.json: bad JSON (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ['{"pi_flip_prob": true}', '{"keypoint_jitter": false}', '{"score_noise": NaN}']
+    )
+    def test_profile_file_refuses_booleans_and_non_finite(self, tmp_path, capsys, text):
+        prof = tmp_path / "p.json"
+        prof.write_text(text)
+        rc = cli.main(
+            ["synth", "--seed", "1", "--n", "2", "--noise", str(prof), "--out", str(tmp_path / "d")]
+        )
+        assert rc == 2
+        assert "error: p.json: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_preset(self, tmp_path, capsys):
         rc = cli.main(
             ["synth", "--seed", "1", "--n", "2", "--noise", "blurry", "--out", str(tmp_path / "d")]
@@ -753,3 +775,66 @@ class TestDiagnoseExclusion:
         for name in ("pck", "left-right-pck"):
             assert "car" not in sections[name]
             assert set(sections[name]) == set(classes) - {"car"} | {"all"}
+
+
+def _set(field, value):
+    def mutate(record):
+        record[field] = value
+
+    return mutate
+
+
+def _set_keypoint(key, value):
+    def mutate(record):
+        record["keypoints"][key] = value
+
+    return mutate
+
+
+def _respell_keypoint(key):
+    """Add keypoint 0's entry again under another spelling of its id."""
+
+    def mutate(record):
+        record["keypoints"][key] = record["keypoints"]["0"]
+
+    return mutate
+
+
+class TestBoundaryErrors:
+    """Malformed records exit 2 naming file and line, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "name, mutate",
+        [
+            ("instances.jsonl", _set("class", ["car"])),
+            ("detections.jsonl", _set("class", {"a": 1})),
+            ("prior_bank.jsonl", _set("keypoints", 5)),
+            ("fused.jsonl", _set_keypoint("0", [None, 1.0])),
+            ("instances.jsonl", _respell_keypoint("00")),
+        ],
+        ids=["instance-class-list", "detection-class-object", "bank-keypoints-int",
+             "prediction-null-coordinate", "instance-keypoint-id-00"],
+    )
+    def test_exits_2_naming_file_and_line(self, tmp_path, capsys, name, mutate):
+        ds = _synth(tmp_path, seed=1, n=4, noise="mild")
+        fused = ds / "fused.jsonl"
+        assert cli.main(["fuse", "--dataset", str(ds), "--out", str(fused)]) == 0
+        path = ds / name
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        mutate(record)
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        preds = ["--preds", str(ds / "detections.jsonl")]
+        argv = {
+            "instances.jsonl": ["evaluate-viewpoint", *preds, "--gt-boxes"],
+            "detections.jsonl": ["evaluate-viewpoint", *preds, "--gt-boxes"],
+            "prior_bank.jsonl": ["fuse", "--out", str(tmp_path / "out.jsonl")],
+            "fused.jsonl": ["evaluate-keypoints", "--preds", str(fused), "--mode", "pck"],
+        }[name]
+        rc = cli.main([*argv, "--dataset", str(ds)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {name}:2: " in err
+        assert "Traceback" not in err

@@ -5,6 +5,7 @@ Roundtrips are checked for exact equality, floats included: writing and
 re-reading a dataset must reproduce the numbers bit for bit.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -169,7 +170,7 @@ class TestNonFiniteLiterals:
             ("instances.jsonl", lambda p, m: load_instances(p, m)),
             ("detections.jsonl", lambda p, m: load_detections(p, m)),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
-            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p, m)),
+            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p)),
         ],
     )
     def test_jsonl_names_file_and_line(self, tmp_path, name, load, constant):
@@ -307,6 +308,46 @@ class TestInstanceRecords:
         path = self._write(tmp_path, [inst])
         path.write_text("\n" + path.read_text() + "\n\n")
         assert len(load_instances(path, _manifest())) == 1
+
+
+def _two_instances(path):
+    inst = Instance(id="i0", image_id="im0", class_name="car", bbox=(0.0, 0.0, 5.0, 5.0),
+                    keypoints={0: Keypoint(1.0, 2.0)})
+    save_instances([inst, dataclasses.replace(inst, id="i1")], path)
+
+
+def _two_detections(path):
+    det = Detection(image_id="im0", class_name="car", bbox=(0.0, 0.0, 5.0, 5.0), score=0.5,
+                    keypoint_hypotheses={0: KeypointHypothesis(1.0, 2.0, 0.5)})
+    save_detections([det, det], path)
+
+
+def _two_predictions(path):
+    save_keypoint_predictions({"i0": {0: (1.0, 2.0)}, "i1": {0: (1.0, 2.0)}}, path)
+
+
+class TestKeypointIds:
+    """A keypoint id must read back exactly as written: str(k) of an int k >= 0."""
+
+    KINDS = {
+        "instances": (_two_instances, lambda p: load_instances(p, _manifest())),
+        "detections": (_two_detections, lambda p: load_detections(p, _manifest())),
+        "predictions": (_two_predictions, load_keypoint_predictions),
+    }
+
+    @pytest.mark.parametrize("key", ["00", "01", "+1", " 7", "-3", "\u0663"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_non_canonical_id_names_line(self, tmp_path, kind, key):
+        save, load = self.KINDS[kind]
+        path = tmp_path / "records.jsonl"
+        save(path)
+        first, second = path.read_text().splitlines()
+        # keep the canonical "0" and add the same entry under the other spelling
+        forged = re.sub(r'"0":(\[[^\]]*\])', lambda m: f'"0":{m[1]},{json.dumps(key)}:{m[1]}', second)
+        assert forged != second
+        path.write_text(first + "\n" + forged + "\n")
+        with pytest.raises(ParseError, match=rf"records.jsonl:2: keypoint id {re.escape(repr(key))}"):
+            load(path)
 
 
 class TestDetectionRecords:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from posekit.diagnostics import (
-    DEFAULT_EXCLUDED_CLASSES,
     SliceSpec,
     MEDIUM_ERROR,
     SMALL_ERROR,
@@ -163,48 +162,20 @@ class TestSlicedReport:
     def test_whole_population_slice_matches_direct_call(self):
         insts = [_inst(f"i{i}", float(3 + i)) for i in range(9)]
         report = sliced_report(
-            insts, {"mean_area": self._metric}, [SliceSpec("all", lambda _: True)],
-            exclude_classes=(),
+            insts, {"mean_area": self._metric}, [SliceSpec("all", lambda _: True)]
         )
         assert report.sections["all"]["mean_area"] == self._metric(insts)
 
     def test_empty_slice_reports_absent(self):
         insts = [_inst(f"i{i}", occluded=False) for i in range(4)]
-        report = sliced_report(
-            insts, {"mean_area": self._metric}, [occluded_slice()], exclude_classes=()
-        )
+        report = sliced_report(insts, {"mean_area": self._metric}, [occluded_slice()])
         assert report.sections["occluded"]["mean_area"] is None
-
-    def test_default_exclusions_applied(self):
-        assert DEFAULT_EXCLUDED_CLASSES == {"diningtable", "bottle"}
-        insts = [
-            _inst("a", 10.0, cls="car"),
-            _inst("b", 99.0, cls="bottle"),
-        ]
-        report = sliced_report(
-            insts, {"mean_area": self._metric}, [SliceSpec("all", lambda _: True)]
-        )
-        assert report.sections["all"]["mean_area"] == 100.0
-
-    def test_exclusions_are_configurable(self):
-        insts = [
-            _inst("a", 10.0, cls="car"),
-            _inst("b", 20.0, cls="bottle"),
-        ]
-        report = sliced_report(
-            insts, {"mean_area": self._metric}, [SliceSpec("all", lambda _: True)],
-            exclude_classes={"car"},
-        )
-        assert report.sections["all"]["mean_area"] == 400.0
 
     def test_size_degradation_shows_up(self):
         """A metric that worsens with small boxes separates the size
         terciles in the report."""
         insts = [_inst(f"i{i:02d}", float(2 + i)) for i in range(30)]
-        report = sliced_report(
-            insts, {"mean_area": self._metric}, size_slice_specs(insts),
-            exclude_classes=(),
-        )
+        report = sliced_report(insts, {"mean_area": self._metric}, size_slice_specs(insts))
         small = report.sections["small"]["mean_area"]
         large = report.sections["large"]["mean_area"]
         assert small < large

@@ -18,8 +18,6 @@ from posekit.synth import (
     noise_preset,
     oracle_ap,
     oracle_fuse,
-    project_template,
-    random_rotation,
 )
 
 
@@ -75,23 +73,6 @@ class TestTemplates:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             class_template(0, 0)
-
-
-class TestProjection:
-    def test_identity_rotation_corners(self):
-        template = np.array([[1.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 0.5]])
-        px = project_template(template, np.eye(3), (10.0, 20.0, 100.0, 50.0))
-        np.testing.assert_allclose(px[0], (110.0, 45.0))
-        np.testing.assert_allclose(px[1], (10.0, 20.0))
-        np.testing.assert_allclose(px[2], (60.0, 45.0))
-
-    def test_rotation_moves_points(self):
-        rng = np.random.default_rng(70)
-        template = class_template(0, 8)
-        r = random_rotation(rng)
-        a = project_template(template, np.eye(3), (0.0, 0.0, 100.0, 100.0))
-        b = project_template(template, r, (0.0, 0.0, 100.0, 100.0))
-        assert not np.allclose(a, b)
 
 
 class TestSceneDeterminism:
