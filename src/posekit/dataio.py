@@ -7,25 +7,34 @@ A dataset directory holds:
                        classes for analysis
   instances.jsonl      one ground-truth object per line
   detections.jsonl     one scored prediction per line
-  prior_bank.jsonl     one (rotation, normalized keypoints) exemplar per line
+  prior_bank.jsonl     one (rotation, normalized keypoints, present flags)
+                       exemplar per line; the flags are JSON booleans
   responses/           <instance_id>_fine.vkrm and <instance_id>_coarse.vkrm
 
-Text records are JSON with sorted keys and compact separators so identical
-data always serializes to identical bytes; floats use Python's shortest
-round-trip representation, so load(save(x)) reproduces x exactly. Response
-maps are binary: magic "VKRM", then version, class id, keypoint count, H, W
-as little-endian uint32, then K*H*W little-endian float32 values row-major.
-Angles are radians in the ZYX-intrinsic convention named by the manifest;
-loaders reject unknown convention tags and unknown schema versions rather
-than guessing.
+Text files are UTF-8 JSON. Records use sorted keys and compact separators
+so identical data always serializes to identical bytes; floats use Python's
+shortest round-trip representation, so load(save(x)) reproduces x exactly.
+Response maps are binary: magic "VKRM", then version, class id, keypoint
+count, H, W as little-endian uint32, then K*H*W little-endian float32
+values row-major. Angles are radians in the ZYX-intrinsic convention named
+by the manifest; loaders reject unknown convention tags and unknown schema
+versions rather than guessing.
+
+Each reader makes one validating pass over its input: a record's keys, its
+class and every keypoint entry are checked as the record is converted, and
+the first fault is raised naming "file:line" (bytes that are not UTF-8
+included). The rotations of a prior bank are checked as one stack once the
+file is read, and the earliest bad row is named.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -39,7 +48,9 @@ from .metrics import (
     Keypoint,
     KeypointHypothesis,
 )
-from .so3 import EulerAngles, rotation_matrix
+# rotation_matrix is bound here too: perfbench/selftest.py checks that the
+# tracer wraps a re-exported function at every binding, this one included.
+from .so3 import EulerAngles, RotationError, check_rotations, rotation_matrix  # noqa: F401
 
 SCHEMA_VERSION = 1
 EULER_CONVENTION = "ZYX-intrinsic"
@@ -118,6 +129,14 @@ class Manifest:
             raise ValidationError(f"unknown class {class_name!r}")
         return len(self.keypoint_names[class_name])
 
+    @cached_property
+    def keypoint_ids(self) -> dict[str, dict[str, int]]:
+        """Per class, each keypoint id as a record key spells it: {"0": 0, ...}."""
+        return {
+            cls: {str(k): k for k in range(len(names))}
+            for cls, names in self.keypoint_names.items()
+        }
+
 
 @dataclass
 class Dataset:
@@ -158,13 +177,25 @@ def _parse_json(text: str, where: str) -> object:
         raise NonFiniteError(f"{where}: {exc}") from None
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+def _decode(raw: bytes, name: str, first_line: int = 1) -> str:
+    """raw as UTF-8 text; an error names the line of the first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + raw.count(b"\n", 0, exc.start)
+        bad = raw[exc.start]
+        raise ParseError(f"{name}:{line}: not UTF-8 (byte 0x{bad:02x}: {exc.reason})") from None
+
+
+def _read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
     """Each non-blank line's record, with its "file:line" for messages."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    name = os.path.basename(path)
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = _decode(raw, name, line_no)
             if not line.strip():
                 continue
-            where = f"{path.name}:{line_no}"
+            where = f"{name}:{line_no}"
             record = _parse_json(line, where)
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: record is not an object")
@@ -177,17 +208,17 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(_dump(record) + "\n")
 
 
-def _check_keys(record: dict, required: tuple[str, ...], where: str) -> None:
-    got = set(record)
-    missing = set(required) - got
-    extra = got - set(required)
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)}")
-        raise ParseError(f"{where}: {'; '.join(parts)}")
+def _check_keys(record: dict, required: frozenset[str], where: str) -> None:
+    if record.keys() == required:
+        return
+    missing = required - record.keys()
+    extra = record.keys() - required
+    parts = []
+    if missing:
+        parts.append(f"missing {sorted(missing)}")
+    if extra:
+        parts.append(f"unexpected {sorted(extra)}")
+    raise ParseError(f"{where}: {'; '.join(parts)}")
 
 
 def _as_bbox(value: object, where: str) -> tuple[float, float, float, float]:
@@ -210,12 +241,15 @@ def _viewpoint_to_record(v: EulerAngles | None) -> dict | None:
     }
 
 
+_VIEWPOINT_KEYS = frozenset({"azimuth", "elevation", "cyclorotation"})
+
+
 def _viewpoint_from_record(value: object, where: str) -> EulerAngles | None:
     if value is None:
         return None
     if not isinstance(value, dict):
         raise ParseError(f"{where}: viewpoint must be an object or null")
-    _check_keys(value, ("azimuth", "elevation", "cyclorotation"), f"{where} viewpoint")
+    _check_keys(value, _VIEWPOINT_KEYS, f"{where} viewpoint")
     try:
         return EulerAngles(
             float(value["azimuth"]),
@@ -233,36 +267,49 @@ def _id_of(key: str) -> int | None:
     return k if str(k) == key else None
 
 
-def _keypoint_ids(
-    record: dict, name: str, fields: tuple[str, ...], where: str, k_c: int | None = None
-) -> dict[int, list]:
-    """The keypoint map record[name] as {id: entry}, each entry a list of
-    len(fields) values; ids must be below k_c when a count is given."""
+def _keypoint_entries(
+    record: dict, name: str, fields: tuple[str, ...], ids: dict[str, int], where: str,
+    bounded: bool = True,
+) -> Iterator[tuple[int, list]]:
+    """Each (id, entry) of the keypoint map record[name], an entry being a
+    list of len(fields) values.
+
+    ids maps each key as saved to its id. A key it lacks is refused, as not
+    canonical or, when bounded, as out of range (ids then holds every id of
+    the class); unbounded, a canonical key is added to ids and accepted.
+    """
     mapping = record[name]
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: {name} must be an object")
-    out: dict[int, list] = {}
-    for key, value in mapping.items():
-        k = _id_of(key)
+    size = len(fields)
+    for key, entry in mapping.items():
+        k = ids.get(key)
         if k is None:
-            raise ParseError(f"{where}: keypoint id {key!r} is not an integer in canonical form")
-        if k_c is not None and k >= k_c:
-            raise ValidationError(f"{where}: keypoint id {k} out of range ({k_c} keypoints)")
-        if not isinstance(value, list) or len(value) != len(fields):
+            k = _id_of(key)
+            if k is None:
+                raise ParseError(
+                    f"{where}: keypoint id {key!r} is not an integer in canonical form"
+                )
+            if bounded:
+                raise ValidationError(
+                    f"{where}: keypoint id {k} out of range ({len(ids)} keypoints)"
+                )
+            ids[key] = k
+        if type(entry) is not list or len(entry) != size:
             raise ParseError(f"{where}: keypoint {k} must be [{', '.join(fields)}]")
-        out[k] = value
-    return out
+        yield k, entry
 
 
-def _class_of(record: dict, manifest: Manifest, where: str) -> tuple[str, int]:
-    """The record's class and that class's keypoint count."""
+def _class_of(record: dict, manifest: Manifest, where: str) -> tuple[str, dict[str, int]]:
+    """The record's class and that class's keypoint ids (see Manifest.keypoint_ids)."""
     cls = record["class"]
-    if not isinstance(cls, str) or cls not in manifest.keypoint_names:
+    ids = manifest.keypoint_ids.get(cls) if isinstance(cls, str) else None
+    if ids is None:
         raise ValidationError(f"{where}: unknown class {cls!r}")
-    return cls, manifest.num_keypoints(cls)
+    return cls, ids
 
 
-INSTANCE_FIELDS = (
+INSTANCE_FIELDS = frozenset({
     "id",
     "image_id",
     "class",
@@ -271,7 +318,7 @@ INSTANCE_FIELDS = (
     "truncated",
     "viewpoint",
     "keypoints",
-)
+})
 
 
 def instance_to_record(inst: Instance) -> dict:
@@ -291,14 +338,17 @@ def instance_to_record(inst: Instance) -> dict:
 
 def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instance:
     _check_keys(record, INSTANCE_FIELDS, where)
-    cls, k_c = _class_of(record, manifest, where)
+    cls, ids = _class_of(record, manifest, where)
     keypoints: dict[int, Keypoint] = {}
-    entries = _keypoint_ids(record, "keypoints", ("x", "y", "visible"), where, k_c)
-    for k, entry in entries.items():
+    for k, entry in _keypoint_entries(record, "keypoints", ("x", "y", "visible"), ids, where):
         try:
-            keypoints[k] = Keypoint(float(entry[0]), float(entry[1]), bool(entry[2]))
+            x, y = float(entry[0]), float(entry[1])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: keypoint {k} is not numeric") from exc
+        try:
+            keypoints[k] = Keypoint(x, y, bool(entry[2]))
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc} (id {k})") from exc
     try:
         return Instance(
             id=str(record["id"]),
@@ -314,14 +364,14 @@ def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instan
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-DETECTION_FIELDS = (
+DETECTION_FIELDS = frozenset({
     "image_id",
     "class",
     "bbox",
     "score",
     "viewpoint",
     "keypoint_hypotheses",
-)
+})
 
 
 def detection_to_record(det: Detection) -> dict:
@@ -340,14 +390,18 @@ def detection_to_record(det: Detection) -> dict:
 
 def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detection:
     _check_keys(record, DETECTION_FIELDS, where)
-    cls, k_c = _class_of(record, manifest, where)
-    hyps: dict[int, tuple[float, float, float]] = {}
-    entries = _keypoint_ids(record, "keypoint_hypotheses", ("x", "y", "score"), where, k_c)
-    for k, entry in entries.items():
+    cls, ids = _class_of(record, manifest, where)
+    hypotheses: dict[int, KeypointHypothesis] = {}
+    fields = ("x", "y", "score")
+    for k, entry in _keypoint_entries(record, "keypoint_hypotheses", fields, ids, where):
         try:
-            hyps[k] = (float(entry[0]), float(entry[1]), float(entry[2]))
+            x, y, score = float(entry[0]), float(entry[1]), float(entry[2])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{where}: hypothesis {k} is not numeric") from exc
+        try:
+            hypotheses[k] = KeypointHypothesis(x, y, score)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc} (id {k})") from exc
     try:
         score = float(record["score"])
     except (TypeError, ValueError) as exc:
@@ -359,7 +413,7 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
             bbox=_as_bbox(record["bbox"], where),
             score=score,
             viewpoint=_viewpoint_from_record(record["viewpoint"], where),
-            keypoint_hypotheses={k: KeypointHypothesis(*h) for k, h in hyps.items()},
+            keypoint_hypotheses=hypotheses,
         )
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -398,9 +452,11 @@ _MANIFEST_FIELDS = {
 
 
 def read_json(path: str | Path) -> object:
-    """Parse a JSON file; errors name the file, NaN and Infinity are refused."""
-    path = Path(path)
-    return _parse_json(path.read_text(encoding="utf-8"), path.name)
+    """Parse a UTF-8 JSON file; errors name the file, NaN and Infinity are refused."""
+    name = os.path.basename(path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _parse_json(_decode(raw, name), name)
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -408,7 +464,7 @@ def load_manifest(path: str | Path) -> Manifest:
     record = read_json(path)
     if not isinstance(record, dict):
         raise ParseError(f"{path.name}: manifest must be an object")
-    _check_keys(record, tuple(_MANIFEST_FIELDS), path.name)
+    _check_keys(record, frozenset(_MANIFEST_FIELDS), path.name)
     for name, (ok, expected) in _MANIFEST_FIELDS.items():
         if not ok(record[name]):
             raise ParseError(f"{path.name}: {name} must be {expected}")
@@ -442,7 +498,6 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
 
 
 def load_instances(path: str | Path, manifest: Manifest) -> list[Instance]:
-    path = Path(path)
     instances = []
     seen: set[str] = set()
     for where, record in _read_jsonl(path):
@@ -466,7 +521,6 @@ def save_instances(instances: Iterable[Instance], path: str | Path) -> None:
 
 
 def load_detections(path: str | Path, manifest: Manifest) -> list[Detection]:
-    path = Path(path)
     return [
         detection_from_record(record, manifest, where)
         for where, record in _read_jsonl(path)
@@ -477,21 +531,36 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
     _write_jsonl(path, map(detection_to_record, detections))
 
 
+_BANK_FIELDS = frozenset({"class", "rotation", "keypoints", "present"})
+
+
+def _float_array(value: object, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
+    """value as a float64 array of the given shape, or an error naming where."""
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: bad {what} ({exc})") from exc
+    if array.shape != shape:
+        raise ValidationError(f"{where}: bad {what} (shape {array.shape}, expected {shape})")
+    return array
+
+
 def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBank]:
     """Group bank exemplars by class, preserving file order within a class.
 
     Order matters: the prior averages neighbor Gaussians in bank order, so
-    reordering exemplars would change float summation order.
+    reordering exemplars would change float summation order. Each row is
+    converted and type-checked on its own line; the rotations of the whole
+    file are then checked in one stack.
     """
-    path = Path(path)
-    rows: dict[str, list[tuple[list, list, list]]] = {}
+    wheres: list[str] = []
+    rotations: list[np.ndarray] = []
+    rows: dict[str, tuple[list[int], list[np.ndarray], list[list[bool]]]] = {}
     for where, record in _read_jsonl(path):
-        _check_keys(record, ("class", "rotation", "keypoints", "present"), where)
-        cls, k_c = _class_of(record, manifest, where)
-        try:
-            rotation_matrix(np.asarray(record["rotation"], dtype=np.float64))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: bad rotation ({exc})") from exc
+        _check_keys(record, _BANK_FIELDS, where)
+        cls, ids = _class_of(record, manifest, where)
+        k_c = len(ids)
+        present = record["present"]
         if not all(
             isinstance(record[f], list) and len(record[f]) == k_c
             for f in ("keypoints", "present")
@@ -499,20 +568,31 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
             raise ValidationError(
                 f"{where}: expected {k_c} keypoints for class {cls!r}"
             )
-        rows.setdefault(cls, []).append(
-            (record["rotation"], record["keypoints"], record["present"])
-        )
+        if not set(map(type, present)) <= {bool}:
+            raise ValidationError(f"{where}: present must hold JSON booleans")
+        indices, keypoints, flags = rows.setdefault(cls, ([], [], []))
+        indices.append(len(rotations))
+        rotations.append(_float_array(record["rotation"], (3, 3), "rotation", where))
+        keypoints.append(_float_array(record["keypoints"], (k_c, 2), "keypoints", where))
+        flags.append(present)
+        wheres.append(where)
+    stack = np.stack(rotations) if rotations else np.empty((0, 3, 3))
+    try:
+        check_rotations(stack)
+    except RotationError as exc:
+        raise ValidationError(f"{wheres[exc.index]}: bad rotation ({exc})") from None
     banks = {}
-    for cls, entries in rows.items():
+    for cls, (indices, keypoints, flags) in rows.items():
         try:
             banks[cls] = PriorBank(
                 class_name=cls,
-                rotations=np.array([e[0] for e in entries], dtype=np.float64),
-                keypoints=np.array([e[1] for e in entries], dtype=np.float64),
-                present=np.array([e[2] for e in entries], dtype=bool),
+                rotations=stack[indices],
+                keypoints=np.stack(keypoints),
+                present=np.array(flags, dtype=bool),
             )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path.name}: bank for {cls!r}: {exc}") from exc
+        except ValueError as exc:
+            name = os.path.basename(path)
+            raise ValidationError(f"{name}: bank for {cls!r}: {exc}") from exc
     return banks
 
 
@@ -548,24 +628,25 @@ def write_response_map(path: str | Path, grid: np.ndarray, class_id: int) -> Non
 
 def read_response_map(path: str | Path) -> tuple[int, np.ndarray]:
     """Read a VKRM blob; returns (class_id, float32 array of shape (K, H, W))."""
-    path = Path(path)
-    blob = path.read_bytes()
+    name = os.path.basename(path)
+    with open(path, "rb", buffering=0) as fh:
+        blob = fh.read()
     if len(blob) < _HEADER.size:
-        raise ParseError(f"{path.name}: truncated header")
+        raise ParseError(f"{name}: truncated header")
     magic, version, class_id, k, h, w = _HEADER.unpack_from(blob)
     if magic != RESPONSE_MAGIC:
-        raise ParseError(f"{path.name}: bad magic {magic!r}")
+        raise ParseError(f"{name}: bad magic {magic!r}")
     if version != RESPONSE_VERSION:
-        raise SchemaVersionError(f"{path.name}: unknown blob version {version}")
+        raise SchemaVersionError(f"{name}: unknown blob version {version}")
     expected = _HEADER.size + 4 * k * h * w
     if len(blob) != expected:
         raise ParseError(
-            f"{path.name}: expected {expected} bytes for shape ({k}, {h}, {w}),"
+            f"{name}: expected {expected} bytes for shape ({k}, {h}, {w}),"
             f" got {len(blob)}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(k, h, w)
-    if not np.all(np.isfinite(data)):
-        raise ValidationError(f"{path.name}: non-finite response values")
+    if not np.isfinite(data).all():
+        raise ValidationError(f"{name}: non-finite response values")
     return class_id, data.copy()
 
 
@@ -582,26 +663,28 @@ def load_response_maps(
     on class id and keypoint count; fine maps are 12x12, coarse 6x6.
     """
     by_id = {inst.id: inst for inst in instances}
+    expected = {  # class -> (class id, keypoint count)
+        cls: (i, len(manifest.keypoint_names[cls])) for i, cls in enumerate(manifest.classes)
+    }
+    prefix = os.path.join(directory, "")
     response_maps: dict[str, dict[str, np.ndarray]] = {}
-    for blob_path in sorted(Path(directory).iterdir()):
-        name = blob_path.name
+    for name in sorted(os.listdir(directory)):
         if not name.endswith(".vkrm"):
             continue
         stem = name[: -len(".vkrm")]
         iid, sep, kind = stem.rpartition("_")
         if not sep or kind not in _MAP_KINDS:
             raise ValidationError(f"{name}: expected <id>_fine.vkrm or <id>_coarse.vkrm")
-        if iid not in by_id:
+        inst = by_id.get(iid)
+        if inst is None:
             raise ValidationError(f"{name}: unknown instance id {iid!r}")
-        class_id, data = read_response_map(blob_path)
-        inst = by_id[iid]
-        expect_cls = manifest.classes.index(inst.class_name)
+        class_id, data = read_response_map(prefix + name)
+        expect_cls, k_c = expected[inst.class_name]
         if class_id != expect_cls:
             raise ValidationError(
                 f"{name}: class id {class_id} but instance {iid!r}"
                 f" is {inst.class_name!r} (id {expect_cls})"
             )
-        k_c = manifest.num_keypoints(inst.class_name)
         size = _MAP_SIZES[kind]
         if data.shape != (k_c, size, size):
             raise ValidationError(
@@ -664,23 +747,27 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
                 write_response_map(responses / f"{iid}_{kind}.vkrm", grid, class_id)
 
 
+_PREDICTION_FIELDS = frozenset({"id", "keypoints"})
+
+
 def load_keypoint_predictions(path: str | Path) -> dict[str, dict[int, tuple[float, float]]]:
     """Read per-instance keypoint predictions ({"id", "keypoints"} lines)."""
-    path = Path(path)
     preds: dict[str, dict[int, tuple[float, float]]] = {}
+    ids: dict[str, int] = {}  # every canonical key seen so far, resolved once
     for where, record in _read_jsonl(path):
-        _check_keys(record, ("id", "keypoints"), where)
+        _check_keys(record, _PREDICTION_FIELDS, where)
         iid = str(record["id"])
         if iid in preds:
             raise ValidationError(f"{where}: duplicate prediction for {iid!r}")
         kps = {}
-        for k, entry in _keypoint_ids(record, "keypoints", ("x", "y"), where).items():
+        entries = _keypoint_entries(record, "keypoints", ("x", "y"), ids, where, bounded=False)
+        for k, entry in entries:
             try:
                 x, y = float(entry[0]), float(entry[1])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: keypoint {k} is not numeric") from exc
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValidationError(f"{where}: keypoint {k} not finite")
+                raise ValidationError(f"{where}: keypoint has non-finite coordinates (id {k})")
             kps[k] = (x, y)
         preds[iid] = kps
     return preds

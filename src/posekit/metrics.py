@@ -33,6 +33,10 @@ class Keypoint:
     y: float
     visible: bool = True
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError("keypoint has non-finite coordinates")
+
 
 @dataclass(frozen=True)
 class KeypointHypothesis:
@@ -64,9 +68,6 @@ class Instance:
             raise ValueError(f"instance {self.id}: bbox has non-finite values")
         if w <= 0 or h <= 0:
             raise ValueError(f"instance {self.id}: bbox must have w > 0 and h > 0")
-        for k, kp in self.keypoints.items():
-            if not (math.isfinite(kp.x) and math.isfinite(kp.y)):
-                raise ValueError(f"instance {self.id}: keypoint {k} not finite")
 
     @property
     def area(self) -> float:

@@ -95,24 +95,49 @@ def _rot_x(a: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+class RotationError(ValueError):
+    """A matrix of a stack is not a rotation; index is its place in the stack."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def check_rotations(rs: np.ndarray) -> None:
+    """Check that every matrix of an (n, 3, 3) float64 stack is a rotation.
+
+    A rotation is finite, orthonormal (max |R^T R - I| <= ORTHONORMAL_TOL)
+    and has det(R) = 1 within the same tolerance. Raises RotationError for
+    the first matrix that is not, naming the first of these tests it fails.
+    """
+    finite = np.isfinite(rs).all(axis=(1, 2))
+    if not finite.all():
+        # keep NaN out of det, which would warn; those rows fail already
+        rs = np.where(finite[:, None, None], rs, np.eye(3))
+    err = np.abs(np.matmul(rs.transpose(0, 2, 1), rs) - np.eye(3)).max(axis=(1, 2))
+    det = np.linalg.det(rs)
+    bad = ~finite | (err > ORTHONORMAL_TOL) | (np.abs(det - 1.0) > ORTHONORMAL_TOL)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if not finite[i]:
+        raise RotationError(i, "rotation matrix has non-finite entries")
+    if err[i] > ORTHONORMAL_TOL:
+        raise RotationError(i, f"matrix is not orthonormal (max deviation {err[i]:.3e})")
+    raise RotationError(i, f"matrix determinant is {det[i]:.12f}, expected 1")
+
+
 def rotation_matrix(r: np.ndarray) -> np.ndarray:
     """Validate and freeze a 3x3 rotation matrix.
 
-    Checks orthonormality (max |R^T R - I| <= 1e-9) and det(R) = 1 within
-    the same tolerance, then returns a read-only float64 copy. Use this as
-    the constructor for matrices coming from outside the library.
+    Checks it with check_rotations, then returns a read-only float64 copy.
+    Use this as the constructor for matrices coming from outside the
+    library.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("rotation matrix has non-finite entries")
-    err = np.abs(r.T @ r - np.eye(3)).max()
-    if err > ORTHONORMAL_TOL:
-        raise ValueError(f"matrix is not orthonormal (max deviation {err:.3e})")
-    det = float(np.linalg.det(r))
-    if abs(det - 1.0) > ORTHONORMAL_TOL:
-        raise ValueError(f"matrix determinant is {det:.12f}, expected 1")
+    check_rotations(r[None])
     out = r.copy()
     out.flags.writeable = False
     return out

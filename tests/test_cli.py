@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from posekit import cli
+from posekit import cli, dataio, so3
 
 
 def _synth(root: Path, *, seed: int = 7, n: int = 12, noise: str = "zero") -> Path:
@@ -642,6 +642,33 @@ class TestInputsRead:
         assert rc == 2
         assert blob.name in capsys.readouterr().err
 
+    def test_fuse_reads_each_blob_once_and_checks_rotations_once(self, tmp_path, monkeypatch):
+        """No redundant loading work: one read per VKRM blob, and one rotation
+        check for the whole bank file rather than one per row."""
+        ds = _synth(tmp_path, n=6)
+        n = len((ds / "instances.jsonl").read_text().splitlines())
+        rows = len((ds / "prior_bank.jsonl").read_text().splitlines())
+        assert n >= 6 and rows > 1
+        calls = {"read_response_map": 0, "check_rotations": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            dataio, "read_response_map", counted("read_response_map", dataio.read_response_map)
+        )
+        check = counted("check_rotations", so3.check_rotations)
+        monkeypatch.setattr(dataio, "check_rotations", check)
+        monkeypatch.setattr(so3, "check_rotations", check)  # reached via rotation_matrix
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                       "--out", str(tmp_path / "fused.jsonl")])
+        assert rc == 0
+        assert calls == {"read_response_map": 2 * n, "check_rotations": 1}
+
 
 class TestThresholdFlags:
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "0"])
@@ -838,3 +865,41 @@ class TestBoundaryErrors:
         assert rc == 2
         assert f"error: {name}:2: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["instances.jsonl", "detections.jsonl", "manifest.json"])
+    def test_non_utf8_exits_2_naming_file_and_line(self, tmp_path, capsys, name):
+        ds = _synth(tmp_path, seed=1, n=4, noise="mild")
+        path = ds / name
+        raw = path.read_bytes()
+        at = raw.index(b"\n", raw.index(b"\n") + 1) + 3  # in the third line
+        path.write_bytes(raw[:at] + b"\xff\xfe" + raw[at + 2:])
+        capsys.readouterr()
+        rc = cli.main(["evaluate-viewpoint", "--dataset", str(ds),
+                       "--preds", str(ds / "detections.jsonl"), "--gt-boxes"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {name}:3: not UTF-8 (byte 0xff: invalid start byte)" in err
+
+    def test_non_utf8_profile_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_bytes(b'{\n  "keypoint_jitter": 2.0\xff\n}\n')
+        rc = cli.main(["synth", "--seed", "1", "--n", "2", "--noise-profile", str(profile),
+                       "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        assert "error: profile.json:2: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["car", 1, None])
+    def test_non_boolean_present_exits_2_naming_line(self, tmp_path, capsys, flag):
+        ds = _synth(tmp_path, seed=1, n=4, noise="mild")
+        path = ds / "prior_bank.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["present"] = [flag] * len(record["present"])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = cli.main(["fuse", "--dataset", str(ds), "--out", str(tmp_path / "fused.jsonl")])
+        assert rc == 2
+        assert "error: prior_bank.jsonl:2: present must hold JSON booleans" in (
+            capsys.readouterr().err
+        )

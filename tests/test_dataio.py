@@ -44,7 +44,7 @@ from posekit.dataio import (
 )
 from posekit.fusion import PriorBank
 from posekit.metrics import Detection, EvalReport, Instance, Keypoint, KeypointHypothesis
-from posekit.so3 import EulerAngles, euler_to_rotation
+from posekit.so3 import EulerAngles, euler_to_rotation, rotation_matrix
 from posekit.synth import generate_scene, noise_preset
 
 
@@ -195,6 +195,76 @@ class TestNonFiniteLiterals:
     def test_is_both_a_parse_and_a_validation_error(self):
         assert issubclass(NonFiniteError, ParseError)
         assert issubclass(NonFiniteError, ValidationError)
+
+    @pytest.mark.parametrize(
+        "name, load, pattern",
+        [
+            ("instances.jsonl", lambda p, m: load_instances(p, m), r'"keypoints":\{"0":\['),
+            ("detections.jsonl", lambda p, m: load_detections(p, m),
+             r'"keypoint_hypotheses":\{"0":\['),
+            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p), r'"keypoints":\{"0":\['),
+        ],
+    )
+    def test_overflowing_keypoint_names_line(self, tmp_path, name, load, pattern):
+        """1e999 parses to infinity; the keypoint's one finiteness check names the line."""
+        scene = generate_scene(seed=3, n_instances=3, profile=noise_preset("mild"),
+                               bank_size=2)
+        save_dataset(scene, tmp_path)
+        preds = {inst.id: {0: (1.5, 2.5)} for inst in scene.instances}
+        save_keypoint_predictions(preds, tmp_path / "fused.jsonl")
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        forged = re.sub(pattern + r"-?[\d.e-]+", lambda m: m[0].split("[")[0] + "[1e999", lines[1])
+        assert forged != lines[1]
+        path.write_text("\n".join([lines[0], forged, *lines[2:]]) + "\n")
+        with pytest.raises(ValidationError, match=f"{name}:2: .*non-finite"):
+            load(path, scene.manifest)
+
+
+class TestTextEncoding:
+    """Text that is not UTF-8 is refused with the file and the line of the bad byte."""
+
+    @staticmethod
+    def _spoil(path, line_no, at=5):
+        """Replace two bytes of line `line_no` (1-based) with \\xff\\xfe."""
+        lines = path.read_bytes().split(b"\n")
+        line = lines[line_no - 1]
+        lines[line_no - 1] = line[:at] + b"\xff\xfe" + line[at + 2:]
+        path.write_bytes(b"\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "name, load",
+        [
+            ("instances.jsonl", lambda p, m: load_instances(p, m)),
+            ("detections.jsonl", lambda p, m: load_detections(p, m)),
+            ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
+            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p)),
+        ],
+    )
+    def test_jsonl_names_file_and_line(self, tmp_path, name, load):
+        scene = generate_scene(seed=3, n_instances=3, profile=noise_preset("mild"),
+                               bank_size=2)
+        save_dataset(scene, tmp_path)
+        preds = {inst.id: {0: (1.5, 2.5)} for inst in scene.instances}
+        save_keypoint_predictions(preds, tmp_path / "fused.jsonl")
+        self._spoil(tmp_path / name, 3)
+        with pytest.raises(ParseError, match=rf"^{name}:3: not UTF-8 \(byte 0xff: "):
+            load(tmp_path / name, scene.manifest)
+
+    def test_manifest_names_line(self, tmp_path):
+        save_manifest(_manifest(), tmp_path / "manifest.json")
+        self._spoil(tmp_path / "manifest.json", 4)
+        with pytest.raises(ParseError, match=r"^manifest.json:4: not UTF-8"):
+            load_manifest(tmp_path / "manifest.json")
+
+    def test_non_ascii_utf8_is_read(self, tmp_path):
+        manifest = _manifest()
+        manifest.keypoint_names["car"][2] = "toit \u00e9"
+        save_manifest(manifest, tmp_path / "manifest.json")
+        path = tmp_path / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b"\\u00e9", "\u00e9".encode()))
+        assert b"\xc3\xa9" in path.read_bytes()
+        assert load_manifest(path).keypoint_names["car"][2] == "toit \u00e9"
 
 
 class TestInstanceRecords:
@@ -443,6 +513,70 @@ class TestPriorBankIO:
         save_prior_banks({"car": bank}, tmp_path / "prior_bank.jsonl")
         with pytest.raises(ValidationError, match="keypoint"):
             load_prior_banks(tmp_path / "prior_bank.jsonl", _manifest())
+
+    def _forge(self, tmp_path, edits):
+        """A 5-row car bank with edits {line: (field, value)} applied."""
+        p = tmp_path / "prior_bank.jsonl"
+        save_prior_banks({"car": self._bank("car", 5, 3, 65)}, p)
+        records = [json.loads(line) for line in p.read_text().splitlines()]
+        for line, (field, value) in edits.items():
+            records[line - 1][field] = value
+        p.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return p
+
+    @staticmethod
+    def _defect(m):
+        """rotation_matrix's message for the matrix m."""
+        with pytest.raises(ValueError) as exc:
+            rotation_matrix(np.array(m, dtype=np.float64))
+        return str(exc.value)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("reflection", "skewed"),
+            ("skewed", "reflection"),
+            ("overflow", "reflection"),
+            ("reflection", "overflow"),
+        ],
+    )
+    def test_two_bad_rotations_name_the_earlier_line(self, tmp_path, first, second):
+        bad = {
+            "reflection": np.diag([1.0, 1.0, -1.0]).tolist(),
+            "skewed": [[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "overflow": [[1e999, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        }
+        p = self._forge(tmp_path, {2: ("rotation", bad[first]), 4: ("rotation", bad[second])})
+        text = p.read_text().replace("Infinity", "1e999")
+        p.write_text(text)
+        message = f"prior_bank.jsonl:2: bad rotation ({self._defect(bad[first])})"
+        with pytest.raises(ValidationError) as exc:
+            load_prior_banks(p, _manifest())
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("flag", ["car", 1, 0, None, 2.5, [], {}])
+    def test_present_must_hold_booleans(self, tmp_path, flag):
+        p = self._forge(tmp_path, {3: ("present", [True, flag, False])})
+        with pytest.raises(ValidationError, match=r"^prior_bank.jsonl:3: present must hold"):
+            load_prior_banks(p, _manifest())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("keypoints", [[1.0, 2.0], [3.0], [4.0, 5.0]]),
+            ("keypoints", [[1.0, 2.0], ["a", 3.0], [4.0, 5.0]]),
+            ("keypoints", [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [4.0, 5.0, 0.0]]),
+            ("keypoints", [[1.0, 2.0], {"x": 3.0}, [4.0, 5.0]]),
+            ("rotation", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+            ("rotation", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            ("rotation", "eye"),
+        ],
+        ids=["ragged", "string", "triples", "object", "ragged-rotation", "2x3", "string-rotation"],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, field, value):
+        p = self._forge(tmp_path, {3: (field, value)})
+        with pytest.raises(ValidationError, match=rf"^prior_bank.jsonl:3: bad {field} \("):
+            load_prior_banks(p, _manifest())
 
 
 class TestResponseMapIO:

@@ -3,13 +3,19 @@
 A small valid synth dataset (one VKRM blob included), a fused prediction
 file and a noise-profile file are mutated one file at a time: truncated or garbage bytes, a field
 replaced by a value of another JSON type, a key added or removed, a number
-replaced by a non-finite one, or a keypoint id spelled non-canonically.
+replaced by a non-finite one, a keypoint id spelled non-canonically, a run
+of bytes that is not UTF-8, or a bank `present` flag that is not a boolean.
 Every subcommand then runs in process through cli.main. Each must exit 0,
 2 (bad input) or 3 (I/O failure); any exception that escapes fails the test.
+The last two mutations have a known culprit line: every command must then
+exit 0 (it does not read the file) or 2 with that file and line in its
+message, and at least one command must exit 2.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -35,6 +41,10 @@ BLOB = "responses/inst000001_fine.vkrm"
 OTHER_TYPES = (None, True, 0, -1, 2.5, "", "car", [], [None], ["car"], {}, {"a": 1})
 NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1" + "0" * 400)
 BAD_IDS = ("00", "01", "+1", " 7", "-3", "1.0", "x")
+NOT_BOOLEANS = tuple(v for v in OTHER_TYPES if not isinstance(v, bool))
+# Bytes that cannot begin a UTF-8 sequence, so a run that starts with one is
+# not UTF-8 wherever it lands in ASCII text.
+NOT_UTF8_LEAD = (*range(0x80, 0xC2), *range(0xF5, 0x100))
 
 # Hypothesis caches the constants it reads from local source files under its
 # home directory, .hypothesis/ in the working directory unless told otherwise;
@@ -126,23 +136,48 @@ def _mutate_json(data, doc):
     return json.dumps(doc)
 
 
-def _mutate(data, path: Path) -> None:
+def _mutate(data, path: Path) -> str | None:
+    """Mutate one file; returns the "file:line" a refusal must name, when known."""
     raw = path.read_bytes()
-    if path.suffix == ".vkrm" or data.draw(st.integers(0, 4)) == 0:
+    kinds = ["bytes"]
+    if path.suffix != ".vkrm":
+        kinds += ["json"] * 4 + ["not-utf8"]
+    if path.name == "prior_bank.jsonl":
+        kinds.append("present")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "bytes":
         at = data.draw(st.integers(0, len(raw)))
         if data.draw(st.booleans()):
             path.write_bytes(raw[:at])
         else:
             garbage = data.draw(st.binary(min_size=1, max_size=8))
             path.write_bytes(raw[:at] + garbage + raw[at + len(garbage):])
-        return
+        return None
+    if kind == "not-utf8":
+        at = data.draw(st.integers(0, len(raw)))
+        run = bytes([data.draw(st.sampled_from(NOT_UTF8_LEAD))]) + data.draw(
+            st.binary(max_size=3)
+        )
+        path.write_bytes(raw[:at] + run + raw[at + len(run):])
+        line = raw.count(b"\n", 0, at) + 1
+        return f"{path.name}:{line}"
     lines = raw.decode("utf-8").splitlines()
     if path.suffix == ".json":
         path.write_text(_mutate_json(data, json.loads(raw)) + "\n")
-        return
+        return None
     i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "present":
+        record = json.loads(lines[i])
+        flags = record["present"]
+        flags[data.draw(st.integers(0, len(flags) - 1))] = data.draw(
+            st.sampled_from(NOT_BOOLEANS)
+        )
+        lines[i] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        return f"{path.name}:{i + 1}"
     lines[i] = _mutate_json(data, json.loads(lines[i]))
     path.write_text("\n".join(lines) + "\n")
+    return None
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -152,8 +187,16 @@ def test_mutated_inputs_never_crash(base, data):
     with tempfile.TemporaryDirectory(dir=base.parent) as scratch:
         ds = Path(scratch) / "ds"
         shutil.copytree(base, ds)
-        _mutate(data, ds / name)
+        culprit = _mutate(data, ds / name)
         out = Path(scratch) / "out"
         out.mkdir()
+        codes = []
         for argv in _commands(ds, out):
-            assert cli.main(argv) in (0, 2, 3), argv
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main(argv)
+            assert code in (0, 2, 3), argv
+            if culprit is not None:
+                assert code == 0 or f"error: {culprit}: " in err.getvalue(), (argv, err.getvalue())
+            codes.append(code)
+        if culprit is not None:
+            assert 2 in codes, culprit

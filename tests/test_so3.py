@@ -14,7 +14,9 @@ from posekit.so3 import (
     GIMBAL_BAND,
     TWO_PI,
     EulerAngles,
+    RotationError,
     azimuth_distance,
+    check_rotations,
     euler_to_rotation,
     geodesic_distance,
     geodesic_distances,
@@ -175,6 +177,49 @@ class TestRotationMatrix:
         m[1, 1] = math.nan
         with pytest.raises(ValueError, match="finite"):
             rotation_matrix(m)
+
+
+class TestCheckRotations:
+    """The stacked check: the earliest bad matrix, with rotation_matrix's message."""
+
+    @staticmethod
+    def _stack(n, seed):
+        rng = np.random.default_rng(seed)
+        return np.stack([
+            euler_to_rotation(EulerAngles(*rng.uniform(-3.0, 3.0, size=3))) for _ in range(n)
+        ])
+
+    def test_accepts_rotations_and_the_empty_stack(self):
+        check_rotations(self._stack(50, 1))
+        check_rotations(np.empty((0, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [(0, 3), (2, 4), (4, 0)],
+    )
+    def test_names_the_earliest_bad_matrix(self, first, later):
+        skewed = np.eye(3)
+        skewed[0, 1] = 0.1
+        reflection = np.diag([1.0, 1.0, -1.0])
+        non_finite = np.eye(3)
+        non_finite[2, 2] = math.inf
+        for bad_first in (skewed, reflection, non_finite):
+            for bad_later in (skewed, reflection, non_finite):
+                rs = self._stack(5, 2)
+                rs[later] = bad_later
+                rs[first] = bad_first
+                i = min(first, later)
+                with pytest.raises(RotationError) as exc:
+                    check_rotations(rs)
+                with pytest.raises(ValueError) as alone:
+                    rotation_matrix(rs[i])
+                assert exc.value.index == i
+                assert str(exc.value) == str(alone.value)
+
+    def test_is_the_check_behind_rotation_matrix(self):
+        with pytest.raises(RotationError) as exc:
+            rotation_matrix(np.diag([1.0, -1.0, 1.0]))
+        assert exc.value.index == 0
 
 
 class TestEulerMatrixConversion:
