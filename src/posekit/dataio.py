@@ -534,28 +534,46 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
 _BANK_FIELDS = frozenset({"class", "rotation", "keypoints", "present"})
 
 
-def _float_array(value: object, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
-    """value as a float64 array of the given shape, or an error naming where."""
+def _float_rows(
+    rows: list, shape: tuple[int, ...], what: str, wheres: list[str]
+) -> np.ndarray:
+    """rows as one float64 array of shape (len(rows), *shape).
+
+    The rows are converted in one call. Only when that fails are they
+    converted one at a time, to name the line (wheres[i]) of the first bad
+    row. Rows are not kept as arrays of their own: thousands of small
+    buffers freed at once fragment the heap and raise the peak RSS.
+    """
     try:
-        array = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: bad {what} ({exc})") from exc
-    if array.shape != shape:
-        raise ValidationError(f"{where}: bad {what} (shape {array.shape}, expected {shape})")
-    return array
+        array = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        array = None
+    if array is not None and array.shape == (len(rows), *shape):
+        return array
+    for row, where in zip(rows, wheres):
+        try:
+            array = np.array(row, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: bad {what} ({exc})") from exc
+        if array.shape != shape:
+            raise ValidationError(f"{where}: bad {what} (shape {array.shape}, expected {shape})")
+    return np.empty((0, *shape))  # every row converts alone, so there are none
 
 
 def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBank]:
     """Group bank exemplars by class, preserving file order within a class.
 
     Order matters: the prior averages neighbor Gaussians in bank order, so
-    reordering exemplars would change float summation order. Each row is
-    converted and type-checked on its own line; the rotations of the whole
-    file are then checked in one stack.
+    reordering exemplars would change float summation order. Keys, class,
+    list lengths and present flags are checked line by line; the numbers
+    are converted per file (rotations) and per class (keypoints), naming
+    the first bad line, and the rotations of the whole file are checked as
+    one stack.
     """
     wheres: list[str] = []
-    rotations: list[np.ndarray] = []
-    rows: dict[str, tuple[list[int], list[np.ndarray], list[list[bool]]]] = {}
+    rotations: list[list] = []
+    # class -> (indices of its lines, their keypoints, their present flags)
+    rows: dict[str, tuple[list[int], list[list], list[list]]] = {}
     for where, record in _read_jsonl(path):
         _check_keys(record, _BANK_FIELDS, where)
         cls, ids = _class_of(record, manifest, where)
@@ -571,23 +589,25 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
         if not set(map(type, present)) <= {bool}:
             raise ValidationError(f"{where}: present must hold JSON booleans")
         indices, keypoints, flags = rows.setdefault(cls, ([], [], []))
-        indices.append(len(rotations))
-        rotations.append(_float_array(record["rotation"], (3, 3), "rotation", where))
-        keypoints.append(_float_array(record["keypoints"], (k_c, 2), "keypoints", where))
+        indices.append(len(wheres))
+        keypoints.append(record["keypoints"])
         flags.append(present)
         wheres.append(where)
-    stack = np.stack(rotations) if rotations else np.empty((0, 3, 3))
+        rotations.append(record["rotation"])
+    stack = _float_rows(rotations, (3, 3), "rotation", wheres)
     try:
         check_rotations(stack)
     except RotationError as exc:
         raise ValidationError(f"{wheres[exc.index]}: bad rotation ({exc})") from None
     banks = {}
     for cls, (indices, keypoints, flags) in rows.items():
+        shape = (len(flags[0]), 2)
+        lines = [wheres[i] for i in indices]
         try:
             banks[cls] = PriorBank(
                 class_name=cls,
                 rotations=stack[indices],
-                keypoints=np.stack(keypoints),
+                keypoints=_float_rows(keypoints, shape, "keypoints", lines),
                 present=np.array(flags, dtype=bool),
             )
         except ValueError as exc:
