@@ -131,7 +131,11 @@ class Manifest:
 
     @cached_property
     def keypoint_ids(self) -> dict[str, dict[str, int]]:
-        """Per class, each keypoint id as a record key spells it: {"0": 0, ...}."""
+        """Per class, each keypoint id as a record key spells it: {"0": 0, ...}.
+
+        Built on first use, for the record parsers; keypoint_names is not
+        expected to change after that.
+        """
         return {
             cls: {str(k): k for k in range(len(names))}
             for cls, names in self.keypoint_names.items()
@@ -601,7 +605,7 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
         raise ValidationError(f"{wheres[exc.index]}: bad rotation ({exc})") from None
     banks = {}
     for cls, (indices, keypoints, flags) in rows.items():
-        shape = (len(flags[0]), 2)
+        shape = (len(manifest.keypoint_ids[cls]), 2)
         lines = [wheres[i] for i in indices]
         try:
             banks[cls] = PriorBank(

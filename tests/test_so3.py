@@ -193,28 +193,30 @@ class TestCheckRotations:
         check_rotations(self._stack(50, 1))
         check_rotations(np.empty((0, 3, 3)))
 
-    @pytest.mark.parametrize(
-        "first, later",
-        [(0, 3), (2, 4), (4, 0)],
-    )
-    def test_names_the_earliest_bad_matrix(self, first, later):
+    @pytest.mark.parametrize("a, b", [(0, 3), (2, 4), (4, 0)])
+    def test_names_the_earliest_bad_matrix(self, a, b):
         skewed = np.eye(3)
         skewed[0, 1] = 0.1
-        reflection = np.diag([1.0, 1.0, -1.0])
         non_finite = np.eye(3)
         non_finite[2, 2] = math.inf
-        for bad_first in (skewed, reflection, non_finite):
-            for bad_later in (skewed, reflection, non_finite):
+        deviation = np.abs(skewed.T @ skewed - np.eye(3)).max()
+        bad = {  # each defect with the message rotation_matrix has always given
+            "skewed": (skewed, f"matrix is not orthonormal (max deviation {deviation:.3e})"),
+            "reflection": (
+                np.diag([1.0, 1.0, -1.0]),
+                "matrix determinant is -1.000000000000, expected 1",
+            ),
+            "non-finite": (non_finite, "rotation matrix has non-finite entries"),
+        }
+        for m_a, message_a in bad.values():
+            for m_b, message_b in bad.values():
                 rs = self._stack(5, 2)
-                rs[later] = bad_later
-                rs[first] = bad_first
-                i = min(first, later)
+                rs[a] = m_a
+                rs[b] = m_b
                 with pytest.raises(RotationError) as exc:
                     check_rotations(rs)
-                with pytest.raises(ValueError) as alone:
-                    rotation_matrix(rs[i])
-                assert exc.value.index == i
-                assert str(exc.value) == str(alone.value)
+                assert exc.value.index == min(a, b)
+                assert str(exc.value) == (message_a if a < b else message_b)
 
     def test_is_the_check_behind_rotation_matrix(self):
         with pytest.raises(RotationError) as exc:
