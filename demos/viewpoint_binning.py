@@ -1,41 +1,31 @@
-"""Discretizing viewpoints into per-class angle bins and decoding them back.
+"""Discretizing azimuths into angle bins, and AVP's bin-match test.
 
-A viewpoint classifier emits one score per (class, angle slot, bin). The
-codec here fixes the layout of that flat score vector and decodes the
-per-slot argmax back into euler angles.
+angle_to_bin maps an angle to the nearest of n equal bins, bin 0 centered
+on angle 0. AVP counts a detection's viewpoint as correct when its azimuth
+lands in the same bin as the ground truth's, so the bin count sets how
+forgiving the test is.
 """
 
 import math
 
-import numpy as np
+from posekit.metrics import Detection, Instance, bin_match
+from posekit.so3 import EulerAngles
+from posekit.viewpoint import angle_to_bin
 
-from posekit.viewpoint import (
-    BinningConfig,
-    ViewpointScores,
-    angle_to_bin,
-    bin_center,
-    decode_viewpoint,
-    output_index,
-)
-
-config = BinningConfig(num_classes=3, num_bins=21)
-print("classes=3, angle slots=3, bins=21 ->", config.total_outputs, "outputs")
-
-# where does azimuth 100 degrees land, and what does that bin mean?
-b = angle_to_bin(math.radians(100), config.num_bins)
-print("az=100deg -> bin", b, "centered at %.1f deg" % math.degrees(bin_center(b, config.num_bins)))
-
-# coarser bins are more forgiving; these four widths are the usual ladder
+# where does azimuth 100 degrees land? coarser bins are wider
 for n in (4, 8, 16, 24):
-    print("  %2d bins: az=100deg -> bin %2d (width %.1f deg)" % (n, angle_to_bin(math.radians(100), n), 360.0 / n))
+    b = angle_to_bin(math.radians(100), n)
+    print("%2d bins: az=100deg -> bin %2d, centered at %5.1f deg (width %.1f deg)"
+          % (n, b, 360.0 * b / n, 360.0 / n))
 
-# fill a score vector with peaks for class 1 and decode it
-scores = np.zeros(config.total_outputs)
-target = (math.radians(100), math.radians(-20), math.radians(5))
-for slot, angle in enumerate(target):
-    idx = output_index(1, slot, angle_to_bin(angle, config.num_bins), config)
-    scores[idx] = 9.0
+# bins wrap around: just below 360 degrees is bin 0 again
+print("az=359deg, 24 bins -> bin", angle_to_bin(math.radians(359), 24))
 
-decoded = decode_viewpoint(ViewpointScores(scores, config), class_index=1)
-print("decoded:", [round(math.degrees(a), 2) for a in (decoded.azimuth, decoded.elevation, decoded.cyclorotation)])
-print("(bin centers, so each angle is within half a bin of the target)")
+# a detection 20 degrees off in azimuth passes only the coarsest test
+box = (10.0, 10.0, 50.0, 40.0)
+gt = Instance(id="i0", image_id="im0", class_name="car", bbox=box,
+              viewpoint=EulerAngles(math.radians(100), 0.0, 0.0))
+det = Detection(image_id="im0", class_name="car", bbox=box, score=0.9,
+                viewpoint=EulerAngles(math.radians(120), 0.0, 0.0))
+for n in (4, 8, 16, 24):
+    print("%2d bins: 100deg vs 120deg ->" % n, "match" if bin_match(n, det, gt) else "no match")

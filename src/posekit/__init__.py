@@ -12,7 +12,6 @@ from .dataio import (
     ParseError,
     SchemaVersionError,
     ValidationError,
-    load_dataset,
     render_report,
     save_dataset,
     write_report,
@@ -81,13 +80,6 @@ from .synth import (
     oracle_ap,
     oracle_fuse,
 )
-from .viewpoint import (
-    BinningConfig,
-    ViewpointScores,
-    angle_to_bin,
-    bin_center,
-    decode_viewpoint,
-    output_index,
-)
+from .viewpoint import angle_to_bin
 
 __version__ = "0.1.0"

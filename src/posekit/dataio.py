@@ -124,11 +124,6 @@ class Manifest:
                         f"symmetry map for class {cls!r} is not an involution"
                     )
 
-    def num_keypoints(self, class_name: str) -> int:
-        if class_name not in self.keypoint_names:
-            raise ValidationError(f"unknown class {class_name!r}")
-        return len(self.keypoint_names[class_name])
-
     @cached_property
     def keypoint_ids(self) -> dict[str, dict[str, int]]:
         """Per class, each keypoint id as a record key spells it: {"0": 0, ...}.
@@ -144,7 +139,7 @@ class Manifest:
 
 @dataclass
 class Dataset:
-    """Everything load_dataset reads from one dataset directory."""
+    """The contents of one dataset directory: what save_dataset writes."""
 
     manifest: Manifest
     instances: list[Instance] = field(default_factory=list)
@@ -716,37 +711,6 @@ def load_response_maps(
             )
         response_maps.setdefault(iid, {})[kind] = data
     return response_maps
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Load a dataset directory, validating every record against the manifest.
-
-    Missing optional files mean empty collections; a missing manifest is an
-    I/O error. Response-map blobs must belong to a known instance and agree
-    with the manifest on class and keypoint count.
-    """
-    base = Path(path)
-    manifest = load_manifest(base / "manifest.json")
-    instances = []
-    if (base / "instances.jsonl").exists():
-        instances = load_instances(base / "instances.jsonl", manifest)
-    detections = []
-    if (base / "detections.jsonl").exists():
-        detections = load_detections(base / "detections.jsonl", manifest)
-    prior_banks = {}
-    if (base / "prior_bank.jsonl").exists():
-        prior_banks = load_prior_banks(base / "prior_bank.jsonl", manifest)
-    response_maps: dict[str, dict[str, np.ndarray]] = {}
-    responses = base / "responses"
-    if responses.is_dir():
-        response_maps = load_response_maps(responses, manifest, instances)
-    return Dataset(
-        manifest=manifest,
-        instances=instances,
-        detections=detections,
-        response_maps=response_maps,
-        prior_banks=prior_banks,
-    )
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

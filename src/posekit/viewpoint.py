@@ -1,53 +1,13 @@
-"""Angular binning and the flat per-class viewpoint score layout.
+"""Angular binning: which of n equal bins an angle falls in.
 
-Scores for all classes live in one flat vector of length
-num_classes * num_angles * num_bins; decoding selects the slice belonging
-to one class and reads off an argmax bin per angle slot. Bins are centered
-on multiples of 2*pi/num_bins, so bin 0 straddles angle 0.
+Bins are centered on multiples of 2*pi/n_bins, so bin 0 straddles angle 0.
+AVP's viewpoint test (metrics.bin_match) counts a detection's azimuth as
+correct when it lands in the same bin as the ground truth's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .so3 import TWO_PI, EulerAngles, wrap_angle
-
-
-@dataclass(frozen=True)
-class BinningConfig:
-    """Shape of the flat score layout: classes x angle slots x bins."""
-
-    num_classes: int
-    num_angles: int = 3
-    num_bins: int = 21
-
-    def __post_init__(self) -> None:
-        for name in ("num_classes", "num_angles", "num_bins"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-
-    @property
-    def total_outputs(self) -> int:
-        return self.num_classes * self.num_angles * self.num_bins
-
-
-@dataclass(frozen=True)
-class ViewpointScores:
-    """A flat score vector plus the layout that indexes it."""
-
-    values: np.ndarray
-    config: BinningConfig
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != self.config.total_outputs:
-            raise ValueError(
-                f"expected {self.config.total_outputs} scores, got shape {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
+from .so3 import TWO_PI, wrap_angle
 
 
 def angle_to_bin(angle: float, n_bins: int) -> int:
@@ -60,49 +20,3 @@ def angle_to_bin(angle: float, n_bins: int) -> int:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     width = TWO_PI / n_bins
     return int(wrap_angle(angle) / width + 0.5) % n_bins
-
-
-def bin_center(bin_index: int, n_bins: int) -> float:
-    """Canonical representative angle of a bin: 2*pi*bin/n_bins."""
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if not 0 <= bin_index < n_bins:
-        raise ValueError(f"bin index {bin_index} out of range [0, {n_bins})")
-    return TWO_PI * bin_index / n_bins
-
-
-def output_index(
-    class_index: int, angle_slot: int, bin_index: int, cfg: BinningConfig
-) -> int:
-    """Flat position of (class, angle slot, bin) in the score vector."""
-    if not 0 <= class_index < cfg.num_classes:
-        raise ValueError(f"class index {class_index} out of range")
-    if not 0 <= angle_slot < cfg.num_angles:
-        raise ValueError(f"angle slot {angle_slot} out of range")
-    if not 0 <= bin_index < cfg.num_bins:
-        raise ValueError(f"bin index {bin_index} out of range")
-    return class_index * cfg.num_angles * cfg.num_bins + angle_slot * cfg.num_bins + bin_index
-
-
-def decode_viewpoint(scores: ViewpointScores, class_index: int) -> EulerAngles:
-    """Read off the argmax viewpoint for one class from a flat score vector.
-
-    For each of the three angle slots the argmax bin within the class slice
-    wins, ties broken toward the lowest bin index; the result is the triple
-    of bin centers, with elevation and cyclorotation renormalized to their
-    canonical ranges.
-    """
-    cfg = scores.config
-    if not 0 <= class_index < cfg.num_classes:
-        raise ValueError(f"class index {class_index} out of range")
-    if cfg.num_angles != 3:
-        raise ValueError(
-            f"viewpoint decoding needs 3 angle slots, config has {cfg.num_angles}"
-        )
-    base = class_index * cfg.num_angles * cfg.num_bins
-    centers = []
-    for slot in range(cfg.num_angles):
-        lo = base + slot * cfg.num_bins
-        best = int(np.argmax(scores.values[lo : lo + cfg.num_bins]))
-        centers.append(bin_center(best, cfg.num_bins))
-    return EulerAngles(*centers)

@@ -18,14 +18,13 @@ import pytest
 from posekit.dataio import (
     EULER_CONVENTION,
     SCHEMA_VERSION,
-    Dataset,
     Manifest,
     NonFiniteError,
     ParseError,
     SchemaVersionError,
     ValidationError,
-    load_dataset,
     load_detections,
+    load_ground_truth,
     load_instances,
     load_keypoint_predictions,
     load_manifest,
@@ -118,12 +117,6 @@ class TestManifest:
     def test_rejects_keypoint_names_mismatch(self):
         with pytest.raises(ValidationError, match="keypoint_names"):
             Manifest(classes=["car"], keypoint_names={"chair": ["a"]})
-
-    def test_num_keypoints(self):
-        m = _manifest()
-        assert m.num_keypoints("car") == 3
-        with pytest.raises(ValidationError, match="unknown class"):
-            m.num_keypoints("sofa")
 
     def test_convention_tag_value(self):
         assert EULER_CONVENTION == "ZYX-intrinsic"
@@ -684,19 +677,22 @@ class TestResponseMapIO:
 class TestDatasetRoundtrip:
     def test_synthetic_scene_roundtrips_exactly(self, tmp_path):
         scene = generate_scene(seed=101, n_instances=20, profile=noise_preset("moderate"))
-        save_dataset(scene, tmp_path / "ds")
-        loaded = load_dataset(tmp_path / "ds")
-        assert loaded.manifest == scene.manifest
-        assert loaded.instances == scene.instances
-        assert loaded.detections == scene.detections
-        assert set(loaded.response_maps) == set(scene.response_maps)
+        d = tmp_path / "ds"
+        save_dataset(scene, d)
+        manifest, instances = load_ground_truth(d)
+        assert manifest == scene.manifest
+        assert instances == scene.instances
+        assert load_detections(d / "detections.jsonl", manifest) == scene.detections
+        response_maps = load_response_maps(d / "responses", manifest, instances)
+        assert set(response_maps) == set(scene.response_maps)
         for iid, kinds in scene.response_maps.items():
             for kind, grid in kinds.items():
-                np.testing.assert_array_equal(loaded.response_maps[iid][kind], grid)
-        assert set(loaded.prior_banks) == set(scene.prior_banks)
+                np.testing.assert_array_equal(response_maps[iid][kind], grid)
+        prior_banks = load_prior_banks(d / "prior_bank.jsonl", manifest)
+        assert set(prior_banks) == set(scene.prior_banks)
         for cls, bank in scene.prior_banks.items():
-            np.testing.assert_array_equal(loaded.prior_banks[cls].rotations, bank.rotations)
-            np.testing.assert_array_equal(loaded.prior_banks[cls].keypoints, bank.keypoints)
+            np.testing.assert_array_equal(prior_banks[cls].rotations, bank.rotations)
+            np.testing.assert_array_equal(prior_banks[cls].keypoints, bank.keypoints)
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         scene = generate_scene(seed=102, n_instances=10, profile=noise_preset("mild"))
@@ -710,17 +706,7 @@ class TestDatasetRoundtrip:
 
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_dataset(tmp_path / "nope")
-
-    def test_manifest_only_dataset(self, tmp_path):
-        d = tmp_path / "ds"
-        d.mkdir()
-        save_manifest(_manifest(), d / "manifest.json")
-        ds = load_dataset(d)
-        assert ds.instances == []
-        assert ds.detections == []
-        assert ds.response_maps == {}
-        assert ds.prior_banks == {}
+            load_ground_truth(tmp_path / "nope")
 
 
 class TestKeypointPredictions:

@@ -1,19 +1,12 @@
-"""Tests for angular binning and the flat viewpoint score layout."""
+"""Tests for angular binning."""
 
 import math
 
 import numpy as np
 import pytest
 
-from posekit.so3 import TWO_PI, EulerAngles, azimuth_distance
-from posekit.viewpoint import (
-    BinningConfig,
-    ViewpointScores,
-    angle_to_bin,
-    bin_center,
-    decode_viewpoint,
-    output_index,
-)
+from posekit.so3 import TWO_PI
+from posekit.viewpoint import angle_to_bin
 
 
 class TestAngleToBin:
@@ -24,7 +17,7 @@ class TestAngleToBin:
     def test_centers_map_to_their_bin(self):
         for n in (4, 8, 16, 21, 24):
             for b in range(n):
-                assert angle_to_bin(bin_center(b, n), n) == b
+                assert angle_to_bin(TWO_PI * b / n, n) == b
 
     def test_half_boundary_rounds_up(self):
         """An angle exactly halfway between centers belongs to the
@@ -49,143 +42,9 @@ class TestAngleToBin:
             width = TWO_PI / n
             for b in range(n):
                 eps = float(rng.uniform(-0.49, 0.49)) * width
-                assert angle_to_bin(bin_center(b, n) + eps, n) == b
+                assert angle_to_bin(TWO_PI * b / n + eps, n) == b
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError, match="n_bins"):
             angle_to_bin(0.0, 0)
 
-
-class TestBinCenter:
-    def test_known_centers(self):
-        assert bin_center(0, 21) == 0.0
-        np.testing.assert_allclose(bin_center(1, 4), math.pi / 2, atol=1e-15)
-        np.testing.assert_allclose(bin_center(20, 21), TWO_PI * 20 / 21, atol=1e-15)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            bin_center(21, 21)
-        with pytest.raises(ValueError, match="out of range"):
-            bin_center(-1, 21)
-
-
-class TestLayout:
-    def test_flat_index_formula(self):
-        cfg = BinningConfig(num_classes=5)
-        assert output_index(0, 0, 0, cfg) == 0
-        assert output_index(0, 1, 0, cfg) == 21
-        assert output_index(1, 0, 0, cfg) == 63
-        assert output_index(2, 1, 7, cfg) == 2 * 63 + 21 + 7
-
-    def test_indices_cover_vector_exactly_once(self):
-        cfg = BinningConfig(num_classes=3, num_angles=2, num_bins=5)
-        seen = [
-            output_index(c, a, b, cfg)
-            for c in range(3)
-            for a in range(2)
-            for b in range(5)
-        ]
-        assert seen == list(range(cfg.total_outputs))
-
-    def test_rejects_out_of_range(self):
-        cfg = BinningConfig(num_classes=2)
-        with pytest.raises(ValueError, match="class index"):
-            output_index(2, 0, 0, cfg)
-        with pytest.raises(ValueError, match="angle slot"):
-            output_index(0, 3, 0, cfg)
-        with pytest.raises(ValueError, match="bin index"):
-            output_index(0, 0, 21, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="num_bins"):
-            BinningConfig(num_classes=1, num_bins=0)
-        with pytest.raises(ValueError, match="num_classes"):
-            BinningConfig(num_classes=-1)
-
-    def test_total_outputs(self):
-        assert BinningConfig(num_classes=12).total_outputs == 12 * 3 * 21
-
-    def test_scores_length_checked(self):
-        cfg = BinningConfig(num_classes=2)
-        with pytest.raises(ValueError, match="expected"):
-            ViewpointScores(np.zeros(10), cfg)
-
-
-class TestDecodeViewpoint:
-    def _scores_with_peaks(self, cfg, class_index, bins):
-        values = np.zeros(cfg.total_outputs)
-        for slot, b in enumerate(bins):
-            values[output_index(class_index, slot, b, cfg)] = 1.0
-        return ViewpointScores(values, cfg)
-
-    def test_reads_peak_bins(self):
-        cfg = BinningConfig(num_classes=4)
-        scores = self._scores_with_peaks(cfg, 2, (5, 3, 17))
-        e = decode_viewpoint(scores, 2)
-        expected = EulerAngles(
-            bin_center(5, 21), bin_center(3, 21), bin_center(17, 21)
-        )
-        assert e == expected
-
-    def test_angles_are_normalized(self):
-        """Bin centers past pi/2 or pi come back folded into range."""
-        cfg = BinningConfig(num_classes=1)
-        scores = self._scores_with_peaks(cfg, 0, (0, 10, 15))
-        e = decode_viewpoint(scores, 0)
-        assert -math.pi / 2 <= e.elevation <= math.pi / 2
-        assert -math.pi <= e.cyclorotation < math.pi
-        assert e == EulerAngles(0.0, bin_center(10, 21), bin_center(15, 21))
-
-    def test_other_classes_do_not_leak(self):
-        cfg = BinningConfig(num_classes=3)
-        values = np.zeros(cfg.total_outputs)
-        values[output_index(0, 0, 9, cfg)] = 5.0  # big peak in another class
-        values[output_index(1, 0, 2, cfg)] = 1.0
-        scores = ViewpointScores(values, cfg)
-        e = decode_viewpoint(scores, 1)
-        np.testing.assert_allclose(e.azimuth, bin_center(2, 21), atol=1e-15)
-
-    def test_ties_take_lowest_bin(self):
-        cfg = BinningConfig(num_classes=1)
-        values = np.zeros(cfg.total_outputs)
-        values[output_index(0, 0, 4, cfg)] = 1.0
-        values[output_index(0, 0, 11, cfg)] = 1.0
-        e = decode_viewpoint(ViewpointScores(values, cfg), 0)
-        np.testing.assert_allclose(e.azimuth, bin_center(4, 21), atol=1e-15)
-
-    def test_all_zero_scores_decode_to_bin_zero(self):
-        cfg = BinningConfig(num_classes=1)
-        e = decode_viewpoint(ViewpointScores(np.zeros(cfg.total_outputs), cfg), 0)
-        assert e == EulerAngles(0.0, 0.0, 0.0)
-
-    def test_rejects_bad_class(self):
-        cfg = BinningConfig(num_classes=2)
-        scores = ViewpointScores(np.zeros(cfg.total_outputs), cfg)
-        with pytest.raises(ValueError, match="class index"):
-            decode_viewpoint(scores, 2)
-
-    def test_requires_three_angle_slots(self):
-        cfg = BinningConfig(num_classes=1, num_angles=2)
-        scores = ViewpointScores(np.zeros(cfg.total_outputs), cfg)
-        with pytest.raises(ValueError, match="angle slots"):
-            decode_viewpoint(scores, 0)
-
-    def test_roundtrip_through_binning(self):
-        """Encoding angles and decoding the peaks lands within half a bin
-        width of the original on every slot."""
-        rng = np.random.default_rng(21)
-        cfg = BinningConfig(num_classes=1)
-        width = TWO_PI / 21
-        for _ in range(300):
-            az = float(rng.uniform(0.0, TWO_PI))
-            # keep the nearest elevation center inside [-pi/2, pi/2] so
-            # decoding does not fold the triple
-            el = float(rng.uniform(0.0, 1.4))
-            cy = float(rng.uniform(-math.pi, math.pi))
-            values = np.zeros(cfg.total_outputs)
-            for slot, a in enumerate((az, el, cy)):
-                values[output_index(0, slot, angle_to_bin(a, 21), cfg)] = 1.0
-            e = decode_viewpoint(ViewpointScores(values, cfg), 0)
-            assert azimuth_distance(e.azimuth, az) <= width / 2 + 1e-12
-            assert abs(e.elevation - el) <= width / 2 + 1e-12
-            assert azimuth_distance(e.cyclorotation, cy) <= width / 2 + 1e-12
