@@ -23,7 +23,9 @@ versions rather than guessing.
 Each reader makes one validating pass over its input: a record's keys, its
 class and every keypoint entry are checked as the record is converted, and
 the first fault is raised naming "file:line" (bytes that are not UTF-8
-included). The rotations of a prior bank are checked as one stack once the
+included). Every field must hold its JSON type: numbers are JSON numbers
+(not numeric strings, not booleans), flags are JSON booleans, ids are JSON
+strings. The rotations of a prior bank are checked as one stack once the
 file is read, and the earliest bad row is named.
 """
 
@@ -220,14 +222,32 @@ def _check_keys(record: dict, required: frozenset[str], where: str) -> None:
     raise ParseError(f"{where}: {'; '.join(parts)}")
 
 
+def _is_number(value: object) -> bool:
+    """A float, or an int but not a bool (an int subclass: True would be 1).
+
+    The one number rule of every file read here: "1.5" and true are not
+    numbers. Floats are tested first, as most values are floats.
+    """
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+_JSON_TYPE_NAMES = {str: "a string", bool: "a JSON boolean"}
+
+
+def _typed(record: dict, name: str, kind: type, where: str):
+    """record[name], which must be of the JSON type kind (str or bool)."""
+    value = record[name]
+    if type(value) is not kind:
+        raise ParseError(f"{where}: {name} must be {_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
 def _as_bbox(value: object, where: str) -> tuple[float, float, float, float]:
-    if not isinstance(value, list) or len(value) != 4:
-        raise ParseError(f"{where}: bbox must be a list of 4 numbers")
-    try:
-        x, y, w, h = (float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bbox must be numeric") from exc
-    return (x, y, w, h)
+    if isinstance(value, list) and len(value) == 4:
+        x, y, w, h = value
+        if _is_number(x) and _is_number(y) and _is_number(w) and _is_number(h):
+            return (float(x), float(y), float(w), float(h))
+    raise ParseError(f"{where}: bbox must be a list of 4 numbers")
 
 
 def _viewpoint_to_record(v: EulerAngles | None) -> dict | None:
@@ -249,13 +269,12 @@ def _viewpoint_from_record(value: object, where: str) -> EulerAngles | None:
     if not isinstance(value, dict):
         raise ParseError(f"{where}: viewpoint must be an object or null")
     _check_keys(value, _VIEWPOINT_KEYS, f"{where} viewpoint")
+    az, el, cy = value["azimuth"], value["elevation"], value["cyclorotation"]
+    if not (_is_number(az) and _is_number(el) and _is_number(cy)):
+        raise ParseError(f"{where}: viewpoint angles must be numbers")
     try:
-        return EulerAngles(
-            float(value["azimuth"]),
-            float(value["elevation"]),
-            float(value["cyclorotation"]),
-        )
-    except (TypeError, ValueError) as exc:
+        return EulerAngles(az, el, cy)
+    except ValueError as exc:
         raise ValidationError(f"{where}: bad viewpoint ({exc})") from exc
 
 
@@ -339,23 +358,25 @@ def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instan
     _check_keys(record, INSTANCE_FIELDS, where)
     cls, ids = _class_of(record, manifest, where)
     keypoints: dict[int, Keypoint] = {}
-    for k, entry in _keypoint_entries(record, "keypoints", ("x", "y", "visible"), ids, where):
+    for k, (x, y, visible) in _keypoint_entries(
+        record, "keypoints", ("x", "y", "visible"), ids, where
+    ):
+        if not (_is_number(x) and _is_number(y)):
+            raise ParseError(f"{where}: keypoint {k} is not numeric")
+        if type(visible) is not bool:
+            raise ParseError(f"{where}: keypoint {k} visible must be a JSON boolean")
         try:
-            x, y = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: keypoint {k} is not numeric") from exc
-        try:
-            keypoints[k] = Keypoint(x, y, bool(entry[2]))
+            keypoints[k] = Keypoint(float(x), float(y), visible)
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc} (id {k})") from exc
     try:
         return Instance(
-            id=str(record["id"]),
-            image_id=str(record["image_id"]),
+            id=_typed(record, "id", str, where),
+            image_id=_typed(record, "image_id", str, where),
             class_name=cls,
             bbox=_as_bbox(record["bbox"], where),
-            occluded=bool(record["occluded"]),
-            truncated=bool(record["truncated"]),
+            occluded=_typed(record, "occluded", bool, where),
+            truncated=_typed(record, "truncated", bool, where),
             viewpoint=_viewpoint_from_record(record["viewpoint"], where),
             keypoints=keypoints,
         )
@@ -392,25 +413,24 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
     cls, ids = _class_of(record, manifest, where)
     hypotheses: dict[int, KeypointHypothesis] = {}
     fields = ("x", "y", "score")
-    for k, entry in _keypoint_entries(record, "keypoint_hypotheses", fields, ids, where):
+    for k, (x, y, score) in _keypoint_entries(
+        record, "keypoint_hypotheses", fields, ids, where
+    ):
+        if not (_is_number(x) and _is_number(y) and _is_number(score)):
+            raise ParseError(f"{where}: hypothesis {k} is not numeric")
         try:
-            x, y, score = float(entry[0]), float(entry[1]), float(entry[2])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: hypothesis {k} is not numeric") from exc
-        try:
-            hypotheses[k] = KeypointHypothesis(x, y, score)
+            hypotheses[k] = KeypointHypothesis(float(x), float(y), float(score))
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc} (id {k})") from exc
-    try:
-        score = float(record["score"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: score is not numeric") from exc
+    score = record["score"]
+    if not _is_number(score):
+        raise ParseError(f"{where}: score is not numeric")
     try:
         return Detection(
-            image_id=str(record["image_id"]),
+            image_id=_typed(record, "image_id", str, where),
             class_name=cls,
             bbox=_as_bbox(record["bbox"], where),
-            score=score,
+            score=float(score),
             viewpoint=_viewpoint_from_record(record["viewpoint"], where),
             keypoint_hypotheses=hypotheses,
         )
@@ -533,41 +553,27 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
 _BANK_FIELDS = frozenset({"class", "rotation", "keypoints", "present"})
 
 
-def _float_rows(
-    rows: list, shape: tuple[int, ...], what: str, wheres: list[str]
-) -> np.ndarray:
-    """rows as one float64 array of shape (len(rows), *shape).
-
-    The rows are converted in one call. Only when that fails are they
-    converted one at a time, to name the line (wheres[i]) of the first bad
-    row. Rows are not kept as arrays of their own: thousands of small
-    buffers freed at once fragment the heap and raise the peak RSS.
-    """
-    try:
-        array = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        array = None
-    if array is not None and array.shape == (len(rows), *shape):
-        return array
-    for row, where in zip(rows, wheres):
-        try:
-            array = np.array(row, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: bad {what} ({exc})") from exc
-        if array.shape != shape:
-            raise ValidationError(f"{where}: bad {what} (shape {array.shape}, expected {shape})")
-    return np.empty((0, *shape))  # every row converts alone, so there are none
+def _is_number_rows(value: object, rows: int, cols: int) -> bool:
+    """value is a list of rows lists of cols numbers (see _is_number)."""
+    return (
+        type(value) is list
+        and len(value) == rows
+        and all(
+            type(row) is list and len(row) == cols and all(map(_is_number, row)) for row in value
+        )
+    )
 
 
 def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBank]:
     """Group bank exemplars by class, preserving file order within a class.
 
     Order matters: the prior averages neighbor Gaussians in bank order, so
-    reordering exemplars would change float summation order. Keys, class,
-    list lengths and present flags are checked line by line; the numbers
-    are converted per file (rotations) and per class (keypoints), naming
-    the first bad line, and the rotations of the whole file are checked as
-    one stack.
+    reordering exemplars would change float summation order. Every field's
+    type and shape is checked line by line; the numbers are then converted
+    in one call per file (rotations) and per class (keypoints), and the
+    rotations of the whole file are checked as one stack. Rows are not
+    converted one by one: thousands of small buffers freed at once
+    fragment the heap and raise the peak RSS.
     """
     wheres: list[str] = []
     rotations: list[list] = []
@@ -578,35 +584,36 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
         cls, ids = _class_of(record, manifest, where)
         k_c = len(ids)
         present = record["present"]
-        if not all(
-            isinstance(record[f], list) and len(record[f]) == k_c
-            for f in ("keypoints", "present")
-        ):
+        if not _is_number_rows(record["keypoints"], k_c, 2):
             raise ValidationError(
-                f"{where}: expected {k_c} keypoints for class {cls!r}"
+                f"{where}: bad keypoints (expected {k_c} [x, y] number pairs for class {cls!r})"
             )
-        if not set(map(type, present)) <= {bool}:
-            raise ValidationError(f"{where}: present must hold JSON booleans")
+        if not (type(present) is list and len(present) == k_c
+                and set(map(type, present)) <= {bool}):
+            raise ValidationError(
+                f"{where}: present must hold JSON booleans, one per keypoint ({k_c})"
+            )
+        if not _is_number_rows(record["rotation"], 3, 3):
+            raise ValidationError(f"{where}: bad rotation (expected 3 rows of 3 numbers)")
         indices, keypoints, flags = rows.setdefault(cls, ([], [], []))
         indices.append(len(wheres))
         keypoints.append(record["keypoints"])
         flags.append(present)
         wheres.append(where)
         rotations.append(record["rotation"])
-    stack = _float_rows(rotations, (3, 3), "rotation", wheres)
+    stack = np.array(rotations, dtype=np.float64).reshape(-1, 3, 3)
     try:
         check_rotations(stack)
     except RotationError as exc:
         raise ValidationError(f"{wheres[exc.index]}: bad rotation ({exc})") from None
     banks = {}
     for cls, (indices, keypoints, flags) in rows.items():
-        shape = (len(manifest.keypoint_ids[cls]), 2)
-        lines = [wheres[i] for i in indices]
+        shape = (len(indices), len(manifest.keypoint_ids[cls]), 2)
         try:
             banks[cls] = PriorBank(
                 class_name=cls,
                 rotations=stack[indices],
-                keypoints=_float_rows(keypoints, shape, "keypoints", lines),
+                keypoints=np.array(keypoints, dtype=np.float64).reshape(shape),
                 present=np.array(flags, dtype=bool),
             )
         except ValueError as exc:
@@ -744,16 +751,15 @@ def load_keypoint_predictions(path: str | Path) -> dict[str, dict[int, tuple[flo
     ids: dict[str, int] = {}  # every canonical key seen so far, resolved once
     for where, record in _read_jsonl(path):
         _check_keys(record, _PREDICTION_FIELDS, where)
-        iid = str(record["id"])
+        iid = _typed(record, "id", str, where)
         if iid in preds:
             raise ValidationError(f"{where}: duplicate prediction for {iid!r}")
         kps = {}
         entries = _keypoint_entries(record, "keypoints", ("x", "y"), ids, where, bounded=False)
-        for k, entry in entries:
-            try:
-                x, y = float(entry[0]), float(entry[1])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: keypoint {k} is not numeric") from exc
+        for k, (x, y) in entries:
+            if not (_is_number(x) and _is_number(y)):
+                raise ParseError(f"{where}: keypoint {k} is not numeric")
+            x, y = float(x), float(y)
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValidationError(f"{where}: keypoint has non-finite coordinates (id {k})")
             kps[k] = (x, y)

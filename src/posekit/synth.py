@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, Manifest
+from .dataio import Dataset, Manifest, _is_number
 from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank
 from .metrics import Detection, Instance, Keypoint, KeypointHypothesis
 from .so3 import pi_flip, rotation_to_euler
@@ -44,11 +44,6 @@ SWAP_MARGIN = 1.0  # how far below the swapped peak the true peak sits
 
 OCCLUSION_RATE = 0.2
 TRUNCATION_RATE = 0.1
-
-
-def _is_number(value: object) -> bool:
-    """An int or a float, but not a bool (an int subclass: True would be 1)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -818,6 +818,27 @@ def _set_keypoint(key, value):
     return mutate
 
 
+def _set_item(*at, value):
+    """Set the entry at path `at` (keys and indices) inside the record."""
+
+    def mutate(record):
+        target = record
+        for key in at[:-1]:
+            target = target[key]
+        target[at[-1]] = value
+
+    return mutate
+
+
+def _stringify(field):
+    """Spell every number in a list of rows as a JSON string."""
+
+    def mutate(record):
+        record[field] = [[str(v) for v in row] for row in record[field]]
+
+    return mutate
+
+
 def _respell_keypoint(key):
     """Add keypoint 0's entry again under another spelling of its id."""
 
@@ -838,9 +859,35 @@ class TestBoundaryErrors:
             ("prior_bank.jsonl", _set("keypoints", 5)),
             ("fused.jsonl", _set_keypoint("0", [None, 1.0])),
             ("instances.jsonl", _respell_keypoint("00")),
+            ("instances.jsonl", _set("occluded", "no")),
+            ("instances.jsonl", _set("truncated", 0)),
+            ("instances.jsonl", _set_item("keypoints", "0", 2, value="no")),
+            ("instances.jsonl", _set("id", {"a": 1})),
+            ("instances.jsonl", _set("image_id", 7)),
+            ("instances.jsonl", _set_item("bbox", 2, value="40.0")),
+            ("instances.jsonl", _set_item("viewpoint", "azimuth", value=True)),
+            ("instances.jsonl", _set_item("keypoints", "0", 0, value="1.5")),
+            ("detections.jsonl", _set("score", "0.5")),
+            ("detections.jsonl", _set("image_id", None)),
+            ("detections.jsonl", _set_item("bbox", 0, value=False)),
+            ("detections.jsonl", _set_item("viewpoint", "elevation", value="0")),
+            ("detections.jsonl", _set_item("keypoint_hypotheses", "0", 2, value="1")),
+            ("prior_bank.jsonl", _stringify("rotation")),
+            ("prior_bank.jsonl", _stringify("keypoints")),
+            ("prior_bank.jsonl", _set("rotation", [[True, False, False], [False, True, False],
+                                                   [False, False, True]])),
+            ("fused.jsonl", _set_keypoint("0", ["1.5", 1.0])),
+            ("fused.jsonl", _set("id", 5)),
         ],
         ids=["instance-class-list", "detection-class-object", "bank-keypoints-int",
-             "prediction-null-coordinate", "instance-keypoint-id-00"],
+             "prediction-null-coordinate", "instance-keypoint-id-00",
+             "instance-occluded-string", "instance-truncated-int", "instance-visible-string",
+             "instance-id-object", "instance-image-id-int", "instance-bbox-string",
+             "instance-azimuth-bool", "instance-keypoint-x-string", "detection-score-string",
+             "detection-image-id-null", "detection-bbox-bool", "detection-elevation-string",
+             "detection-hypothesis-score-string", "bank-rotation-strings",
+             "bank-keypoints-strings", "bank-rotation-booleans", "prediction-x-string",
+             "prediction-id-int"],
     )
     def test_exits_2_naming_file_and_line(self, tmp_path, capsys, name, mutate):
         ds = _synth(tmp_path, seed=1, n=4, noise="mild")

@@ -18,6 +18,7 @@ import pytest
 from posekit.dataio import (
     EULER_CONVENTION,
     SCHEMA_VERSION,
+    DatasetError,
     Manifest,
     NonFiniteError,
     ParseError,
@@ -411,6 +412,84 @@ class TestKeypointIds:
         path.write_text(first + "\n" + forged + "\n")
         with pytest.raises(ParseError, match=rf"records.jsonl:2: keypoint id {re.escape(repr(key))}"):
             load(path)
+
+
+def _two_bank_rows(path):
+    bank = PriorBank("car", np.stack([np.eye(3)] * 2), np.full((2, 3, 2), 1.5),
+                     np.ones((2, 3), dtype=bool))
+    save_prior_banks({"car": bank}, path)
+
+
+class TestFieldTypes:
+    """Numbers must be JSON numbers (not numeric strings, not booleans), flags
+    JSON booleans and ids JSON strings; anything else names its file and line."""
+
+    KINDS = {
+        "instances": (_two_instances, lambda p: load_instances(p, _manifest())),
+        "detections": (_two_detections, lambda p: load_detections(p, _manifest())),
+        "predictions": (_two_predictions, load_keypoint_predictions),
+        "bank": (_two_bank_rows, lambda p: load_prior_banks(p, _manifest())),
+    }
+    VIEWPOINT = {"azimuth": 0.5, "elevation": 0.0, "cyclorotation": 0.0}
+
+    @pytest.mark.parametrize(
+        "kind, at, value",
+        [
+            ("instances", ("id",), {"a": 1}),
+            ("instances", ("id",), 7),
+            ("instances", ("image_id",), None),
+            ("instances", ("occluded",), "no"),
+            ("instances", ("occluded",), 1),
+            ("instances", ("truncated",), None),
+            ("instances", ("keypoints", "0", 2), "no"),
+            ("instances", ("keypoints", "0", 2), 0),
+            ("instances", ("keypoints", "0", 0), "1.0"),
+            ("instances", ("keypoints", "0", 1), True),
+            ("instances", ("bbox", 2), "5.0"),
+            ("instances", ("bbox", 0), False),
+            ("instances", ("viewpoint",), {**VIEWPOINT, "azimuth": "0.5"}),
+            ("instances", ("viewpoint",), {**VIEWPOINT, "elevation": True}),
+            ("detections", ("image_id",), 3),
+            ("detections", ("score",), "0.5"),
+            ("detections", ("score",), True),
+            ("detections", ("bbox", 3), "5.0"),
+            ("detections", ("viewpoint",), {**VIEWPOINT, "cyclorotation": "0"}),
+            ("detections", ("keypoint_hypotheses", "0", 0), "1.0"),
+            ("detections", ("keypoint_hypotheses", "0", 2), False),
+            ("predictions", ("id",), 5),
+            ("predictions", ("id",), ["i1"]),
+            ("predictions", ("keypoints", "0", 0), "1.0"),
+            ("predictions", ("keypoints", "0", 1), True),
+            ("bank", ("rotation", 1, 1), "1.0"),
+            ("bank", ("rotation", 0, 0), True),
+            ("bank", ("keypoints", 2, 0), "1.5"),
+            ("bank", ("keypoints", 0, 1), False),
+        ],
+        ids=lambda v: v if v in ("instances", "detections", "predictions", "bank")
+        else json.dumps(v, separators=(",", ":")),
+    )
+    def test_wrong_type_names_line(self, tmp_path, kind, at, value):
+        save, load = self.KINDS[kind]
+        path = tmp_path / "records.jsonl"
+        save(path)
+        first, second = path.read_text().splitlines()
+        record = json.loads(second)
+        target = record
+        for key in at[:-1]:
+            target = target[key]
+        target[at[-1]] = value
+        path.write_text(first + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DatasetError) as exc:
+            load(path)
+        assert str(exc.value).startswith("records.jsonl:2: "), str(exc.value)
+
+    def test_integers_are_numbers(self, tmp_path):
+        save_instances([Instance(id="i0", image_id="im0", class_name="car", bbox=(0, 0, 5, 5),
+                                 viewpoint=EulerAngles(1, 0, 0), keypoints={0: Keypoint(1, 2)})],
+                       tmp_path / "instances.jsonl")
+        (inst,) = load_instances(tmp_path / "instances.jsonl", _manifest())
+        assert inst.bbox == (0.0, 0.0, 5.0, 5.0) and type(inst.bbox[0]) is float
+        assert type(inst.keypoints[0].x) is float
 
 
 class TestDetectionRecords:

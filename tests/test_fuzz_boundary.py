@@ -4,10 +4,12 @@ A small valid synth dataset (one VKRM blob included), a fused prediction
 file and a noise-profile file are mutated one file at a time: truncated or garbage bytes, a field
 replaced by a value of another JSON type, a key added or removed, a number
 replaced by a non-finite one, a keypoint id spelled non-canonically, a run
-of bytes that is not UTF-8, or a bank `present` flag that is not a boolean.
+of bytes that is not UTF-8, a number of a JSONL record replaced by a numeric
+string or a boolean, or a flag (`occluded`, `truncated`, `visible`, a bank
+`present` entry) replaced by a value that is not a boolean.
 Every subcommand then runs in process through cli.main. Each must exit 0,
 2 (bad input) or 3 (I/O failure); any exception that escapes fails the test.
-The last two mutations have a known culprit line: every command must then
+The last three mutations have a known culprit line: every command must then
 exit 0 (it does not read the file) or 2 with that file and line in its
 message, and at least one command must exit 2.
 """
@@ -42,6 +44,7 @@ OTHER_TYPES = (None, True, 0, -1, 2.5, "", "car", [], [None], ["car"], {}, {"a":
 NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1" + "0" * 400)
 BAD_IDS = ("00", "01", "+1", " 7", "-3", "1.0", "x")
 NOT_BOOLEANS = tuple(v for v in OTHER_TYPES if not isinstance(v, bool))
+NOT_NUMBERS = ("0", "1", "-2.5", "1e3", True, False)
 # Bytes that cannot begin a UTF-8 sequence, so a run that starts with one is
 # not UTF-8 wherever it lands in ASCII text.
 NOT_UTF8_LEAD = (*range(0x80, 0xC2), *range(0xF5, 0x100))
@@ -142,8 +145,10 @@ def _mutate(data, path: Path) -> str | None:
     kinds = ["bytes"]
     if path.suffix != ".vkrm":
         kinds += ["json"] * 4 + ["not-utf8"]
-    if path.name == "prior_bank.jsonl":
-        kinds.append("present")
+    if path.suffix == ".jsonl":
+        kinds.append("number")
+    if path.name in ("instances.jsonl", "prior_bank.jsonl"):
+        kinds.append("flag")
     kind = data.draw(st.sampled_from(kinds))
     if kind == "bytes":
         at = data.draw(st.integers(0, len(raw)))
@@ -166,12 +171,12 @@ def _mutate(data, path: Path) -> str | None:
         path.write_text(_mutate_json(data, json.loads(raw)) + "\n")
         return None
     i = data.draw(st.integers(0, len(lines) - 1))
-    if kind == "present":
+    if kind in ("number", "flag"):
         record = json.loads(lines[i])
-        flags = record["present"]
-        flags[data.draw(st.integers(0, len(flags) - 1))] = data.draw(
-            st.sampled_from(NOT_BOOLEANS)
-        )
+        types, values = ((int, float), NOT_NUMBERS) if kind == "number" else ((bool,), NOT_BOOLEANS)
+        targets = [p for p in _paths(record) if type(_at(record, p)) in types]
+        at = data.draw(st.sampled_from(targets))
+        _at(record, at[:-1])[at[-1]] = data.draw(st.sampled_from(values))
         lines[i] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         return f"{path.name}:{i + 1}"
