@@ -30,8 +30,9 @@ from .fusion import (
     PriorBank,
     combine_scales,
     denormalize_keypoint,
+    denormalize_keypoints,
     fuse_and_decode,
-    fuse_instance,
+    fuse_instances,
     keypoint_priors,
     neighbor_set,
     normalize_keypoint,

@@ -23,9 +23,11 @@ from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
-from .so3 import euler_to_rotation
+from .so3 import EulerAngles, euler_to_rotation
 from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces this alias)
 
 
@@ -62,10 +64,14 @@ def fuse_predictions(
     matched detection map is supplied, otherwise on the annotated one. A
     keypoint with no support among the prior-bank neighbors falls back to
     a uniform prior. Returns pixel-space predictions per instance.
+
+    Every instance is checked, in id order, before any is fused; then the
+    instances of each class are fused in stacks of fusion.FUSE_CHUNK.
     """
     by_id = {inst.id: inst for inst in dataset.instances}
-    out: dict[str, dict[int, tuple[float, float]]] = {}
-    for iid in sorted(dataset.response_maps):
+    ids = sorted(dataset.response_maps)
+    stacks: dict[tuple, tuple[list[Instance], list[EulerAngles]]] = {}
+    for iid in ids:
         inst = by_id.get(iid)
         if inst is None:
             raise dataio.ValidationError(f"response maps for unknown instance {iid!r}")
@@ -80,25 +86,34 @@ def fuse_predictions(
             vp = inst.viewpoint
         if vp is None:
             raise dataio.ValidationError(f"instance {iid!r}: no viewpoint to condition on")
-        bank = dataset.prior_banks.get(inst.class_name)
-        if bank is None:
+        if inst.class_name not in dataset.prior_banks:
             raise dataio.ValidationError(
                 f"instance {iid!r}: no prior bank for class {inst.class_name!r}"
             )
-        cells = fusion.fuse_instance(
-            euler_to_rotation(vp),
-            bank,
-            maps["fine"],
-            maps["coarse"],
-            w_fine,
-            w_coarse,
-            sigma,
-            threshold,
-        )
-        out[iid] = {
-            k: fusion.denormalize_keypoint(inst.bbox, (x, y))
-            for k, (x, y) in enumerate(cells.tolist())
-        }
+        # one stack holds maps of one shape
+        key = (inst.class_name, maps["fine"].shape, maps["coarse"].shape)
+        members, vps = stacks.setdefault(key, ([], []))
+        members.append(inst)
+        vps.append(vp)
+    out = dict.fromkeys(ids)
+    for (cls, _, _), (members, vps) in stacks.items():
+        for start in range(0, len(members), fusion.FUSE_CHUNK):
+            stop = start + fusion.FUSE_CHUNK
+            chunk = members[start:stop]
+            maps = [dataset.response_maps[inst.id] for inst in chunk]
+            cells = fusion.fuse_instances(
+                np.stack([euler_to_rotation(vp) for vp in vps[start:stop]]),
+                dataset.prior_banks[cls],
+                np.stack([m["fine"] for m in maps]),
+                np.stack([m["coarse"] for m in maps]),
+                w_fine,
+                w_coarse,
+                sigma,
+                threshold,
+            )
+            pixels = fusion.denormalize_keypoints([inst.bbox for inst in chunk], cells)
+            for inst, kps in zip(chunk, pixels.tolist()):
+                out[inst.id] = {k: (x, y) for k, (x, y) in enumerate(kps)}
     return out
 
 

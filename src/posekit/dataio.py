@@ -226,7 +226,8 @@ def _is_number(value: object) -> bool:
     """A float, or an int but not a bool (an int subclass: True would be 1).
 
     The one number rule of every file read here: "1.5" and true are not
-    numbers. Floats are tested first, as most values are floats.
+    numbers. Floats are tested first, as most values are floats; the hot
+    record checks test type(v) is float inline before calling this.
     """
     return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool))
 
@@ -245,7 +246,12 @@ def _typed(record: dict, name: str, kind: type, where: str):
 def _as_bbox(value: object, where: str) -> tuple[float, float, float, float]:
     if isinstance(value, list) and len(value) == 4:
         x, y, w, h = value
-        if _is_number(x) and _is_number(y) and _is_number(w) and _is_number(h):
+        if (
+            (type(x) is float or _is_number(x))
+            and (type(y) is float or _is_number(y))
+            and (type(w) is float or _is_number(w))
+            and (type(h) is float or _is_number(h))
+        ):
             return (float(x), float(y), float(w), float(h))
     raise ParseError(f"{where}: bbox must be a list of 4 numbers")
 
@@ -270,7 +276,11 @@ def _viewpoint_from_record(value: object, where: str) -> EulerAngles | None:
         raise ParseError(f"{where}: viewpoint must be an object or null")
     _check_keys(value, _VIEWPOINT_KEYS, f"{where} viewpoint")
     az, el, cy = value["azimuth"], value["elevation"], value["cyclorotation"]
-    if not (_is_number(az) and _is_number(el) and _is_number(cy)):
+    if not (
+        (type(az) is float or _is_number(az))
+        and (type(el) is float or _is_number(el))
+        and (type(cy) is float or _is_number(cy))
+    ):
         raise ParseError(f"{where}: viewpoint angles must be numbers")
     try:
         return EulerAngles(az, el, cy)
@@ -361,7 +371,7 @@ def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instan
     for k, (x, y, visible) in _keypoint_entries(
         record, "keypoints", ("x", "y", "visible"), ids, where
     ):
-        if not (_is_number(x) and _is_number(y)):
+        if not ((type(x) is float or _is_number(x)) and (type(y) is float or _is_number(y))):
             raise ParseError(f"{where}: keypoint {k} is not numeric")
         if type(visible) is not bool:
             raise ParseError(f"{where}: keypoint {k} visible must be a JSON boolean")
@@ -416,7 +426,11 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
     for k, (x, y, score) in _keypoint_entries(
         record, "keypoint_hypotheses", fields, ids, where
     ):
-        if not (_is_number(x) and _is_number(y) and _is_number(score)):
+        if not (
+            (type(x) is float or _is_number(x))
+            and (type(y) is float or _is_number(y))
+            and (type(score) is float or _is_number(score))
+        ):
             raise ParseError(f"{where}: hypothesis {k} is not numeric")
         try:
             hypotheses[k] = KeypointHypothesis(float(x), float(y), float(score))
@@ -757,7 +771,7 @@ def load_keypoint_predictions(path: str | Path) -> dict[str, dict[int, tuple[flo
         kps = {}
         entries = _keypoint_entries(record, "keypoints", ("x", "y"), ids, where, bounded=False)
         for k, (x, y) in entries:
-            if not (_is_number(x) and _is_number(y)):
+            if not ((type(x) is float or _is_number(x)) and (type(y) is float or _is_number(y))):
                 raise ParseError(f"{where}: keypoint {k} is not numeric")
             x, y = float(x), float(y)
             if not (math.isfinite(x) and math.isfinite(y)):

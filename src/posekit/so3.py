@@ -186,8 +186,12 @@ def geodesic_distance(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 def geodesic_distances(r: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """Geodesic distance from one rotation to a stack of shape (n, 3, 3)."""
-    tr = np.einsum("ij,nij->n", np.asarray(r), np.asarray(rs))
+    """Geodesic distances from one rotation, or each of a (B, 3, 3) stack,
+    to a stack of shape (n, 3, 3): shape (n,), or (B, n).
+
+    Row b of a stacked query is bitwise the distances from r[b] alone.
+    """
+    tr = np.einsum("...ij,nij->...n", np.asarray(r), np.asarray(rs))
     return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
 
 

@@ -8,12 +8,15 @@ evaluate, report. Exit codes: 0 success, 2 bad input, 3 I/O failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from posekit import cli, dataio, so3
+from posekit import cli, dataio, fusion, so3, synth
 
 
 def _synth(root: Path, *, seed: int = 7, n: int = 12, noise: str = "zero") -> Path:
@@ -359,6 +362,48 @@ class TestFuseCommand:
         assert rc == 3
 
 
+class TestFuseFirstError:
+    """Every instance is checked in id order before any is fused, so the
+    first bad instance names the error even when a later bad instance
+    belongs to a class that is fused first."""
+
+    @staticmethod
+    def _break(dataset, viewpoints, iid, kind):
+        inst = next(i for i in dataset.instances if i.id == iid)
+        if kind == "viewpoint":
+            del viewpoints[iid]
+            return f"instance {iid!r}: no viewpoint to condition on"
+        if kind == "bank":
+            del dataset.prior_banks[inst.class_name]
+            return f"instance {iid!r}: no prior bank for class {inst.class_name!r}"
+        dataset.response_maps[iid] = {"fine": dataset.response_maps[iid]["fine"]}
+        return f"instance {iid!r}: needs both fine and coarse response maps"
+
+    @pytest.mark.parametrize(
+        "first, later", [("viewpoint", "maps"), ("bank", "viewpoint"), ("maps", "viewpoint")]
+    )
+    def test_first_bad_instance_in_id_order_is_reported(self, first, later):
+        scene = synth.generate_scene(3, 30, synth.noise_preset("mild"), bank_size=50)
+        dataset = dataclasses.replace(
+            scene, prior_banks=dict(scene.prior_banks), response_maps=dict(scene.response_maps)
+        )
+        viewpoints = cli.match_by_box(scene.instances, scene.detections)
+        ids = sorted(dataset.response_maps)
+        cls_of = {inst.id: inst.class_name for inst in scene.instances}
+        # the later bad instance belongs to the class of the first id, which
+        # also sorts first by name: fused first under any class order
+        head = cls_of[ids[0]]
+        assert head == min(cls_of.values())
+        bad = next(i for i in ids if cls_of[i] != head)
+        later_bad = [i for i in ids if cls_of[i] == head][-1]
+        assert bad < later_bad
+        expected = self._break(dataset, viewpoints, bad, first)
+        self._break(dataset, viewpoints, later_bad, later)
+        with pytest.raises(dataio.ValidationError) as exc:
+            cli.fuse_predictions(dataset, viewpoints)
+        assert str(exc.value) == expected
+
+
 class TestEvaluateKeypoints:
     def test_pck_after_fuse_is_perfect(self, tmp_path):
         """Fused noiseless maps land within a grid cell of every keypoint."""
@@ -668,6 +713,37 @@ class TestInputsRead:
                        "--out", str(tmp_path / "fused.jsonl")])
         assert rc == 0
         assert calls == {"read_response_map": 2 * n, "check_rotations": 1}
+
+    def test_fuse_makes_one_distance_pass_per_chunk_of_a_class(self, tmp_path, monkeypatch):
+        """Neighbour search runs once per stacked chunk, ceil(n_c / chunk)
+        passes for a class of n_c instances, not once per instance."""
+        ds = _synth(tmp_path, n=12)
+        banks = {}
+        load_banks = dataio.load_prior_banks
+
+        def kept_banks(*args, **kwargs):
+            banks.update(load_banks(*args, **kwargs))
+            return banks
+
+        passes = Counter()
+        distances = fusion.geodesic_distances
+
+        def counted(r, rs):
+            passes[id(rs)] += 1
+            return distances(r, rs)
+
+        monkeypatch.setattr(dataio, "load_prior_banks", kept_banks)
+        monkeypatch.setattr(fusion, "geodesic_distances", counted)
+        monkeypatch.setattr(fusion, "FUSE_CHUNK", 3)
+        rc = cli.main(["fuse", "--dataset", str(ds), "--out", str(tmp_path / "fused.jsonl")])
+        assert rc == 0
+        _, instances = dataio.load_ground_truth(ds)
+        per_class = Counter(inst.class_name for inst in instances)
+        assert max(per_class.values()) > 3
+        assert {cls: passes[id(banks[cls].rotations)] for cls in per_class} == {
+            cls: math.ceil(n / 3) for cls, n in per_class.items()
+        }
+        assert sum(passes.values()) == sum(math.ceil(n / 3) for n in per_class.values())
 
 
 class TestThresholdFlags:

@@ -6,21 +6,25 @@ library path.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from posekit import cli, fusion
 from posekit.dataio import ValidationError, read_response_map, write_response_map
 from posekit.fusion import (
+    FUSE_CHUNK,
     GRID_SIZE,
     NEIGHBOR_THRESHOLD,
     PRIOR_FLOOR,
+    PRIOR_SIGMA,
     NoPriorSupportError,
     PriorBank,
     combine_scales,
     denormalize_keypoint,
     fuse_and_decode,
-    fuse_instance,
+    fuse_instances,
     keypoint_priors,
     neighbor_set,
     normalize_keypoint,
@@ -165,6 +169,11 @@ class TestNeighborSet:
         )
         idx = neighbor_set(np.eye(3), bank, threshold=0.1)
         assert idx.tolist() == [1]
+
+    def test_nearest_fallback_tie_takes_the_first_entry(self):
+        rots = np.stack([_rot_about_z(a) for a in (2.0, 1.0, 2.5, 1.0)])
+        bank = PriorBank("c", rots, np.zeros((4, 1, 2)))
+        assert neighbor_set(np.eye(3), bank, threshold=0.1).tolist() == [1]
 
     def test_default_threshold(self):
         bank = PriorBank(
@@ -313,9 +322,11 @@ class TestFuseInstance:
         ref_priors, ref_cells = _per_keypoint_reference(
             r, bank, fine, coarse, w_fine, w_coarse, sigma, threshold
         )
-        priors = keypoint_priors(r, bank, fine.shape[0], sigma, threshold)
+        priors = keypoint_priors(r[None], bank, fine.shape[0], sigma, threshold)[0]
         assert np.array_equal(priors, ref_priors)
-        cells = fuse_instance(r, bank, fine, coarse, w_fine, w_coarse, sigma, threshold)
+        cells = fuse_instances(
+            r[None], bank, fine[None], coarse[None], w_fine, w_coarse, sigma, threshold
+        )[0]
         assert [tuple(c) for c in cells.tolist()] == ref_cells
 
     def test_equals_per_keypoint_reference(self):
@@ -356,7 +367,86 @@ class TestFuseInstance:
     def test_rejects_more_channels_than_bank_keypoints(self):
         bank = PriorBank("c", np.eye(3)[None], np.zeros((1, 2, 2)))
         with pytest.raises(ValueError, match="3 keypoints requested"):
-            fuse_instance(np.eye(3), bank, np.zeros((3, 12, 12)), np.zeros((3, 6, 6)))
+            fuse_instances(
+                np.eye(3)[None], bank, np.zeros((1, 3, 12, 12)), np.zeros((1, 3, 6, 6))
+            )[0]
+
+
+class TestStackedEngine:
+    """A stack of instances, fused whole or in chunks of any size, gives
+    bitwise the priors and cells of the per-keypoint reference."""
+
+    @staticmethod
+    def _mixed_stack():
+        rng = np.random.default_rng(37)
+        angles = (0.0, 0.05, 0.1, 1.5, 1.55, 3.0)
+        kps = rng.uniform(0.0, 12.0 - 1e-6, size=(len(angles), 4, 2))
+        present = np.ones((len(angles), 4), dtype=bool)
+        present[:3, 2] = False  # no support for keypoint 2 near azimuth 0
+        present[5, 1] = False  # nor for keypoint 1 at the lone entry near pi
+        bank = PriorBank("c", np.stack([_rot_about_z(a) for a in angles]), kps, present)
+        # 2.2 and -2.0 have no entry within the threshold: nearest-only rows
+        queries = (0.02, 2.2, 1.52, 0.07, -2.0, 1.6, 0.3)
+        rs = np.stack([_rot_about_z(a) for a in queries])
+        fine = rng.normal(size=(len(queries), 4, 12, 12)).astype(np.float32)
+        coarse = rng.normal(size=(len(queries), 4, 6, 6)).astype(np.float32)
+        return bank, rs, fine, coarse
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.8, 0.3)])
+    def test_chunks_equal_per_instance_reference(self, weights):
+        bank, rs, fine, coarse = self._mixed_stack()
+        refs = [
+            _per_keypoint_reference(r, bank, f, c, *weights, PRIOR_SIGMA, NEIGHBOR_THRESHOLD)
+            for r, f, c in zip(rs, fine, coarse)
+        ]
+        sizes = [neighbor_set(r, bank).size for r in rs]
+        assert sizes == [3, 1, 2, 3, 1, 2, 3]
+        for b in (1, 4):  # the lone neighbour is a fallback, not within the threshold
+            assert geodesic_distance(rs[b], bank.rotations[neighbor_set(rs[b], bank)[0]]) >= (
+                NEIGHBOR_THRESHOLD
+            )
+        uniform = [
+            (b, k) for b, (p, _) in enumerate(refs) for k in range(4)
+            if np.array_equal(p[k], uniform_prior())
+        ]
+        assert uniform == [(0, 2), (3, 2), (4, 1), (6, 2)]
+        # chunks of 3 mix all three kinds of row and end in a chunk of one
+        for chunk in (1, 3, 4, len(rs)):
+            for lo in range(0, len(rs), chunk):
+                hi = min(lo + chunk, len(rs))
+                priors = keypoint_priors(rs[lo:hi], bank, 4)
+                cells = fuse_instances(rs[lo:hi], bank, fine[lo:hi], coarse[lo:hi], *weights)
+                assert priors.shape == (hi - lo, 4, 12, 12) and cells.shape == (hi - lo, 4, 2)
+                for b in range(lo, hi):
+                    assert np.array_equal(priors[b - lo], refs[b][0])
+                    assert [tuple(c) for c in cells[b - lo].tolist()] == refs[b][1]
+
+    @pytest.mark.parametrize("chunk", [1, 3, FUSE_CHUNK])
+    def test_fuse_predictions_equals_one_instance_at_a_time(self, monkeypatch, chunk):
+        scene = generate_scene(1, 40, noise_preset("moderate"), bank_size=300)
+        viewpoints = cli.match_by_box(scene.instances, scene.detections)
+        by_id = {inst.id: inst for inst in scene.instances}
+        expected = {}
+        for iid in sorted(scene.response_maps):
+            inst = by_id[iid]
+            maps = scene.response_maps[iid]
+            r = euler_to_rotation(viewpoints[iid].viewpoint)
+            bank = scene.prior_banks[inst.class_name]
+            cells = fuse_instances(
+                r[None], bank, maps["fine"][None], maps["coarse"][None], 0.8, 0.3
+            )[0]
+            expected[iid] = {
+                k: denormalize_keypoint(inst.bbox, (x, y))
+                for k, (x, y) in enumerate(cells.tolist())
+            }
+        per_class = Counter(inst.class_name for inst in scene.instances)
+        # chunks of 3 split every class, and one class ends in a chunk of one
+        assert len(per_class) == 3 and min(per_class.values()) > 3
+        assert any(n % 3 == 1 for n in per_class.values())
+        monkeypatch.setattr(fusion, "FUSE_CHUNK", chunk)
+        fused = cli.fuse_predictions(scene, viewpoints, 0.8, 0.3)
+        assert fused == expected
+        assert list(fused) == sorted(expected)
 
 
 class TestValidation:

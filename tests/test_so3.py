@@ -341,6 +341,19 @@ class TestGeodesicDistance:
             np.testing.assert_allclose(ds[i], geodesic_distance(r, rs[i]), atol=1e-12)
 
 
+    def test_stacked_queries_equal_one_query_at_a_time_bitwise(self):
+        """Row b of a (B, 3, 3) query stack is bitwise the one-query
+        arithmetic, einsum "ij,nij->n" then arccos, for query b."""
+        rng = np.random.default_rng(13)
+        qs = np.stack([_quat_to_matrix(_random_quat(rng)) for _ in range(9)])
+        rs = np.stack([_quat_to_matrix(_random_quat(rng)) for _ in range(300)])
+        ds = geodesic_distances(qs, rs)
+        assert ds.shape == (9, 300)
+        for q, row in zip(qs, ds):
+            one = np.arccos(np.clip((np.einsum("ij,nij->n", q, rs) - 1.0) / 2.0, -1.0, 1.0))
+            assert np.array_equal(row, one)
+            assert np.array_equal(geodesic_distances(q, rs), one)
+
 class TestAzimuthDistance:
     def test_known_pair(self):
         np.testing.assert_allclose(
