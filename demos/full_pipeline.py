@@ -51,12 +51,11 @@ tally = diagnostics.error_mode_decomposition(
 print("error modes (%):", {k: round(v, 1) for k, v in tally.percentages().items()})
 
 sliced = diagnostics.sliced_report(
-    scene.instances,
+    diagnostics.size_slices(scene.instances),
     {"acc": lambda insts: metrics.accuracy_at(
         [(euler_to_rotation(i.viewpoint), euler_to_rotation(matched[i.id].viewpoint)) for i in insts],
         math.pi / 6,
     )},
-    diagnostics.size_slice_specs(scene.instances),
 )
 for name, rows in sliced.sections.items():
     print("  %-6s acc=%.2f" % (name, rows["acc"]))

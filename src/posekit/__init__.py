@@ -18,7 +18,6 @@ from .dataio import (
 )
 from .diagnostics import (
     ErrorModeTally,
-    SliceSpec,
     error_mode_decomposition,
     left_right_pck,
     size_slices,

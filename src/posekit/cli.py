@@ -127,14 +127,15 @@ def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
 def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
     manifest, instances = dataio.load_ground_truth(args.dataset)
     preds = dataio.load_detections(args.preds, manifest)
-    report = EvalReport()
     if args.gt_boxes:
         views = diagnostics.viewpoint_pairs(instances, match_by_box(instances, preds))
-        fns = diagnostics.viewpoint_error_metrics(views, args.theta)
-        for cls in sorted({inst.class_name for inst in instances}):
-            members = [inst for inst in instances if inst.class_name == cls]
-            report.sections[cls] = {name: fn(members) for name, fn in fns.items()}
+        classes = sorted({inst.class_name for inst in instances})
+        report = diagnostics.sliced_report(
+            {cls: [inst for inst in instances if inst.class_name == cls] for cls in classes},
+            diagnostics.viewpoint_error_metrics(views, args.theta),
+        )
     else:
+        report = EvalReport()
         avp_name = f"avp{args.bins}"
         tests = {
             avp_name: partial(metrics.bin_match, args.bins),
@@ -218,9 +219,9 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     manifest, instances = dataio.load_ground_truth(args.dataset)
-    matched = match_by_box(instances, dataio.load_detections(args.preds, manifest))
     excluded = set(manifest.excluded_classes)
     kept = [inst for inst in instances if inst.class_name not in excluded]
+    matched = match_by_box(kept, dataio.load_detections(args.preds, manifest))
     if not kept:
         raise dataio.ValidationError("no instances left after class exclusion")
     report = EvalReport()
@@ -228,23 +229,22 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         views = diagnostics.viewpoint_pairs(kept, matched)
 
     if args.slices:
-        specs = []
+        slices: dict[str, list[Instance]] = {}
         for token in args.slices.split(","):
             token = token.strip()
             if token == "size":
-                specs.extend(diagnostics.size_slice_specs(kept))
+                slices.update(diagnostics.size_slices(kept))
             elif token == "occlusion":
-                specs.append(diagnostics.occluded_slice())
+                slices["occluded"] = [inst for inst in kept if inst.occluded]
             elif token == "truncation":
-                specs.append(diagnostics.truncated_slice())
+                slices["truncated"] = [inst for inst in kept if inst.truncated]
             else:
                 raise ValueError(
                     f"unknown slice {token!r} (known: size, occlusion, truncation)"
                 )
         fns = diagnostics.viewpoint_error_metrics(views, args.theta)
-        sliced = diagnostics.sliced_report(kept, fns, specs)
-        for name, rows in sliced.sections.items():
-            report.sections[f"slice/{name}"] = rows
+        sliced = diagnostics.sliced_report(slices, fns).sections
+        report.sections.update((f"slice/{name}", rows) for name, rows in sliced.items())
 
     if args.error_modes:
         azimuths = [(gt.azimuth, pred.azimuth) for gt, pred in views.values()]
@@ -432,10 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except dataio.DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (dataio.DatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

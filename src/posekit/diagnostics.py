@@ -25,14 +25,6 @@ ERROR_MODE_NAMES = ("correct", "medium", "pi_flip", "z_ref", "other")
 
 
 @dataclass(frozen=True)
-class SliceSpec:
-    """A named subset of instances defined by a predicate."""
-
-    name: str
-    predicate: Callable[[Instance], bool]
-
-
-@dataclass(frozen=True)
 class ErrorModeTally:
     correct: int
     medium: int
@@ -76,44 +68,21 @@ def error_mode_decomposition(pairs: Sequence[tuple[float, float]]) -> ErrorModeT
     return ErrorModeTally(**counts)
 
 
-def size_slices(instances: Sequence[Instance]) -> dict[str, set[int]]:
-    """Partition instance indices into small/medium/large area terciles.
+def size_slices(instances: Sequence[Instance]) -> dict[str, list[Instance]]:
+    """Split instances into small/medium/large area terciles.
 
-    Instances are sorted by (area, id); the bottom and top floor(n/3)
-    form the small and large slices, the remainder is medium. Sorting on
-    the id as well makes equal-area splits deterministic.
+    Instances are ranked by (area, id); the bottom and top floor(n/3)
+    form the small and large slices, the remainder is medium. Ranking on
+    the id as well makes equal-area splits deterministic. Each slice
+    lists its members in the order they were given.
     """
     n = len(instances)
     if n < 3:
         raise ValueError("size_slices needs at least 3 instances")
     order = sorted(range(n), key=lambda i: (instances[i].area, instances[i].id))
-    third = n // 3
-    return {
-        "small": set(order[:third]),
-        "medium": set(order[third : n - third]),
-        "large": set(order[n - third :]),
-    }
-
-
-def size_slice_specs(instances: Sequence[Instance]) -> list[SliceSpec]:
-    """SliceSpec views of the size terciles, membership tested by id."""
-    ids = [inst.id for inst in instances]
-    if len(set(ids)) != len(ids):
-        raise ValueError("size slices need unique instance ids")
-    slices = size_slices(instances)
-    specs = []
-    for name in ("small", "medium", "large"):
-        members = frozenset(ids[i] for i in slices[name])
-        specs.append(SliceSpec(name, lambda inst, m=members: inst.id in m))
-    return specs
-
-
-def occluded_slice() -> SliceSpec:
-    return SliceSpec("occluded", lambda inst: inst.occluded)
-
-
-def truncated_slice() -> SliceSpec:
-    return SliceSpec("truncated", lambda inst: inst.truncated)
+    lo, hi = n // 3, n - n // 3
+    cuts = {"small": order[:lo], "medium": order[lo:hi], "large": order[hi:]}
+    return {name: [instances[i] for i in sorted(cut)] for name, cut in cuts.items()}
 
 
 MetricFn = Callable[[Sequence[Instance]], float | None]
@@ -154,11 +123,9 @@ def viewpoint_error_metrics(pairs: ViewpointPairs, theta: float) -> dict[str, Me
 
 
 def sliced_report(
-    instances: Sequence[Instance],
-    metrics: Mapping[str, MetricFn],
-    slices: Sequence[SliceSpec],
+    slices: Mapping[str, Sequence[Instance]], metrics: Mapping[str, MetricFn]
 ) -> EvalReport:
-    """Evaluate each metric independently on each slice of the instances.
+    """Evaluate each metric independently on each named slice.
 
     Callers pass only the instances they want scored (diagnose drops the
     manifest's excluded classes first). A slice with no members reports
@@ -166,12 +133,10 @@ def sliced_report(
     for a measurement).
     """
     report = EvalReport()
-    for spec in slices:
-        members = [inst for inst in instances if spec.predicate(inst)]
-        rows: dict[str, float | None] = {}
-        for metric_name, fn in metrics.items():
-            rows[metric_name] = fn(members) if members else None
-        report.sections[spec.name] = rows
+    for name, members in slices.items():
+        report.sections[name] = {
+            metric_name: fn(members) if members else None for metric_name, fn in metrics.items()
+        }
     return report
 
 

@@ -76,9 +76,6 @@ class EulerAngles:
         object.__setattr__(self, "elevation", el)
         object.__setattr__(self, "cyclorotation", cy)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.azimuth, self.elevation, self.cyclorotation)
-
 
 def _rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)

@@ -9,6 +9,7 @@ evaluate, report. Exit codes: 0 success, 2 bad input, 3 I/O failure.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from collections import Counter
@@ -878,6 +879,74 @@ class TestDiagnoseExclusion:
         for name in ("pck", "left-right-pck"):
             assert "car" not in sections[name]
             assert set(sections[name]) == set(classes) - {"car"} | {"all"}
+
+    def test_excluded_instances_need_no_prediction(self, tmp_path):
+        """Instances of an excluded class are dropped before pairing, so a
+        missing detection for one of them is not an error."""
+        ds = _synth(tmp_path, seed=3, n=12)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["excluded_classes"] = ["car"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        instances = [
+            json.loads(line) for line in (ds / "instances.jsonl").read_text().splitlines() if line
+        ]
+        car = next(inst for inst in instances if inst["class"] == "car")
+        lines = (ds / "detections.jsonl").read_text().splitlines(keepends=True)
+        kept_lines = [
+            line for line in lines
+            if not (json.loads(line)["image_id"] == car["image_id"]
+                    and json.loads(line)["bbox"] == car["bbox"])
+        ]
+        assert len(kept_lines) == len(lines) - 1
+        (ds / "detections.jsonl").write_text("".join(kept_lines))
+        out = tmp_path / "report.json"
+        rc = cli.main(
+            [
+                "diagnose", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                "--slices", "size,occlusion,truncation", "--error-modes", "--left-right",
+                "--report", str(out), "--format", "machine",
+            ]
+        )
+        assert rc == 0
+        sections = _machine(out)["sections"]
+        kept = [inst for inst in instances if inst["class"] != "car"]
+        assert sections["error-modes"]["count"] == float(len(kept))
+        for name in ("pck", "left-right-pck"):
+            assert set(sections[name]) == {inst["class"] for inst in kept} | {"all"}
+        assert not any("car" in name or "car" in rows for name, rows in sections.items())
+
+
+class TestKnownBoxReportBytes:
+    """The known-box reports of a seeded moderate scene, pinned by digest.
+
+    The digests were recorded from the reports as they stood before
+    slices became named instance lists; any change to the bytes of
+    either report fails here.
+    """
+
+    DIGESTS = {
+        "evaluate-viewpoint": "5eb3b63bcfb52f4c2deb776d00ad0687465bfbdf53894ee6686ac9658fca0f65",
+        "diagnose": "5a372ee4b614b2fa7ea854bddfe52bad9011c830eb50125e29a270d2635c3b9b",
+    }
+    FLAGS = {
+        "evaluate-viewpoint": ["--gt-boxes"],
+        "diagnose": ["--slices", "size,occlusion,truncation", "--error-modes", "--left-right"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_report_digest(self, tmp_path, command):
+        ds = tmp_path / "scene"
+        scene = synth.generate_scene(1, 60, synth.noise_preset("moderate"), bank_size=200)
+        dataio.save_dataset(scene, ds)
+        out = tmp_path / "report.json"
+        rc = cli.main(
+            [
+                command, "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                *self.FLAGS[command], "--report", str(out), "--format", "machine",
+            ]
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
 
 
 def _set(field, value):

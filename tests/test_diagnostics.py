@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from posekit.diagnostics import (
-    SliceSpec,
     MEDIUM_ERROR,
     SMALL_ERROR,
     error_mode_decomposition,
     left_right_pck,
-    occluded_slice,
-    size_slice_specs,
     size_slices,
     sliced_report,
-    truncated_slice,
 )
 from posekit.metrics import Instance, Keypoint, pck
 
@@ -88,20 +84,33 @@ class TestErrorModes:
             error_mode_decomposition([])
 
 
+def _ids(insts):
+    return [inst.id for inst in insts]
+
+
 class TestSizeSlices:
     def test_three_instances(self):
         insts = [_inst("a", 5.0), _inst("b", 20.0), _inst("c", 10.0)]
         slices = size_slices(insts)
-        assert slices["small"] == {0}
-        assert slices["medium"] == {2}
-        assert slices["large"] == {1}
+        assert list(slices) == ["small", "medium", "large"]
+        assert slices["small"] == [insts[0]]
+        assert slices["medium"] == [insts[2]]
+        assert slices["large"] == [insts[1]]
 
     def test_equal_areas_tie_break_on_id(self):
         insts = [_inst(x, 10.0) for x in ("f", "b", "d", "a", "e", "c")]
         slices = size_slices(insts)
-        # ids a, b in the bottom tercile; e, f in the top
-        assert slices["small"] == {3, 1}
-        assert slices["large"] == {4, 0}
+        # ids a, b in the bottom tercile; e, f in the top; each in instance order
+        assert _ids(slices["small"]) == ["b", "a"]
+        assert _ids(slices["medium"]) == ["d", "c"]
+        assert _ids(slices["large"]) == ["f", "e"]
+
+    def test_members_keep_instance_order(self):
+        insts = [_inst(f"i{i}", float(side)) for i, side in enumerate([9, 1, 8, 2, 7, 3, 6, 4, 5])]
+        slices = size_slices(insts)
+        assert _ids(slices["small"]) == ["i1", "i3", "i5"]
+        assert _ids(slices["medium"]) == ["i6", "i7", "i8"]
+        assert _ids(slices["large"]) == ["i0", "i2", "i4"]
 
     def test_partition_and_tercile_sizes(self):
         rng = np.random.default_rng(51)
@@ -110,8 +119,8 @@ class TestSizeSlices:
         assert len(slices["small"]) == 33
         assert len(slices["medium"]) == 34
         assert len(slices["large"]) == 33
-        union = slices["small"] | slices["medium"] | slices["large"]
-        assert union == set(range(100))
+        union = _ids(slices["small"]) + _ids(slices["medium"]) + _ids(slices["large"])
+        assert sorted(union) == _ids(insts)
 
     def test_matches_independent_sort(self):
         rng = np.random.default_rng(52)
@@ -121,38 +130,13 @@ class TestSizeSlices:
         keys = np.array([inst.area for inst in insts])
         ids = np.array([inst.id for inst in insts])
         order = np.lexsort((ids, keys))
-        assert set(order[:20].tolist()) == slices["small"]
-        assert set(order[-20:].tolist()) == slices["large"]
+        assert slices["small"] == [insts[i] for i in sorted(order[:20].tolist())]
+        assert slices["medium"] == [insts[i] for i in sorted(order[20:40].tolist())]
+        assert slices["large"] == [insts[i] for i in sorted(order[40:].tolist())]
 
     def test_too_few_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             size_slices([_inst("a"), _inst("b")])
-
-    def test_specs_agree_with_index_sets(self):
-        rng = np.random.default_rng(53)
-        insts = [_inst(f"i{i}", float(rng.uniform(1, 30))) for i in range(30)]
-        slices = size_slices(insts)
-        for spec in size_slice_specs(insts):
-            members = {i for i, inst in enumerate(insts) if spec.predicate(inst)}
-            assert members == slices[spec.name]
-
-    def test_specs_need_unique_ids(self):
-        insts = [_inst("a"), _inst("a"), _inst("b")]
-        with pytest.raises(ValueError, match="unique"):
-            size_slice_specs(insts)
-
-
-class TestFlagSlices:
-    def test_occluded(self):
-        spec = occluded_slice()
-        assert spec.name == "occluded"
-        assert spec.predicate(_inst("a", occluded=True))
-        assert not spec.predicate(_inst("b"))
-
-    def test_truncated(self):
-        spec = truncated_slice()
-        assert spec.predicate(_inst("a", truncated=True))
-        assert not spec.predicate(_inst("b"))
 
 
 class TestSlicedReport:
@@ -161,21 +145,29 @@ class TestSlicedReport:
 
     def test_whole_population_slice_matches_direct_call(self):
         insts = [_inst(f"i{i}", float(3 + i)) for i in range(9)]
-        report = sliced_report(
-            insts, {"mean_area": self._metric}, [SliceSpec("all", lambda _: True)]
-        )
+        report = sliced_report({"all": insts}, {"mean_area": self._metric})
         assert report.sections["all"]["mean_area"] == self._metric(insts)
 
     def test_empty_slice_reports_absent(self):
         insts = [_inst(f"i{i}", occluded=False) for i in range(4)]
-        report = sliced_report(insts, {"mean_area": self._metric}, [occluded_slice()])
-        assert report.sections["occluded"]["mean_area"] is None
+        occluded = [inst for inst in insts if inst.occluded]
+        report = sliced_report(
+            {"occluded": occluded}, {"mean_area": self._metric, "count": len}
+        )
+        assert report.sections["occluded"] == {"mean_area": None, "count": None}
+
+    def test_sections_follow_slice_order(self):
+        insts = [_inst(f"i{i}", float(3 + i)) for i in range(6)]
+        report = sliced_report(
+            {"z": insts[:2], "a": insts[2:], "m": []}, {"mean_area": self._metric}
+        )
+        assert list(report.sections) == ["z", "a", "m"]
 
     def test_size_degradation_shows_up(self):
         """A metric that worsens with small boxes separates the size
         terciles in the report."""
         insts = [_inst(f"i{i:02d}", float(2 + i)) for i in range(30)]
-        report = sliced_report(insts, {"mean_area": self._metric}, size_slice_specs(insts))
+        report = sliced_report(size_slices(insts), {"mean_area": self._metric})
         small = report.sections["small"]["mean_area"]
         large = report.sections["large"]["mean_area"]
         assert small < large

@@ -1,4 +1,5 @@
-"""Every public module-level function and class of posekit has a caller.
+"""Every public module-level function and class of posekit, and every
+public method and property of those classes, has a caller.
 
 The library's modules, the demos and the acceptance gates are parsed; a
 public name defined in src/posekit must be used somewhere other than its
@@ -26,19 +27,37 @@ def _names_used(node: ast.AST) -> set[str]:
     return used
 
 
+def _scan(stmt: ast.stmt, where: str, own: set[str], defined: dict, used: set[str]) -> None:
+    """Record the public definitions in stmt (a class's public methods and
+    properties too) as qualified name -> name, and every other name it uses.
+
+    Names in own, the definitions enclosing stmt, are not uses: a
+    definition's own body (recursion, a class naming itself) does not count.
+    """
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    if not isinstance(stmt, kinds) or stmt.name.startswith("_"):
+        used |= _names_used(stmt) - own
+        return
+    defined[f"{where}.{stmt.name}"] = stmt.name
+    own = own | {stmt.name}
+    if isinstance(stmt, ast.FunctionDef):
+        used |= _names_used(stmt) - own
+        return
+    for part in [*stmt.decorator_list, *stmt.bases, *stmt.keywords]:
+        used |= _names_used(part) - own
+    for member in stmt.body:
+        _scan(member, f"{where}.{stmt.name}", own, defined, used)
+
+
 def test_every_public_definition_is_used():
-    defined: dict[str, str] = {}  # name -> defining module
+    defined: dict[str, str] = {}  # qualified name -> name
     used: set[str] = set()
     for path in USERS:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
-            kinds = (ast.FunctionDef, ast.ClassDef)
-            is_def = path in LIBRARY and isinstance(stmt, kinds) and not stmt.name.startswith("_")
-            if is_def:
-                defined[stmt.name] = path.stem
-                # a definition's own body (recursion, a class naming itself) is not a use
-                used |= _names_used(stmt) - {stmt.name}
+            if path in LIBRARY:
+                _scan(stmt, path.stem, set(), defined, used)
             else:
                 used |= _names_used(stmt)
-    unused = sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+    unused = sorted(qualified for qualified, name in defined.items() if name not in used)
     assert not unused, f"public definitions with no caller: {', '.join(unused)}"

@@ -107,8 +107,8 @@ class TestEulerAngles:
             el = float(rng.uniform(-math.pi / 2, math.pi / 2))
             cy = float(rng.uniform(-math.pi, math.pi))
             e = EulerAngles(az, el, cy)
-            assert e.as_tuple() == (az, el, cy)
-            assert EulerAngles(*e.as_tuple()) == e
+            assert (e.azimuth, e.elevation, e.cyclorotation) == (az, el, cy)
+            assert EulerAngles(e.azimuth, e.elevation, e.cyclorotation) == e
 
     def test_azimuth_wraps(self):
         e = EulerAngles(TWO_PI + 0.5, 0.0, 0.0)
@@ -232,7 +232,7 @@ class TestEulerMatrixConversion:
 
     def test_identity(self):
         e = rotation_to_euler(np.eye(3))
-        assert e.as_tuple() == (0.0, 0.0, 0.0)
+        assert (e.azimuth, e.elevation, e.cyclorotation) == (0.0, 0.0, 0.0)
 
     def test_roundtrip_matrices(self):
         """euler -> matrix -> euler -> matrix reproduces the matrix."""
