@@ -916,6 +916,15 @@ class TestDiagnoseExclusion:
         assert not any("car" in name or "car" in rows for name, rows in sections.items())
 
 
+@pytest.fixture(scope="module")
+def moderate_scene(tmp_path_factory) -> Path:
+    """The seeded moderate scene whose CLI outputs are pinned by digest."""
+    ds = tmp_path_factory.mktemp("moderate") / "scene"
+    scene = synth.generate_scene(1, 60, synth.noise_preset("moderate"), bank_size=200)
+    dataio.save_dataset(scene, ds)
+    return ds
+
+
 class TestKnownBoxReportBytes:
     """The known-box reports of a seeded moderate scene, pinned by digest.
 
@@ -934,10 +943,8 @@ class TestKnownBoxReportBytes:
     }
 
     @pytest.mark.parametrize("command", sorted(DIGESTS))
-    def test_report_digest(self, tmp_path, command):
-        ds = tmp_path / "scene"
-        scene = synth.generate_scene(1, 60, synth.noise_preset("moderate"), bank_size=200)
-        dataio.save_dataset(scene, ds)
+    def test_report_digest(self, tmp_path, moderate_scene, command):
+        ds = moderate_scene
         out = tmp_path / "report.json"
         rc = cli.main(
             [
@@ -948,6 +955,58 @@ class TestKnownBoxReportBytes:
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
 
+
+
+class TestCliOutputBytes:
+    """The other CLI outputs of the same scene, pinned by digest: fused
+    keypoints under predicted and under annotated viewpoints, PCK of the
+    first, APK, and the detection-setting viewpoint report.
+
+    The digests were recorded while the package still re-exported its
+    modules' names; any change to the bytes of an output fails here.
+    """
+
+    DIGESTS = {
+        "fuse-preds": "4aa7f53b242d16d78f36dfa82e8300707ce9b46be66ac9e025ae828f03e67ee3",
+        "fuse-annotated": "e349a5434d8a849dbf83a6242c69872a5263a2da88e2e0b322e4a2567a491807",
+        "pck": "010eeae8322b9a0e320a66dcb3bca8fb7714e5ed922b47f9b6b2da0298d3100c",
+        "apk": "a5be20e4a25134c3093a936bca1cc35142293b00e3b314dfdc3038c4c10198b9",
+        "viewpoint-detections": "c408a0558c0c89ef1975ebdffd36de4ac1c8cbac6900f00ba9418c719a50c170",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, moderate_scene, tmp_path_factory) -> dict[str, bytes]:
+        """Run each command once, in order (pck reads the fuse-preds file);
+        the last argument of each is the file it writes."""
+        ds, dets = str(moderate_scene), str(moderate_scene / "detections.jsonl")
+        out = tmp_path_factory.mktemp("outputs")
+        fused = str(out / "fused.jsonl")
+        machine = ["--format", "machine", "--report"]
+        runs = {
+            "fuse-preds": ["fuse", "--dataset", ds, "--preds", dets, "--out", fused],
+            "fuse-annotated": ["fuse", "--dataset", ds, "--out", str(out / "annotated.jsonl")],
+            "pck": [
+                "evaluate-keypoints", "--dataset", ds, "--preds", fused, "--mode", "pck",
+                *machine, str(out / "pck.json"),
+            ],
+            "apk": [
+                "evaluate-keypoints", "--dataset", ds, "--preds", dets, "--mode", "apk",
+                *machine, str(out / "apk.json"),
+            ],
+            "viewpoint-detections": [
+                "evaluate-viewpoint", "--dataset", ds, "--preds", dets, "--detections",
+                *machine, str(out / "viewpoint.json"),
+            ],
+        }
+        written = {}
+        for name, argv in runs.items():
+            assert cli.main(argv) == 0, name
+            written[name] = Path(argv[-1]).read_bytes()
+        return written
+
+    @pytest.mark.parametrize("output", list(DIGESTS))
+    def test_output_digest(self, outputs, output):
+        assert hashlib.sha256(outputs[output]).hexdigest() == self.DIGESTS[output]
 
 def _set(field, value):
     def mutate(record):
