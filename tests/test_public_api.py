@@ -3,15 +3,19 @@ public method and property of those classes, has a caller.
 
 The library's modules, the demos and the acceptance gates are parsed; a
 public name defined in src/posekit must be used somewhere other than its
-own definition, as a name, an attribute or an imported name. The package
-__init__.py does not count: re-exporting a name is not calling it.
+own definition, as a name, an attribute or an imported name.
+
+The package __init__.py holds its docstring and nothing else: callers import
+the modules, so each public name has one binding, in the module that defines
+it.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LIBRARY = sorted(p for p in (ROOT / "src" / "posekit").glob("*.py") if p.name != "__init__.py")
+PACKAGE = ROOT / "src" / "posekit"
+LIBRARY = sorted(PACKAGE.glob("*.py"))
 USERS = [*LIBRARY, *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
@@ -61,3 +65,9 @@ def test_every_public_definition_is_used():
                 used |= _names_used(stmt)
     unused = sorted(qualified for qualified, name in defined.items() if name not in used)
     assert not unused, f"public definitions with no caller: {', '.join(unused)}"
+
+
+def test_package_init_is_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, "src/posekit/__init__.py binds names; import the modules"
