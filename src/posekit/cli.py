@@ -69,13 +69,13 @@ def fuse_predictions(
     instances of each class are fused in stacks of fusion.FUSE_CHUNK.
     """
     by_id = {inst.id: inst for inst in dataset.instances}
-    ids = sorted(dataset.response_maps)
+    ids = sorted(by_id.keys() | dataset.response_maps.keys())
     stacks: dict[tuple, tuple[list[Instance], list[EulerAngles]]] = {}
     for iid in ids:
         inst = by_id.get(iid)
         if inst is None:
             raise dataio.ValidationError(f"response maps for unknown instance {iid!r}")
-        maps = dataset.response_maps[iid]
+        maps = dataset.response_maps.get(iid, {})
         if "fine" not in maps or "coarse" not in maps:
             raise dataio.ValidationError(
                 f"instance {iid!r}: needs both fine and coarse response maps"

@@ -347,6 +347,22 @@ class TestFuseCommand:
         assert "argument --sigma" in capsys.readouterr().err
         assert not (tmp_path / "p.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "kinds", [("fine", "coarse"), ("coarse",)], ids=["no-maps", "fine-only"]
+    )
+    def test_instance_missing_maps_rejected(self, tmp_path, capsys, kinds):
+        """An instance with one map kind or none exits 2; it is never dropped."""
+        ds = _synth(tmp_path, n=6)
+        iid = "inst000004"
+        for kind in kinds:
+            (ds / "responses" / f"{iid}_{kind}.vkrm").unlink()
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["fuse", "--dataset", str(ds), "--out", str(out)])
+        assert rc == 2
+        message = f"instance {iid!r}: needs both fine and coarse response maps"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_bank_file(self, tmp_path):
         ds = _synth(tmp_path, n=2)
         rc = cli.main(
@@ -377,11 +393,15 @@ class TestFuseFirstError:
         if kind == "bank":
             del dataset.prior_banks[inst.class_name]
             return f"instance {iid!r}: no prior bank for class {inst.class_name!r}"
-        dataset.response_maps[iid] = {"fine": dataset.response_maps[iid]["fine"]}
+        if kind == "none":
+            del dataset.response_maps[iid]
+        else:
+            dataset.response_maps[iid] = {"fine": dataset.response_maps[iid]["fine"]}
         return f"instance {iid!r}: needs both fine and coarse response maps"
 
     @pytest.mark.parametrize(
-        "first, later", [("viewpoint", "maps"), ("bank", "viewpoint"), ("maps", "viewpoint")]
+        "first, later",
+        [("viewpoint", "maps"), ("bank", "viewpoint"), ("maps", "viewpoint"), ("none", "viewpoint")],
     )
     def test_first_bad_instance_in_id_order_is_reported(self, first, later):
         scene = synth.generate_scene(3, 30, synth.noise_preset("mild"), bank_size=50)
