@@ -125,19 +125,33 @@ def combine_scales(
     return f
 
 
-def normalize_keypoint(box: Box, p: tuple[float, float]) -> tuple[float, float]:
-    """Map a pixel location into the fixed 12x12 grid of a bounding box.
+def _boxes(boxes) -> np.ndarray:
+    """(B, 4) float stack of (x, y, w, h); refuses a w or h not above 0, or NaN."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    degenerate = ~(boxes[:, 2:] > 0).all(axis=1)
+    if degenerate.any():
+        raise ValueError(f"degenerate box {tuple(boxes[degenerate.argmax()].tolist())}")
+    return boxes
 
-    Coordinates are clamped to [0, 12 - 1e-9] so the result always indexes
-    a valid grid cell.
+
+def normalize_keypoints(boxes: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Map pixel locations into the fixed 12x12 grid of their boxes.
+
+    boxes is a (B, 4) stack of (x, y, w, h) and px a (B, K, 2) stack of
+    pixel (x, y) pairs, row b in box b; returns the (B, K, 2) grid stack.
+    Coordinates are clamped to [0, 12 - 1e-9] so each always indexes a
+    valid grid cell.
     """
-    x, y, w, h = box
-    if w <= 0 or h <= 0:
-        raise ValueError(f"degenerate box {box}")
-    gx = (p[0] - x) / w * GRID_SIZE
-    gy = (p[1] - y) / h * GRID_SIZE
-    hi = GRID_SIZE - 1e-9
-    return (min(max(gx, 0.0), hi), min(max(gy, 0.0), hi))
+    boxes = _boxes(boxes)
+    grid = (np.asarray(px, dtype=np.float64) - boxes[:, None, :2]) / boxes[:, None, 2:]
+    grid *= GRID_SIZE
+    return np.minimum(np.maximum(grid, 0.0), GRID_SIZE - 1e-9)
+
+
+def normalize_keypoint(box: Box, p: tuple[float, float]) -> tuple[float, float]:
+    """normalize_keypoints for one box and one pixel point."""
+    gx, gy = normalize_keypoints([box], [[p]])[0, 0].tolist()
+    return (gx, gy)
 
 
 def denormalize_keypoints(boxes: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -146,10 +160,7 @@ def denormalize_keypoints(boxes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     boxes is a (B, 4) stack of (x, y, w, h) and cells a (B, K, 2) stack of
     grid (x, y) pairs, row b in box b; returns the (B, K, 2) pixel stack.
     """
-    boxes = np.asarray(boxes, dtype=np.float64)
-    degenerate = ~(boxes[:, 2:] > 0).all(axis=1)
-    if degenerate.any():
-        raise ValueError(f"degenerate box {tuple(boxes[degenerate.argmax()].tolist())}")
+    boxes = _boxes(boxes)
     return boxes[:, None, :2] + np.asarray(cells) / GRID_SIZE * boxes[:, None, 2:]
 
 

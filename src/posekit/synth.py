@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataio import Dataset, Manifest, _is_number
-from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank
+from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank, normalize_keypoints
 from .metrics import Detection, Instance, Keypoint, KeypointHypothesis
 from .so3 import pi_flip, rotation_to_euler
 
@@ -197,15 +197,6 @@ def _response_maps(
     return out
 
 
-def _grid_rows(px: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """fusion.normalize_keypoint for each pixel row of `px` in its box row."""
-    x, y, w, h = boxes.T
-    grid = np.empty_like(px)
-    grid[:, 0] = (px[:, 0] - x) / w * GRID_SIZE
-    grid[:, 1] = (px[:, 1] - y) / h * GRID_SIZE
-    return np.minimum(np.maximum(grid, 0.0), GRID_SIZE - 1e-9)
-
-
 def _grid_coords(template: np.ndarray, rots: np.ndarray) -> np.ndarray:
     """Template keypoints on the 12x12 grid under a stack of rotations."""
     q = template @ rots.transpose(0, 2, 1)
@@ -346,7 +337,7 @@ def _scene_columns(
     target = np.arange(total)
     target[swap] += 1 - 2 * (local[swap] % 2)
 
-    grid = _grid_rows(pred_px, boxes[owner])
+    grid = normalize_keypoints(boxes[owner], pred_px[:, None])[:, 0]
 
     fine = _response_maps(grid[target], swap, grid, GRID_SIZE, RESPONSE_SHARPNESS)
     coarse = _response_maps(

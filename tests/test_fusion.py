@@ -148,6 +148,8 @@ class TestNormalization:
         with pytest.raises(ValueError, match="degenerate"):
             normalize_keypoint((0.0, 0.0, 0.0, 10.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="degenerate"):
+            normalize_keypoint((0.0, 0.0, math.nan, 10.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="degenerate"):
             denormalize_keypoint((0.0, 0.0, 10.0, -1.0), (1.0, 1.0))
 
 
