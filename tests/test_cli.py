@@ -976,7 +976,6 @@ class TestKnownBoxReportBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[command]
 
 
-
 class TestCliOutputBytes:
     """The other CLI outputs of the same scene, pinned by digest: fused
     keypoints under predicted and under annotated viewpoints, PCK of the
@@ -1027,6 +1026,7 @@ class TestCliOutputBytes:
     @pytest.mark.parametrize("output", list(DIGESTS))
     def test_output_digest(self, outputs, output):
         assert hashlib.sha256(outputs[output]).hexdigest() == self.DIGESTS[output]
+
 
 def _set(field, value):
     def mutate(record):
