@@ -12,7 +12,7 @@ Everything here is also reachable from the command line:
 import math
 
 from posekit import cli, diagnostics, metrics, synth
-from posekit.so3 import euler_to_rotation
+from posekit.so3 import euler_to_rotations
 
 scene = synth.generate_scene(5, 200, synth.noise_preset("moderate"))
 print("scene: %d instances, %d detections, classes %s" % (
@@ -21,10 +21,9 @@ print("scene: %d instances, %d detections, classes %s" % (
 
 # pair each annotation with the detection reproducing its box exactly
 matched = cli.match_by_box(scene.instances, scene.detections)
-pairs = [
-    (euler_to_rotation(inst.viewpoint), euler_to_rotation(matched[inst.id].viewpoint))
-    for inst in scene.instances
-]
+views = diagnostics.viewpoint_pairs(scene.instances, matched)
+gt, pred = (euler_to_rotations([pair[k] for pair in views.values()]) for k in (0, 1))
+pairs = list(zip(gt, pred))
 print("MedErr %.1f deg, Acc(pi/6) %.2f" % (
     metrics.median_error(pairs),
     metrics.accuracy_at(pairs, math.pi / 6),
@@ -50,12 +49,10 @@ tally = diagnostics.error_mode_decomposition(
 )
 print("error modes (%):", {k: round(v, 1) for k, v in tally.percentages().items()})
 
+# each instance's error is computed once; every slice looks its members up
 sliced = diagnostics.sliced_report(
     diagnostics.size_slices(scene.instances),
-    {"acc": lambda insts: metrics.accuracy_at(
-        [(euler_to_rotation(i.viewpoint), euler_to_rotation(matched[i.id].viewpoint)) for i in insts],
-        math.pi / 6,
-    )},
+    diagnostics.viewpoint_error_metrics(views, math.pi / 6),
 )
 for name, rows in sliced.sections.items():
     print("  %-6s acc=%.2f" % (name, rows["acc"]))

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
-from .so3 import EulerAngles, euler_to_rotation
+from .so3 import EulerAngles, euler_to_rotations
+from .so3 import euler_to_rotation  # noqa: F401  (perfbench/selftest.py traces this alias)
 from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces this alias)
 
 
@@ -102,7 +103,7 @@ def fuse_predictions(
             chunk = members[start:stop]
             maps = [dataset.response_maps[inst.id] for inst in chunk]
             cells = fusion.fuse_instances(
-                np.stack([euler_to_rotation(vp) for vp in vps[start:stop]]),
+                euler_to_rotations(vps[start:stop]),
                 dataset.prior_banks[cls],
                 np.stack([m["fine"] for m in maps]),
                 np.stack([m["coarse"] for m in maps]),

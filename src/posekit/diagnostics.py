@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dataio import ValidationError
-from .metrics import Detection, EvalReport, Instance, PckResult, accuracy_at, median_error, pck
-from .so3 import EulerAngles, azimuth_distance, euler_to_rotation, z_reflect_azimuth
+from .metrics import Detection, EvalReport, Instance, PckResult, fraction_below, median_degrees, pck
+from .so3 import EulerAngles, azimuth_distance, euler_to_rotations, geodesic_distances
+from .so3 import z_reflect_azimuth
 
 SMALL_ERROR = math.pi / 9
 MEDIUM_ERROR = 2 * math.pi / 9
@@ -111,14 +112,13 @@ def viewpoint_pairs(
 
 def viewpoint_error_metrics(pairs: ViewpointPairs, theta: float) -> dict[str, MetricFn]:
     """acc (accuracy_at theta) and mederr_deg (median_error) of a subset of
-    the instances in pairs, as functions of that subset."""
-    rotations = {
-        iid: (euler_to_rotation(gt), euler_to_rotation(pred))
-        for iid, (gt, pred) in pairs.items()
-    }
+    the instances in pairs, as functions of that subset. Each instance's
+    geodesic error is computed once, here, and the subsets look it up."""
+    gt, pred = (euler_to_rotations([pair[k] for pair in pairs.values()]) for k in (0, 1))
+    errors = dict(zip(pairs, geodesic_distances(gt, pred).tolist()))
     return {
-        "acc": lambda insts: accuracy_at([rotations[i.id] for i in insts], theta),
-        "mederr_deg": lambda insts: median_error([rotations[i.id] for i in insts]),
+        "acc": lambda insts: fraction_below([errors[i.id] for i in insts], theta),
+        "mederr_deg": lambda insts: median_degrees([errors[i.id] for i in insts]),
     }
 
 

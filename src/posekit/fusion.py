@@ -179,7 +179,7 @@ def _neighbors(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
     """
     if len(bank) == 0:
         raise ValueError("prior bank is empty")
-    d = geodesic_distances(rs, bank.rotations)
+    d = geodesic_distances(rs[:, None], bank.rotations)
     near = d < threshold
     lonely = np.flatnonzero(~near.any(axis=1))
     near[lonely, d[lonely].argmin(axis=1)] = True

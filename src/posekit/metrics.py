@@ -19,7 +19,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .so3 import EulerAngles, azimuth_distance, euler_to_rotation, geodesic_distance
+from .so3 import EulerAngles, azimuth_distance, euler_to_rotations, geodesic_distance
+from .so3 import euler_to_rotation  # noqa: F401  (perfbench/selftest.py traces this alias)
+from .so3 import geodesic_distances
 from .viewpoint import angle_to_bin
 
 IOU_THRESHOLD = 0.5
@@ -119,21 +121,33 @@ def mean_present(values: Iterable[float | None]) -> float | None:
     return sum(vals) / len(vals) if vals else None
 
 
+def median_degrees(errors: Sequence[float]) -> float:
+    """Median of geodesic errors given in radians, in degrees."""
+    return float(np.degrees(np.median(errors)))
+
+
+def fraction_below(errors: Sequence[float], theta: float) -> float:
+    """Fraction of the errors strictly below theta."""
+    return np.count_nonzero(np.less(errors, theta)) / len(errors)
+
+
+def _pair_errors(pairs: Sequence[tuple[np.ndarray, np.ndarray]], what: str) -> np.ndarray:
+    if len(pairs) == 0:
+        raise ValueError(f"{what} needs at least one pair")
+    stack = np.asarray(pairs, dtype=np.float64)
+    return geodesic_distances(stack[:, 0], stack[:, 1])
+
+
 def median_error(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
     """Median geodesic distance over (gt, predicted) rotations, in degrees."""
-    if len(pairs) == 0:
-        raise ValueError("median_error needs at least one pair")
-    errs = [geodesic_distance(r1, r2) for r1, r2 in pairs]
-    return float(np.degrees(np.median(errs)))
+    return median_degrees(_pair_errors(pairs, "median_error"))
 
 
 def accuracy_at(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]], theta: float = math.pi / 6
 ) -> float:
     """Fraction of pairs with geodesic distance strictly below theta."""
-    if len(pairs) == 0:
-        raise ValueError("accuracy_at needs at least one pair")
-    return mean_present([geodesic_distance(r1, r2) < theta for r1, r2 in pairs])
+    return fraction_below(_pair_errors(pairs, "accuracy_at"), theta)
 
 
 def iou(b1: Box, b2: Box) -> float:
@@ -312,7 +326,7 @@ def azimuth_within(theta: float, det: Detection, gt: Instance) -> bool:
 def rotation_within(theta: float, det: Detection, gt: Instance) -> bool:
     """ARP_theta's viewpoint test: full rotation geodesic_distance < theta."""
     vg, vp = _require_viewpoints(det, gt)
-    return geodesic_distance(euler_to_rotation(vg), euler_to_rotation(vp)) < theta
+    return geodesic_distance(*euler_to_rotations([vg, vp])) < theta
 
 
 def avp(

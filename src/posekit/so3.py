@@ -8,12 +8,18 @@ a 3x3 rotation matrix. The euler convention is ZYX intrinsic throughout:
 Canonical ranges: azimuth in [0, 2*pi), elevation in [-pi/2, pi/2],
 cyclorotation in [-pi, pi). Everything here is a pure function on immutable
 values; rotation matrices are plain float64 numpy arrays.
+
+There is one rotation builder, euler_to_rotations, and one distance rule,
+geodesic_distances, which broadcasts over stacks, takes np.arccos, and
+returns exactly 0 for identical matrices; euler_to_rotation and
+geodesic_distance are their one-row views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,21 +83,6 @@ class EulerAngles:
         object.__setattr__(self, "cyclorotation", cy)
 
 
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 class RotationError(ValueError):
     """A matrix of a stack is not a rotation; index is its place in the stack."""
 
@@ -140,9 +131,38 @@ def rotation_matrix(r: np.ndarray) -> np.ndarray:
     return out
 
 
+# The nine entries of Rz(az), Ry(el) and Rx(cy), row by row, as indices
+# into the 15 values (0, 1, cos, sin, -sin) of the azimuth, then of the
+# elevation, then of the cyclorotation.
+_PLANES = np.array(
+    [
+        [2, 4, 0, 3, 2, 0, 0, 0, 1],  # [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+        [2, 0, 3, 0, 1, 0, 4, 0, 2],  # [[c, 0, s], [0, 1, 0], [-s, 0, c]]
+        [1, 0, 0, 0, 2, 4, 0, 3, 2],  # [[1, 0, 0], [0, c, -s], [0, s, c]]
+    ]
+) + [[0], [5], [10]]
+
+
+def euler_to_rotations(angles: Sequence[EulerAngles]) -> np.ndarray:
+    """(n, 3, 3) rotations of n euler triples: Rz(az) @ Ry(el) @ Rx(cy).
+
+    Sines and cosines come from math, one angle at a time: np.sin and
+    np.cos agree on common builds but dispatch to SIMD kernels on some CPUs.
+    """
+    entries = np.array(
+        [
+            (0.0, 1.0, math.cos(a), math.sin(a), -math.sin(a))
+            for e in angles
+            for a in (e.azimuth, e.elevation, e.cyclorotation)
+        ]
+    ).reshape(-1, 15)
+    rz, ry, rx = entries[:, _PLANES].reshape(-1, 3, 3, 3).transpose(1, 0, 2, 3)
+    return rz @ ry @ rx
+
+
 def euler_to_rotation(e: EulerAngles) -> np.ndarray:
-    """Rotation matrix for a euler triple: Rz(az) @ Ry(el) @ Rx(cy)."""
-    return _rot_z(e.azimuth) @ _rot_y(e.elevation) @ _rot_x(e.cyclorotation)
+    """Rotation matrix for a euler triple: euler_to_rotations of one."""
+    return euler_to_rotations([e])[0]
 
 
 def rotation_to_euler(r: np.ndarray) -> EulerAngles:
@@ -164,32 +184,34 @@ def rotation_to_euler(r: np.ndarray) -> EulerAngles:
     return EulerAngles(azimuth, elevation, cyclo)
 
 
+def geodesic_distances(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Geodesic distances between two stacks of rotations, in [0, pi].
+
+    r1 and r2 have shapes (..., 3, 3) that broadcast over at least one
+    leading axis; the result has the broadcast leading shape. Each distance
+    is arccos((trace(r1^T r2) - 1) / 2) with the argument clipped to [-1, 1],
+    which equals the Frobenius norm of the relative log map divided by
+    sqrt(2) while avoiding NaN at the tolerance boundary. Identical
+    matrices get exactly 0: the float trace of r^T r can land a few ulp
+    under 3, which the formula would report as an error of ~1e-8 radians.
+    """
+    r1, r2 = np.asarray(r1), np.asarray(r2)
+    cos = (np.einsum("...ij,...ij->...", r1, r2) - 1.0) / 2.0
+    d = np.arccos(np.clip(cos, -1.0, 1.0))
+    # Only pairs this close can be identical: a matrix that passes
+    # check_rotations has trace(R^T R) within 3 * ORTHONORMAL_TOL of 3.
+    same = cos > 1.0 - 2 * ORTHONORMAL_TOL
+    if same.any():
+        shape = cos.shape + (3, 3)
+        a, b = np.broadcast_to(r1, shape)[same], np.broadcast_to(r2, shape)[same]
+        same[same] = (a == b).all(axis=(-2, -1))
+        d[same] = 0.0
+    return d
+
+
 def geodesic_distance(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Geodesic distance between two rotations, in [0, pi].
-
-    Computed as arccos((trace(r1^T r2) - 1) / 2) with the argument clamped
-    to [-1, 1], which equals the Frobenius norm of the relative log map
-    divided by sqrt(2) while avoiding NaN at the tolerance boundary.
-    Identical matrices short-circuit to exactly 0: the float trace of
-    r^T r can land a few ulp under 3, which the formula would report as
-    an error of ~1e-8 radians.
-    """
-    r1 = np.asarray(r1)
-    r2 = np.asarray(r2)
-    if np.array_equal(r1, r2):
-        return 0.0
-    tr = float(np.einsum("ij,ij->", r1, r2))
-    return math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
-
-
-def geodesic_distances(r: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """Geodesic distances from one rotation, or each of a (B, 3, 3) stack,
-    to a stack of shape (n, 3, 3): shape (n,), or (B, n).
-
-    Row b of a stacked query is bitwise the distances from r[b] alone.
-    """
-    tr = np.einsum("...ij,nij->...n", np.asarray(r), np.asarray(rs))
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    """geodesic_distances of one pair of rotations."""
+    return float(geodesic_distances(np.asarray(r1)[None], r2)[0])
 
 
 def azimuth_distance(a1: float, a2: float) -> float:
@@ -200,7 +222,9 @@ def azimuth_distance(a1: float, a2: float) -> float:
 
 def pi_flip(r: np.ndarray) -> np.ndarray:
     """Rotate a pose by pi about the Z axis: Rz(pi) @ R."""
-    return _rot_z(math.pi) @ np.asarray(r, dtype=np.float64)
+    # Built per call, not at import: its matmul would set up BLAS buffers
+    # in every process, including commands that multiply no matrices.
+    return euler_to_rotation(EulerAngles(math.pi, 0.0, 0.0)) @ np.asarray(r, dtype=np.float64)
 
 
 def z_reflect_azimuth(a: float) -> float:

@@ -1,10 +1,13 @@
 """Tests for error slicing, azimuth error modes, and symmetry-aware PCK."""
 
 import math
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from posekit import diagnostics
 from posekit.diagnostics import (
     MEDIUM_ERROR,
     SMALL_ERROR,
@@ -12,8 +15,10 @@ from posekit.diagnostics import (
     left_right_pck,
     size_slices,
     sliced_report,
+    viewpoint_error_metrics,
 )
-from posekit.metrics import Instance, Keypoint, pck
+from posekit.metrics import Instance, Keypoint, accuracy_at, median_error, pck
+from posekit.so3 import EulerAngles, euler_to_rotation
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +176,42 @@ class TestSlicedReport:
         small = report.sections["small"]["mean_area"]
         large = report.sections["large"]["mean_area"]
         assert small < large
+
+
+class TestViewpointErrorMetrics:
+    def test_errors_computed_once_whatever_the_slices(self, monkeypatch):
+        """One builder call per side and one distance call serve every
+        slice; each slice's acc and mederr_deg are accuracy_at and
+        median_error of its own pairs."""
+        rng = np.random.default_rng(31)
+        insts = [_inst(f"i{i:02d}", float(2 + i)) for i in range(30)]
+        pairs = {}
+        for i, inst in enumerate(insts):
+            gt = EulerAngles(*map(float, rng.uniform(-3.0, 3.0, size=3)))
+            off = (0.0, 0.2, 2.0)[i % 3] * rng.uniform(-1.0, 1.0, size=3)
+            pairs[inst.id] = (gt, EulerAngles(*map(float, np.add(off, astuple(gt)))))
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(diagnostics, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(diagnostics, name, wrapper)
+
+        counted("euler_to_rotations")
+        counted("geodesic_distances")
+        slices = {**size_slices(insts), "all": insts, "odd": insts[1::2], "one": insts[:1]}
+        report = sliced_report(slices, viewpoint_error_metrics(pairs, math.pi / 6))
+        assert calls == {"euler_to_rotations": 2, "geodesic_distances": 1}
+        for name, members in slices.items():
+            rots = [tuple(map(euler_to_rotation, pairs[inst.id])) for inst in members]
+            assert report.sections[name] == {
+                "acc": accuracy_at(rots, math.pi / 6),
+                "mederr_deg": median_error(rots),
+            }
 
 
 class TestLeftRightPck:

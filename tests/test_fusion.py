@@ -32,7 +32,7 @@ from posekit.fusion import (
     uniform_prior,
     upsample_coarse,
 )
-from posekit.so3 import EulerAngles, euler_to_rotation, geodesic_distance
+from posekit.so3 import EulerAngles, euler_to_rotation, geodesic_distance, geodesic_distances
 from posekit.synth import generate_scene, noise_preset
 
 
@@ -186,6 +186,25 @@ class TestNeighborSet:
         idx = neighbor_set(np.eye(3), bank)
         assert idx.tolist() == [0]
         assert NEIGHBOR_THRESHOLD == pytest.approx(math.pi / 6)
+
+    def test_bank_holding_the_query_exactly(self):
+        """The query's own entry is 0.0 in the stacked distances, where the
+        raw trace formula leaves ~2e-8 for this rotation; every other entry,
+        and the neighbour set, is the raw formula's."""
+        r = euler_to_rotation(
+            EulerAngles(-2.8040335324766126, -1.0823789032327813, -6.6035246039635185)
+        )
+        rots = _random_bank(np.random.default_rng(21), n=50).rotations.copy()
+        rots[17] = r
+        bank = PriorBank("thing", rots, np.zeros((50, 1, 2)))
+        qs = np.stack([r, _rot_about_z(0.3)])
+        raw = np.arccos(np.clip((np.einsum("bij,nij->bn", qs, rots) - 1.0) / 2.0, -1.0, 1.0))
+        assert raw[0, 17] > 0.0
+        d = geodesic_distances(qs[:, None], bank.rotations)
+        assert d[0, 17] == 0.0
+        d[0, 17] = raw[0, 17]
+        assert np.array_equal(d, raw)
+        assert np.array_equal(neighbor_set(r, bank), np.flatnonzero(raw[0] < NEIGHBOR_THRESHOLD))
 
     def test_empty_bank_rejected(self):
         bank = PriorBank("c", np.zeros((0, 3, 3)), np.zeros((0, 1, 2)))

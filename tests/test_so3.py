@@ -18,6 +18,7 @@ from posekit.so3 import (
     azimuth_distance,
     check_rotations,
     euler_to_rotation,
+    euler_to_rotations,
     geodesic_distance,
     geodesic_distances,
     pi_flip,
@@ -230,6 +231,24 @@ class TestEulerMatrixConversion:
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(r, expected, atol=1e-15)
 
+    def test_stacked_rows_are_the_one_triple_product_bitwise(self):
+        """Row i of euler_to_rotations is bitwise euler_to_rotation of triple
+        i and the from-scratch product of its normalized angles, on
+        folded-elevation, gimbal-band and random triples."""
+        rng = np.random.default_rng(17)
+        triples = [tuple(rng.uniform(-7.0, 7.0, size=3)) for _ in range(300)]
+        for az, el, cy in rng.uniform(-3.0, 3.0, size=(50, 3)):
+            triples.append((az, math.copysign(math.pi / 2 + abs(el) / 2, el), cy))
+            for d in (0.0, GIMBAL_BAND / 10, GIMBAL_BAND, 2 * GIMBAL_BAND):
+                triples.append((az, math.copysign(math.pi / 2 - d, el), cy))
+        es = [EulerAngles(*map(float, t)) for t in triples]
+        rs = euler_to_rotations(es)
+        assert rs.shape == (len(es), 3, 3)
+        for e, r in zip(es, rs):
+            assert np.array_equal(r, euler_to_rotation(e))
+            assert np.array_equal(r, _zyx_matrix(e.azimuth, e.elevation, e.cyclorotation))
+        assert euler_to_rotations([]).shape == (0, 3, 3)
+
     def test_identity(self):
         e = rotation_to_euler(np.eye(3))
         assert (e.azimuth, e.elevation, e.cyclorotation) == (0.0, 0.0, 0.0)
@@ -338,21 +357,28 @@ class TestGeodesicDistance:
         rs = np.stack([_quat_to_matrix(_random_quat(rng)) for _ in range(50)])
         ds = geodesic_distances(r, rs)
         for i in range(50):
-            np.testing.assert_allclose(ds[i], geodesic_distance(r, rs[i]), atol=1e-12)
+            assert ds[i] == geodesic_distance(r, rs[i])
 
 
     def test_stacked_queries_equal_one_query_at_a_time_bitwise(self):
-        """Row b of a (B, 3, 3) query stack is bitwise the one-query
-        arithmetic, einsum "ij,nij->n" then arccos, for query b."""
+        """Each entry of a broadcast (B, 1) x (n,) query, and of B pairs, is
+        bitwise the one-pair arithmetic, einsum "ij,ij->" then arccos."""
         rng = np.random.default_rng(13)
         qs = np.stack([_quat_to_matrix(_random_quat(rng)) for _ in range(9)])
         rs = np.stack([_quat_to_matrix(_random_quat(rng)) for _ in range(300)])
-        ds = geodesic_distances(qs, rs)
+
+        def one(q, r):
+            return np.arccos(np.clip((np.einsum("ij,ij->", q, r) - 1.0) / 2.0, -1.0, 1.0))
+
+        ds = geodesic_distances(qs[:, None], rs)
         assert ds.shape == (9, 300)
         for q, row in zip(qs, ds):
-            one = np.arccos(np.clip((np.einsum("ij,nij->n", q, rs) - 1.0) / 2.0, -1.0, 1.0))
-            assert np.array_equal(row, one)
-            assert np.array_equal(geodesic_distances(q, rs), one)
+            assert np.array_equal(row, [one(q, r) for r in rs])
+            assert np.array_equal(geodesic_distances(q, rs), row)
+        pairwise = geodesic_distances(qs, rs[:9])
+        assert pairwise.shape == (9,)
+        assert np.array_equal(pairwise, [one(q, r) for q, r in zip(qs, rs)])
+
 
 class TestAzimuthDistance:
     def test_known_pair(self):
