@@ -29,7 +29,7 @@ IOU_THRESHOLD = 0.5
 Box = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keypoint:
     x: float
     y: float
@@ -40,7 +40,7 @@ class Keypoint:
             raise ValueError("keypoint has non-finite coordinates")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeypointHypothesis:
     x: float
     y: float

@@ -42,7 +42,7 @@ def wrap_signed(a: float) -> float:
     return wrap_angle(float(a) + math.pi) - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EulerAngles:
     """A viewpoint as ZYX euler angles, normalized on construction.
 

@@ -8,8 +8,11 @@ evaluate, report. Exit codes: 0 success, 2 bad input, 3 I/O failure.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
+import io
 import json
 import math
 from collections import Counter
@@ -934,6 +937,95 @@ class TestDiagnoseExclusion:
         for name in ("pck", "left-right-pck"):
             assert set(sections[name]) == {inst["class"] for inst in kept} | {"all"}
         assert not any("car" in name or "car" in rows for name, rows in sections.items())
+
+    def test_every_class_excluded_refused_before_reading_preds(self, tmp_path, capsys):
+        ds = _synth(tmp_path, seed=3, n=12)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["excluded_classes"] = manifest["classes"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(
+            [
+                "diagnose", "--dataset", str(ds), "--preds", str(tmp_path / "missing.jsonl"),
+                "--error-modes",
+            ]
+        )
+        assert rc == 2
+        assert "no instances left after class exclusion" in capsys.readouterr().err
+
+
+class TestCollectorPause:
+    """cli.main runs its command with the cyclic garbage collector off."""
+
+    @pytest.mark.parametrize("caller_collects", [True, False])
+    def test_paused_for_the_command_and_caller_setting_restored(
+        self, tmp_path, monkeypatch, caller_collects
+    ):
+        ds = _synth(tmp_path)
+        garbled = tmp_path / "garbled.jsonl"
+        garbled.write_text("not json\n")
+        runs = {  # exit code -> (dataset, preds)
+            0: (ds, ds / "detections.jsonl"),
+            2: (ds, garbled),
+            3: (tmp_path / "missing", ds / "detections.jsonl"),
+        }
+        seen = []
+        load = dataio.load_ground_truth
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return load(*args)
+
+        monkeypatch.setattr(dataio, "load_ground_truth", spy)
+        was = gc.isenabled()
+        try:
+            for code, (dataset, preds) in runs.items():
+                (gc.enable if caller_collects else gc.disable)()
+                argv = ["evaluate-viewpoint", "--gt-boxes", "--dataset", str(dataset)]
+                assert cli.main([*argv, "--preds", str(preds)]) == code
+                assert gc.isenabled() is caller_collects
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * len(runs)
+
+    def test_commands_leave_no_garbage_that_grows_with_the_input(self, tmp_path):
+        """What the collector would find after each command is the same at
+        n = 12 and n = 48 (the argument parser's own cycles), so no record
+        type or loader makes reference cycles per record, and pausing the
+        collector for a command leaks nothing that grows with its input.
+        A first pass at n = 12 settles one-time lazy set-up."""
+
+        def commands(n: int) -> list[list[str]]:
+            ds, out = tmp_path / f"ds{n}", tmp_path / f"out{n}"
+            dets, fused, report = str(ds / "detections.jsonl"), str(out), str(out) + ".json"
+            evaluate = ["--dataset", str(ds), "--report", report]
+            return [
+                ["synth", "--seed", "5", "--n", str(n), "--noise", "heavy", "--out", str(ds)],
+                ["fuse", "--dataset", str(ds), "--preds", dets, "--out", fused],
+                ["evaluate-viewpoint", *evaluate, "--preds", dets, "--gt-boxes"],
+                ["evaluate-viewpoint", *evaluate, "--preds", dets, "--detections"],
+                ["evaluate-keypoints", *evaluate, "--preds", fused, "--mode", "pck"],
+                ["evaluate-keypoints", *evaluate, "--preds", dets, "--mode", "apk"],
+                [
+                    "diagnose", *evaluate, "--preds", dets,
+                    "--slices", "size,occlusion,truncation", "--error-modes", "--left-right",
+                ],
+            ]
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            found = {}
+            for n in (12, 12, 48):
+                gc.collect()
+                counts = []
+                for argv in commands(n):
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert cli.main(argv) == 0, argv
+                    counts.append(gc.collect())
+                found[n] = counts
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert found[48] == found[12]
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,13 @@ oracle: both rotations are converted to unit quaternions and the angle is
 read off the inner product, with no shared code between the two paths.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from posekit.metrics import Keypoint, KeypointHypothesis
 from posekit.so3 import (
     GIMBAL_BAND,
     TWO_PI,
@@ -147,9 +149,26 @@ class TestEulerAngles:
             EulerAngles(0.0, math.inf, 0.0)
 
     def test_frozen(self):
-        e = EulerAngles(1.0, 0.5, -0.5)
-        with pytest.raises(AttributeError):
-            e.azimuth = 2.0
+        """EulerAngles and the two keypoint records are frozen and slotted
+        (no per-record __dict__); equality, hashing, replace and astuple
+        work as on any frozen dataclass."""
+        records = (
+            EulerAngles(1.0, 0.5, -0.5),
+            Keypoint(10.0, 20.0, visible=False),
+            KeypointHypothesis(10.0, 20.0, 0.5),
+        )
+        for record in records:
+            first = dataclasses.fields(record)[0].name
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, first, 2.0)
+            same = dataclasses.replace(record)
+            assert same == record and same is not record and hash(same) == hash(record)
+            moved = dataclasses.replace(record, **{first: 2.0})
+            assert moved != record and getattr(moved, first) == 2.0
+            assert dataclasses.astuple(moved)[1:] == dataclasses.astuple(record)[1:]
+            assert type(record)(*dataclasses.astuple(record)) == record
+            assert len({record, same, moved}) == 2
 
 
 class TestRotationMatrix:
