@@ -166,19 +166,7 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
         report.sections["pck/pooled"] = dict(sorted(result.pooled_per_class.items()))
     else:
         dets = dataio.load_detections(args.preds, manifest)
-        rescored = [
-            dataclasses.replace(
-                det,
-                keypoint_hypotheses={
-                    k: metrics.KeypointHypothesis(
-                        h.x, h.y, metrics.score_hypothesis(det.score, h.score, args.lam)
-                    )
-                    for k, h in det.keypoint_hypotheses.items()
-                },
-            )
-            for det in dets
-        ]
-        result = metrics.apk(rescored, instances, args.alpha)
+        result = metrics.apk(dets, instances, args.alpha, args.lam)
     for cls in sorted(result.per_keypoint):
         names = manifest.keypoint_names[cls]
         report.sections[f"{args.mode}/{cls}"] = {

@@ -51,6 +51,15 @@ class KeypointHypothesis:
             raise ValueError("keypoint hypothesis has non-finite values")
 
 
+def _check_box(bbox: Box, what: str) -> None:
+    """Refuse a non-finite or empty (x, y, w, h) box; what names it in the message."""
+    x, y, w, h = bbox
+    if not all(math.isfinite(v) for v in (x, y, w, h)):
+        raise ValueError(f"{what} has non-finite values")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{what} must have w > 0 and h > 0")
+
+
 @dataclass
 class Instance:
     """An annotated object: identity, box, flags, viewpoint, keypoints."""
@@ -65,11 +74,7 @@ class Instance:
     keypoints: dict[int, Keypoint] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        x, y, w, h = self.bbox
-        if not all(math.isfinite(v) for v in (x, y, w, h)):
-            raise ValueError(f"instance {self.id}: bbox has non-finite values")
-        if w <= 0 or h <= 0:
-            raise ValueError(f"instance {self.id}: bbox must have w > 0 and h > 0")
+        _check_box(self.bbox, f"instance {self.id}: bbox")
 
     @property
     def area(self) -> float:
@@ -90,11 +95,7 @@ class Detection:
     def __post_init__(self) -> None:
         if not math.isfinite(self.score):
             raise ValueError("detection score must be finite")
-        x, y, w, h = self.bbox
-        if not all(math.isfinite(v) for v in (x, y, w, h)):
-            raise ValueError("detection bbox has non-finite values")
-        if w <= 0 or h <= 0:
-            raise ValueError("detection bbox must have w > 0 and h > 0")
+        _check_box(self.bbox, "detection bbox")
 
 
 @dataclass
@@ -462,11 +463,13 @@ def apk(
     detections: Iterable[Detection],
     gt_instances: Iterable[Instance],
     alpha: float = 0.1,
+    lam: float = 0.5,
 ) -> ApkResult:
     """Average precision of scored keypoint hypotheses, per keypoint type.
 
-    Hypotheses of one (class, keypoint) type are pooled over the dataset
-    and walked in descending score order; each one greedily claims the
+    Hypotheses of one (class, keypoint) type are pooled over the dataset,
+    ranked by score_hypothesis(det.score, h.score, lam) (lam = 0: h.score
+    alone) and walked in descending rank; each one greedily claims the
     nearest unmatched same-image ground-truth keypoint lying within that
     instance's alpha * max(h, w) radius, and is otherwise a false positive.
     Only annotated visible keypoints form the ground-truth set.
@@ -486,9 +489,12 @@ def apk(
     for det in detections:
         for k, h in det.keypoint_hypotheses.items():
             kp_ids.setdefault(det.class_name, set()).add(k)
-            hyps.setdefault((det.class_name, k), []).append(
-                (h.score, det.image_id, (h.x, h.y))
-            )
+            try:
+                score = score_hypothesis(det.score, h.score, lam)
+            except ValueError:
+                where = f"image {det.image_id}, class {det.class_name!r}, keypoint {k}"
+                raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
+            hyps.setdefault((det.class_name, k), []).append((score, det.image_id, (h.x, h.y)))
 
     per_keypoint: dict[str, dict[int, float]] = {}
     for cls in sorted(classes | set(kp_ids)):
@@ -503,7 +509,9 @@ def apk(
 
 
 def score_hypothesis(det_score: float, kp_log_likelihood: float, lam: float = 0.5) -> float:
-    """Linear combination of detector score and keypoint log-likelihood."""
-    if not (math.isfinite(det_score) and math.isfinite(kp_log_likelihood) and math.isfinite(lam)):
-        raise ValueError("score_hypothesis needs finite inputs")
-    return lam * det_score + (1.0 - lam) * kp_log_likelihood
+    """Linear combination of detector score and keypoint log-likelihood, refused unless
+    finite (as it never is when an input is non-finite or the mix overflows)."""
+    score = lam * det_score + (1.0 - lam) * kp_log_likelihood
+    if not math.isfinite(score):
+        raise ValueError("score_hypothesis gave a non-finite score")
+    return score

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from posekit import cli, dataio, fusion, so3, synth
+from posekit import cli, dataio, fusion, metrics, so3, synth
 
 
 def _synth(root: Path, *, seed: int = 7, n: int = 12, noise: str = "zero") -> Path:
@@ -480,6 +480,51 @@ class TestEvaluateKeypoints:
         sections = _machine(out)["sections"]
         assert sections["apk/mean"]["all"] == 1.0
         assert "pair0_right" in sections["apk/car"]
+
+    @pytest.mark.parametrize("lam", ["3", "-2"])
+    def test_overflowing_rescore_exits_2_naming_the_hypothesis(self, tmp_path, capsys, lam):
+        """Scores of 1e308 are finite, but their mix is not at these lambdas:
+        inf - inf at 3, -inf + inf at -2."""
+        ds = _synth(tmp_path, n=2)
+        path = ds / "detections.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            record["score"] = 1e308
+            for hyp in record["keypoint_hypotheses"].values():
+                hyp[2] = 1e308
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        rc = cli.main(
+            ["evaluate-keypoints", "--dataset", str(ds), "--preds", str(path),
+             "--mode", "apk", "--lambda", lam]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        first = records[0]
+        assert f"image {first['image_id']}, class {first['class']!r}, keypoint 0:" in err
+        assert f"lambda {float(lam)}" in err
+
+    def test_apk_builds_each_hypothesis_once(self, tmp_path, monkeypatch):
+        """Rescoring ranks the loaded hypotheses; it builds no second copy."""
+        ds = _synth(tmp_path, n=10)
+        path = ds / "detections.jsonl"
+        in_file = sum(
+            len(json.loads(line)["keypoint_hypotheses"])
+            for line in path.read_text(encoding="utf-8").splitlines()
+        )
+        built = []
+        check = metrics.KeypointHypothesis.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(metrics.KeypointHypothesis, "__post_init__", counted)
+        rc = cli.main(
+            ["evaluate-keypoints", "--dataset", str(ds), "--preds", str(path), "--mode", "apk"]
+        )
+        assert rc == 0
+        assert in_file > 0
+        assert len(built) == in_file
 
     def test_detection_file_rejected_for_pck(self, tmp_path, capsys):
         ds = _synth(tmp_path, n=2)

@@ -467,6 +467,14 @@ class TestScoreHypothesis:
         with pytest.raises(ValueError, match="finite"):
             score_hypothesis(math.nan, 0.0)
 
+    def test_rejects_overflow(self):
+        """Finite inputs whose mix overflows: inf - inf is NaN at lam = 3,
+        and 3 * 1e308 alone is inf at lam = -2."""
+        with pytest.raises(ValueError, match="non-finite"):
+            score_hypothesis(1e308, 1e308, 3.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            score_hypothesis(0.0, 1e308, -2.0)
+
 
 class TestDataShapes:
     def test_instance_validation(self):
@@ -528,8 +536,9 @@ def _reference_match_class(dets, gts, correct, consume_on_localization):
     return ap, recalls, precisions
 
 
-def _reference_apk(dets, gts_in, alpha):
-    """APK's inline greedy loop as it stood before the shared core."""
+def _reference_apk(dets, gts_in, alpha, lam):
+    """APK's inline greedy loop as it stood before the shared core, each
+    hypothesis rescored by lam * det.score + (1 - lam) * h.score."""
     gt_by_type, hyps, kp_ids = {}, {}, {}
     for inst in gts_in:
         for k, kp in inst.keypoints.items():
@@ -541,7 +550,8 @@ def _reference_apk(dets, gts_in, alpha):
     for det in dets:
         for k, h in det.keypoint_hypotheses.items():
             kp_ids.setdefault(det.class_name, set()).add(k)
-            hyps.setdefault((det.class_name, k), []).append((h.score, det.image_id, h.x, h.y))
+            score = lam * det.score + (1.0 - lam) * h.score
+            hyps.setdefault((det.class_name, k), []).append((score, det.image_id, h.x, h.y))
     out = {}
     for cls in sorted(kp_ids):
         out[cls] = {}
@@ -667,6 +677,7 @@ class TestOnePassScorer:
 
     def test_apk_equals_inline_reference(self, scene):
         gts, dets = scene
-        got = apk(dets, gts, alpha=0.1)
-        assert got.per_keypoint == _reference_apk(dets, gts, 0.1)
-        assert 0.0 < got.mean() < 1.0
+        for lam in (0.0, 0.5, 1.0, -2.0):
+            got = apk(dets, gts, alpha=0.1, lam=lam)
+            assert got.per_keypoint == _reference_apk(dets, gts, 0.1, lam)
+            assert 0.0 < got.mean() < 1.0
