@@ -25,8 +25,12 @@ class and every keypoint entry are checked as the record is converted, and
 the first fault is raised naming "file:line" (bytes that are not UTF-8
 included). Every field must hold its JSON type: numbers are JSON numbers
 (not numeric strings, not booleans), flags are JSON booleans, ids are JSON
-strings. The rotations of a prior bank are checked as one stack once the
-file is read, and the earliest bad row is named.
+strings. No record holds an integer field, so the record reader decodes
+every JSON number as a float (an integer literal as float(int(text)), so -0
+reads as 0.0) and the one number test is type(v) is float. read_json, the
+reader of the manifest and of noise-profile files, keeps integers. The
+rotations of a prior bank are checked as one stack once the file is read,
+and the earliest bad row is named.
 """
 
 from __future__ import annotations
@@ -112,6 +116,15 @@ class Manifest:
             raise ValidationError("manifest classes must be unique")
         if set(self.keypoint_names) != set(self.classes):
             raise ValidationError("keypoint_names must cover exactly the classes")
+        for cls, names in self.keypoint_names.items():
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValidationError(f"class {cls!r} repeats keypoint name {name!r}")
+        for i, cls in enumerate(self.excluded_classes):
+            if cls not in self.classes:
+                raise ValidationError(f"excluded class {cls!r} is not in classes")
+            if cls in self.excluded_classes[:i]:
+                raise ValidationError(f"excluded class {cls!r} is listed twice")
         for cls, pairs in self.symmetry_pairs.items():
             if cls not in self.keypoint_names:
                 raise ValidationError(f"symmetry pairs for unknown class {cls!r}")
@@ -165,13 +178,17 @@ def _parse_int(text: str) -> int:
 
 
 # Python's json reads NaN, Infinity and -Infinity, and integers of any size;
-# the formats never hold them.
+# the formats never hold them. Records hold only floats (see the module
+# docstring).
 _DECODER = json.JSONDecoder(parse_constant=_non_finite, parse_int=_parse_int)
+_RECORD_DECODER = json.JSONDecoder(
+    parse_constant=_non_finite, parse_int=lambda text: float(_parse_int(text))
+)
 
 
-def _parse_json(text: str, where: str) -> object:
+def _parse_json(text: str, where: str, decoder: json.JSONDecoder = _DECODER) -> object:
     try:
-        return _DECODER.decode(text)
+        return decoder.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: bad JSON ({exc.msg})") from exc
     except NonFiniteError as exc:
@@ -197,7 +214,7 @@ def _read_jsonl(path: str | Path) -> Iterator[tuple[str, dict]]:
             if not line.strip():
                 continue
             where = f"{name}:{line_no}"
-            record = _parse_json(line, where)
+            record = _parse_json(line, where, _RECORD_DECODER)
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: record is not an object")
             yield where, record
@@ -222,16 +239,6 @@ def _check_keys(record: dict, required: frozenset[str], where: str) -> None:
     raise ParseError(f"{where}: {'; '.join(parts)}")
 
 
-def _is_number(value: object) -> bool:
-    """A float, or an int but not a bool (an int subclass: True would be 1).
-
-    The one number rule of every file read here: "1.5" and true are not
-    numbers. Floats are tested first, as most values are floats; the hot
-    record checks test type(v) is float inline before calling this.
-    """
-    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool))
-
-
 _JSON_TYPE_NAMES = {str: "a string", bool: "a JSON boolean"}
 
 
@@ -246,13 +253,8 @@ def _typed(record: dict, name: str, kind: type, where: str):
 def _as_bbox(value: object, where: str) -> tuple[float, float, float, float]:
     if isinstance(value, list) and len(value) == 4:
         x, y, w, h = value
-        if (
-            (type(x) is float or _is_number(x))
-            and (type(y) is float or _is_number(y))
-            and (type(w) is float or _is_number(w))
-            and (type(h) is float or _is_number(h))
-        ):
-            return (float(x), float(y), float(w), float(h))
+        if type(x) is float and type(y) is float and type(w) is float and type(h) is float:
+            return (x, y, w, h)
     raise ParseError(f"{where}: bbox must be a list of 4 numbers")
 
 
@@ -276,11 +278,7 @@ def _viewpoint_from_record(value: object, where: str) -> EulerAngles | None:
         raise ParseError(f"{where}: viewpoint must be an object or null")
     _check_keys(value, _VIEWPOINT_KEYS, f"{where} viewpoint")
     az, el, cy = value["azimuth"], value["elevation"], value["cyclorotation"]
-    if not (
-        (type(az) is float or _is_number(az))
-        and (type(el) is float or _is_number(el))
-        and (type(cy) is float or _is_number(cy))
-    ):
+    if not (type(az) is float and type(el) is float and type(cy) is float):
         raise ParseError(f"{where}: viewpoint angles must be numbers")
     try:
         return EulerAngles(az, el, cy)
@@ -300,7 +298,8 @@ def _keypoint_entries(
     bounded: bool = True,
 ) -> Iterator[tuple[int, list]]:
     """Each (id, entry) of the keypoint map record[name], an entry being a
-    list of len(fields) values.
+    list of one value per field: [x, y] or [x, y, visible | score], where
+    visible is a JSON boolean and the rest are floats.
 
     ids maps each key as saved to its id. A key it lacks is refused, as not
     canonical or, when bounded, as out of range (ids then holds every id of
@@ -310,6 +309,7 @@ def _keypoint_entries(
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: {name} must be an object")
     size = len(fields)
+    last = bool if fields[-1] == "visible" else float
     for key, entry in mapping.items():
         k = ids.get(key)
         if k is None:
@@ -323,7 +323,10 @@ def _keypoint_entries(
                     f"{where}: keypoint id {k} out of range ({len(ids)} keypoints)"
                 )
             ids[key] = k
-        if type(entry) is not list or len(entry) != size:
+        if not (
+            type(entry) is list and len(entry) == size
+            and type(entry[0]) is float and type(entry[1]) is float and type(entry[-1]) is last
+        ):
             raise ParseError(f"{where}: keypoint {k} must be [{', '.join(fields)}]")
         yield k, entry
 
@@ -371,12 +374,8 @@ def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instan
     for k, (x, y, visible) in _keypoint_entries(
         record, "keypoints", ("x", "y", "visible"), ids, where
     ):
-        if not ((type(x) is float or _is_number(x)) and (type(y) is float or _is_number(y))):
-            raise ParseError(f"{where}: keypoint {k} is not numeric")
-        if type(visible) is not bool:
-            raise ParseError(f"{where}: keypoint {k} visible must be a JSON boolean")
         try:
-            keypoints[k] = Keypoint(float(x), float(y), visible)
+            keypoints[k] = Keypoint(x, y, visible)
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc} (id {k})") from exc
     try:
@@ -426,25 +425,19 @@ def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detec
     for k, (x, y, score) in _keypoint_entries(
         record, "keypoint_hypotheses", fields, ids, where
     ):
-        if not (
-            (type(x) is float or _is_number(x))
-            and (type(y) is float or _is_number(y))
-            and (type(score) is float or _is_number(score))
-        ):
-            raise ParseError(f"{where}: hypothesis {k} is not numeric")
         try:
-            hypotheses[k] = KeypointHypothesis(float(x), float(y), float(score))
+            hypotheses[k] = KeypointHypothesis(x, y, score)
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc} (id {k})") from exc
     score = record["score"]
-    if not _is_number(score):
+    if type(score) is not float:
         raise ParseError(f"{where}: score is not numeric")
     try:
         return Detection(
             image_id=_typed(record, "image_id", str, where),
             class_name=cls,
             bbox=_as_bbox(record["bbox"], where),
-            score=float(score),
+            score=score,
             viewpoint=_viewpoint_from_record(record["viewpoint"], where),
             keypoint_hypotheses=hypotheses,
         )
@@ -501,17 +494,20 @@ def load_manifest(path: str | Path) -> Manifest:
     for name, (ok, expected) in _MANIFEST_FIELDS.items():
         if not ok(record[name]):
             raise ParseError(f"{path.name}: {name} must be {expected}")
-    return Manifest(
-        classes=record["classes"],
-        keypoint_names=record["keypoint_names"],
-        symmetry_pairs={
-            cls: {int(a): b for a, b in pairs.items()}
-            for cls, pairs in record["symmetry_pairs"].items()
-        },
-        excluded_classes=record["excluded_classes"],
-        schema_version=record["schema_version"],
-        euler_convention=record["euler_convention"],
-    )
+    try:
+        return Manifest(
+            classes=record["classes"],
+            keypoint_names=record["keypoint_names"],
+            symmetry_pairs={
+                cls: {int(a): b for a, b in pairs.items()}
+                for cls, pairs in record["symmetry_pairs"].items()
+            },
+            excluded_classes=record["excluded_classes"],
+            schema_version=record["schema_version"],
+            euler_convention=record["euler_convention"],
+        )
+    except DatasetError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -567,13 +563,14 @@ def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
 _BANK_FIELDS = frozenset({"class", "rotation", "keypoints", "present"})
 
 
-def _is_number_rows(value: object, rows: int, cols: int) -> bool:
-    """value is a list of rows lists of cols numbers (see _is_number)."""
+def _is_float_rows(value: object, rows: int, cols: int) -> bool:
+    """value is a list of rows lists of cols floats (numbers, as records are read)."""
     return (
         type(value) is list
         and len(value) == rows
         and all(
-            type(row) is list and len(row) == cols and all(map(_is_number, row)) for row in value
+            type(row) is list and len(row) == cols and set(map(type, row)) <= {float}
+            for row in value
         )
     )
 
@@ -598,7 +595,7 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
         cls, ids = _class_of(record, manifest, where)
         k_c = len(ids)
         present = record["present"]
-        if not _is_number_rows(record["keypoints"], k_c, 2):
+        if not _is_float_rows(record["keypoints"], k_c, 2):
             raise ValidationError(
                 f"{where}: bad keypoints (expected {k_c} [x, y] number pairs for class {cls!r})"
             )
@@ -607,7 +604,7 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
             raise ValidationError(
                 f"{where}: present must hold JSON booleans, one per keypoint ({k_c})"
             )
-        if not _is_number_rows(record["rotation"], 3, 3):
+        if not _is_float_rows(record["rotation"], 3, 3):
             raise ValidationError(f"{where}: bad rotation (expected 3 rows of 3 numbers)")
         indices, keypoints, flags = rows.setdefault(cls, ([], [], []))
         indices.append(len(wheres))
@@ -771,9 +768,6 @@ def load_keypoint_predictions(path: str | Path) -> dict[str, dict[int, tuple[flo
         kps = {}
         entries = _keypoint_entries(record, "keypoints", ("x", "y"), ids, where, bounded=False)
         for k, (x, y) in entries:
-            if not ((type(x) is float or _is_number(x)) and (type(y) is float or _is_number(y))):
-                raise ParseError(f"{where}: keypoint {k} is not numeric")
-            x, y = float(x), float(y)
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValidationError(f"{where}: keypoint has non-finite coordinates (id {k})")
             kps[k] = (x, y)

@@ -179,11 +179,10 @@ def voc_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
         raise ValueError("recalls must be nondecreasing")
     mrec = np.concatenate(([0.0], rec, [1.0]))
     mpre = np.concatenate(([0.0], prec, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     changed = np.flatnonzero(mrec[1:] != mrec[:-1])
     ap = 0.0
-    for i in changed:
+    for i in changed:  # left to right: np.sum would change the bits
         ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
     return float(ap)
 

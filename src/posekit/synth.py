@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, Manifest, _is_number
+from .dataio import Dataset, Manifest
 from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank, normalize_keypoints
 from .metrics import Detection, Instance, Keypoint, KeypointHypothesis
 from .so3 import pi_flip, rotation_to_euler
@@ -58,13 +58,14 @@ class NoiseProfile:
     score_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        # Numbers are floats (numpy's float64 included) and ints, not bools.
         for name in ("pi_flip_prob", "lateral_swap_prob", "false_positive_rate"):
             v = getattr(self, name)
-            if not (_is_number(v) and 0.0 <= v <= 1.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability, got {v!r}")
         for name in ("viewpoint_jitter", "keypoint_jitter", "score_noise"):
             v = getattr(self, name)
-            if not (_is_number(v) and math.isfinite(v) and v >= 0.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0.0 <= v < math.inf):
                 raise ValueError(f"{name} must be a nonnegative stddev, got {v!r}")
 
 

@@ -919,6 +919,34 @@ class TestManifestFieldTypes:
         assert f"manifest.json: {field} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            ("evaluate-keypoints", "keypoint_names", ["pair0_left"] * 8,
+             "class 'car' repeats keypoint name 'pair0_left'"),
+            ("diagnose", "excluded_classes", ["cars"], "excluded class 'cars' is not in classes"),
+            ("diagnose", "excluded_classes", ["car", "car"],
+             "excluded class 'car' is listed twice"),
+        ],
+        ids=["repeated-keypoint-name", "unknown-excluded-class", "repeated-excluded-class"],
+    )
+    def test_ambiguous_name_exits_2(self, tmp_path, capsys, command, field, value, message):
+        ds = _synth(tmp_path, n=3)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        if field == "keypoint_names":
+            manifest[field]["car"] = value
+        else:
+            manifest[field] = value
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        extra = {"evaluate-keypoints": ["--mode", "apk"], "diagnose": ["--error-modes"]}[command]
+        rc = cli.main(
+            [command, "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"), *extra]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"manifest.json: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestDiagnoseExclusion:
     def test_excluded_class_dropped_from_every_section(self, tmp_path):

@@ -122,6 +122,24 @@ class TestManifest:
     def test_convention_tag_value(self):
         assert EULER_CONVENTION == "ZYX-intrinsic"
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"keypoint_names": {"car": ["roof", "wheel", "roof"], "chair": ["seat", "back"]}},
+             "class 'car' repeats keypoint name 'roof'"),
+            ({"excluded_classes": ["cars"]}, "excluded class 'cars' is not in classes"),
+            ({"excluded_classes": ["car", "chair", "car"]}, "excluded class 'car' is listed twice"),
+        ],
+        ids=["repeated-keypoint-name", "unknown-excluded-class", "repeated-excluded-class"],
+    )
+    def test_rejects_ambiguous_names(self, tmp_path, edit, message):
+        save_manifest(_manifest(), tmp_path / "manifest.json")
+        record = json.loads((tmp_path / "manifest.json").read_text())
+        record.update(edit)
+        (tmp_path / "manifest.json").write_text(json.dumps(record))
+        with pytest.raises(ValidationError) as exc:
+            load_manifest(tmp_path / "manifest.json")
+        assert str(exc.value) == f"manifest.json: {message}"
 
     @pytest.mark.parametrize(
         "field, value",
@@ -135,6 +153,7 @@ class TestManifest:
             ("symmetry_pairs", {"car": [[0, 1]]}),
             ("excluded_classes", {"car": True}),
             ("schema_version", "1"),
+            ("schema_version", 1.0),
             ("euler_convention", None),
         ],
     )
@@ -490,6 +509,40 @@ class TestFieldTypes:
         (inst,) = load_instances(tmp_path / "instances.jsonl", _manifest())
         assert inst.bbox == (0.0, 0.0, 5.0, 5.0) and type(inst.bbox[0]) is float
         assert type(inst.keypoints[0].x) is float
+
+        # Every record kind, each number an integer literal, -0 among them.
+        angles = '"viewpoint":{"azimuth":1,"cyclorotation":-0,"elevation":0}'
+        lines = {
+            "instances": '{"bbox":[0,-0,5,5],"class":"car","id":"i1","image_id":"im0",'
+                         '"keypoints":{"0":[1,-0,true]},"occluded":false,"truncated":false,'
+                         + angles + "}",
+            "detections": '{"bbox":[-0,0,5,5],"class":"car","image_id":"im0",'
+                          '"keypoint_hypotheses":{"0":[1,2,-0]},"score":-0,' + angles + "}",
+            "predictions": '{"id":"i1","keypoints":{"0":[3,-0]}}',
+            "bank": '{"class":"car","keypoints":[[1,2],[3,-0],[0,0]],"present":[true,true,true],'
+                    '"rotation":[[1,0,0],[0,1,-0],[0,0,1]]}',
+        }
+        for kind, line in lines.items():
+            (tmp_path / f"{kind}.jsonl").write_text(line + "\n")
+        manifest = _manifest()
+        (inst,) = load_instances(tmp_path / "instances.jsonl", manifest)
+        (det,) = load_detections(tmp_path / "detections.jsonl", manifest)
+        preds = load_keypoint_predictions(tmp_path / "predictions.jsonl")
+        bank = load_prior_banks(tmp_path / "bank.jsonl", manifest)["car"]
+        kp, hyp = inst.keypoints[0], det.keypoint_hypotheses[0]
+        numbers = [
+            *inst.bbox, kp.x, kp.y, *det.bbox, det.score, hyp.x, hyp.y, hyp.score,
+            *preds["i1"][0],
+            *(getattr(v, name) for v in (inst.viewpoint, det.viewpoint)
+              for name in ("azimuth", "elevation", "cyclorotation")),
+        ]
+        assert all(type(v) is float for v in numbers)
+        assert numbers == [0.0, 0.0, 5.0, 5.0, 1.0, 0.0, 0.0, 0.0, 5.0, 5.0, 0.0, 1.0, 2.0, 0.0,
+                           3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        assert not any(math.copysign(1.0, v) < 0 for v in numbers)
+        assert bank.rotations.tolist() == [np.eye(3).tolist()]
+        assert bank.keypoints.tolist() == [[[1.0, 2.0], [3.0, 0.0], [0.0, 0.0]]]
+        assert not np.signbit(bank.rotations).any() and not np.signbit(bank.keypoints).any()
 
 
 class TestDetectionRecords:

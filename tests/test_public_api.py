@@ -71,3 +71,18 @@ def test_package_init_is_only_its_docstring():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1, "src/posekit/__init__.py binds names; import the modules"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "posekit"
+            ):
+                private += [
+                    f"{path.name}: {alias.name}" for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, f"private names imported across modules: {', '.join(private)}"
