@@ -21,11 +21,20 @@ for n in (4, 8, 16, 24):
 # bins wrap around: just below 360 degrees is bin 0 again
 print("az=359deg, 24 bins -> bin", angle_to_bin(math.radians(359), 24))
 
-# a detection 20 degrees off in azimuth passes only the coarsest test
+# a viewpoint test scores the localized claims of one class at once: the
+# detections and the ground truths they claimed, one verdict per claim.
+# A detection 20 degrees off in azimuth passes only the coarsest test;
+# one 180 degrees off passes none.
 box = (10.0, 10.0, 50.0, 40.0)
-gt = Instance(id="i0", image_id="im0", class_name="car", bbox=box,
-              viewpoint=EulerAngles(math.radians(100), 0.0, 0.0))
-det = Detection(image_id="im0", class_name="car", bbox=box, score=0.9,
-                viewpoint=EulerAngles(math.radians(120), 0.0, 0.0))
+offsets = (0, 20, 180)
+gts = [Instance(id="i%d" % i, image_id="im%d" % i, class_name="car", bbox=box,
+                viewpoint=EulerAngles(math.radians(100), 0.0, 0.0))
+       for i in range(len(offsets))]
+dets = [Detection(image_id="im%d" % i, class_name="car", bbox=box, score=0.9,
+                  viewpoint=EulerAngles(math.radians(100 + off), 0.0, 0.0))
+        for i, off in enumerate(offsets)]
 for n in (4, 8, 16, 24):
-    print("%2d bins: 100deg vs 120deg ->" % n, "match" if bin_match(n, det, gt) else "no match")
+    verdicts = bin_match(n, dets, gts)
+    print("%2d bins: 100deg vs" % n,
+          ", ".join("%ddeg %s" % (100 + off, "match" if ok else "no match")
+                    for off, ok in zip(offsets, verdicts)))

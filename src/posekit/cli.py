@@ -161,7 +161,7 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
     manifest, instances = dataio.load_ground_truth(args.dataset)
     report = EvalReport()
     if args.mode == "pck":
-        preds = dataio.load_keypoint_predictions(args.preds)
+        preds = dataio.load_keypoint_predictions(args.preds, manifest, instances)
         result = metrics.pck(instances, preds, args.alpha)
         report.sections["pck/pooled"] = dict(sorted(result.pooled_per_class.items()))
     else:

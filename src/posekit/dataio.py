@@ -294,16 +294,14 @@ def _id_of(key: str) -> int | None:
 
 
 def _keypoint_entries(
-    record: dict, name: str, fields: tuple[str, ...], ids: dict[str, int], where: str,
-    bounded: bool = True,
+    record: dict, name: str, fields: tuple[str, ...], ids: dict[str, int], where: str
 ) -> Iterator[tuple[int, list]]:
     """Each (id, entry) of the keypoint map record[name], an entry being a
     list of one value per field: [x, y] or [x, y, visible | score], where
     visible is a JSON boolean and the rest are floats.
 
-    ids maps each key as saved to its id. A key it lacks is refused, as not
-    canonical or, when bounded, as out of range (ids then holds every id of
-    the class); unbounded, a canonical key is added to ids and accepted.
+    ids maps each key as saved to every id of the class. A key it lacks is
+    refused, as not canonical or as out of range.
     """
     mapping = record[name]
     if not isinstance(mapping, dict):
@@ -318,11 +316,7 @@ def _keypoint_entries(
                 raise ParseError(
                     f"{where}: keypoint id {key!r} is not an integer in canonical form"
                 )
-            if bounded:
-                raise ValidationError(
-                    f"{where}: keypoint id {k} out of range ({len(ids)} keypoints)"
-                )
-            ids[key] = k
+            raise ValidationError(f"{where}: keypoint id {k} out of range ({len(ids)} keypoints)")
         if not (
             type(entry) is list and len(entry) == size
             and type(entry[0]) is float and type(entry[1]) is float and type(entry[-1]) is last
@@ -756,18 +750,26 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 _PREDICTION_FIELDS = frozenset({"id", "keypoints"})
 
 
-def load_keypoint_predictions(path: str | Path) -> dict[str, dict[int, tuple[float, float]]]:
-    """Read per-instance keypoint predictions ({"id", "keypoints"} lines)."""
+def load_keypoint_predictions(
+    path: str | Path, manifest: Manifest, instances: Iterable[Instance]
+) -> dict[str, dict[int, tuple[float, float]]]:
+    """Read per-instance keypoint predictions ({"id", "keypoints"} lines).
+
+    Each id must name one of the instances, and its keypoint ids must be
+    in range for that instance's class.
+    """
+    ids_of = {inst.id: manifest.keypoint_ids[inst.class_name] for inst in instances}
     preds: dict[str, dict[int, tuple[float, float]]] = {}
-    ids: dict[str, int] = {}  # every canonical key seen so far, resolved once
     for where, record in _read_jsonl(path):
         _check_keys(record, _PREDICTION_FIELDS, where)
         iid = _typed(record, "id", str, where)
         if iid in preds:
             raise ValidationError(f"{where}: duplicate prediction for {iid!r}")
+        ids = ids_of.get(iid)
+        if ids is None:
+            raise ValidationError(f"{where}: unknown instance id {iid!r}")
         kps = {}
-        entries = _keypoint_entries(record, "keypoints", ("x", "y"), ids, where, bounded=False)
-        for k, (x, y) in entries:
+        for k, (x, y) in _keypoint_entries(record, "keypoints", ("x", "y"), ids, where):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValidationError(f"{where}: keypoint has non-finite coordinates (id {k})")
             kps[k] = (x, y)

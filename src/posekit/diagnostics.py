@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .dataio import ValidationError
 from .metrics import Detection, EvalReport, Instance, PckResult, fraction_below, median_degrees, pck
-from .so3 import EulerAngles, azimuth_distance, euler_to_rotations, geodesic_distances
-from .so3 import z_reflect_azimuth
+from .metrics import viewpoint_errors
+from .so3 import EulerAngles, azimuth_distance, z_reflect_azimuth
 
 SMALL_ERROR = math.pi / 9
 MEDIUM_ERROR = 2 * math.pi / 9
@@ -114,8 +114,8 @@ def viewpoint_error_metrics(pairs: ViewpointPairs, theta: float) -> dict[str, Me
     """acc (accuracy_at theta) and mederr_deg (median_error) of a subset of
     the instances in pairs, as functions of that subset. Each instance's
     geodesic error is computed once, here, and the subsets look it up."""
-    gt, pred = (euler_to_rotations([pair[k] for pair in pairs.values()]) for k in (0, 1))
-    errors = dict(zip(pairs, geodesic_distances(gt, pred).tolist()))
+    gt, pred = ([pair[k] for pair in pairs.values()] for k in (0, 1))
+    errors = dict(zip(pairs, viewpoint_errors(gt, pred).tolist()))
     return {
         "acc": lambda insts: fraction_below([errors[i.id] for i in insts], theta),
         "mederr_deg": lambda insts: median_degrees([errors[i.id] for i in insts]),

@@ -19,9 +19,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .so3 import EulerAngles, azimuth_distance, euler_to_rotations, geodesic_distance
-from .so3 import euler_to_rotation  # noqa: F401  (perfbench/selftest.py traces this alias)
-from .so3 import geodesic_distances
+from .so3 import EulerAngles, azimuth_distance, euler_to_rotations, geodesic_distances
+from .so3 import euler_to_rotation  # noqa: F401  (traced alias, perfbench/selftest.py BINDINGS)
+from .so3 import geodesic_distance  # noqa: F401  (traced alias, perfbench/selftest.py BINDINGS)
 from .viewpoint import angle_to_bin
 
 IOU_THRESHOLD = 0.5
@@ -132,6 +132,14 @@ def fraction_below(errors: Sequence[float], theta: float) -> float:
     return np.count_nonzero(np.less(errors, theta)) / len(errors)
 
 
+def viewpoint_errors(
+    annotated: Sequence[EulerAngles], predicted: Sequence[EulerAngles]
+) -> np.ndarray:
+    """Geodesic error of each (annotated, predicted) euler pair, in radians:
+    one rotation stack per side and one distance call for all of them."""
+    return geodesic_distances(euler_to_rotations(annotated), euler_to_rotations(predicted))
+
+
 def _pair_errors(pairs: Sequence[tuple[np.ndarray, np.ndarray]], what: str) -> np.ndarray:
     if len(pairs) == 0:
         raise ValueError(f"{what} needs at least one pair")
@@ -181,10 +189,10 @@ def voc_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     mpre = np.concatenate(([0.0], prec, [0.0]))
     mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     changed = np.flatnonzero(mrec[1:] != mrec[:-1])
-    ap = 0.0
-    for i in changed:  # left to right: np.sum would change the bits
-        ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
-    return float(ap)
+    terms = np.diff(mrec)[changed]
+    terms *= mpre[changed + 1]
+    # np.cumsum adds left to right, as a loop does; np.sum would change the bits
+    return float(np.cumsum(terms, out=terms)[-1])
 
 
 @dataclass
@@ -198,6 +206,9 @@ class DetectionEval:
 
 
 CorrectFn = Callable[[Detection, Instance], bool]
+# A viewpoint test: the localized claims of one class, in rank order, as
+# the detections and the ground truths they claimed; one verdict per claim.
+ViewpointTest = Callable[[Sequence[Detection], Sequence[Instance]], list[bool]]
 
 
 def _greedy_match(
@@ -256,18 +267,20 @@ def _iou_cost(det: Detection, gt: Instance) -> float | None:
 def evaluate_detection_tests(
     detections: Iterable[Detection],
     gt_instances: Iterable[Instance],
-    tests: Mapping[str, CorrectFn],
+    tests: Mapping[str, ViewpointTest],
     consume_on_localization: bool = True,
 ) -> dict[str, dict[str, DetectionEval]]:
-    """AP plus PR curves per class under each named correctness test.
+    """AP plus PR curves per class under each named viewpoint test.
 
     Returns class -> test name -> DetectionEval. A detection localizes on
     the highest-IoU unmatched same-image ground truth with IoU > 0.5 and
     is a true positive of each test that accepts the pair. With
     consume_on_localization (the default everywhere) the ground truth is
     consumed even when a test fails, so a wrong-viewpoint detection blocks
-    re-matching and one match per class serves every test; otherwise only
-    true positives consume, and each test runs its own match.
+    re-matching, one match per class serves every test, and each test is
+    called once per class on all of that match's claims; otherwise only
+    true positives consume, and each test runs its own match, called on
+    one claim at a time.
     """
     dets_by_class: dict[str, list[Detection]] = {}
     for d in detections:
@@ -281,14 +294,19 @@ def evaluate_detection_tests(
         gts = [(g.image_id, g) for g in gts_by_class.get(cls, [])]
         if not gts:
             warnings.warn(f"class {cls!r} has no ground truth; AP reported as 0")
-        claims = _greedy_match(cands, gts, _iou_cost) if consume_on_localization else None
         out[cls] = {}
-        for name, test in tests.items():
-            if claims is None:
-                tp = [gt is not None for _, gt in _greedy_match(cands, gts, _iou_cost, test)]
-            else:
-                tp = [gt is not None and test(det, gt) for det, gt in claims]
-            out[cls][name] = _pr_eval(tp, len(gts))
+        if consume_on_localization:
+            claims = _greedy_match(cands, gts, _iou_cost)
+            ranks = [r for r, (_, gt) in enumerate(claims) if gt is not None]
+            claimed = [claims[r][0] for r in ranks], [claims[r][1] for r in ranks]
+            for name, test in tests.items():
+                tp = np.zeros(len(claims), dtype=bool)
+                tp[ranks] = test(*claimed)
+                out[cls][name] = _pr_eval(tp, len(gts))
+        else:
+            for name, test in tests.items():
+                claims = _greedy_match(cands, gts, _iou_cost, lambda d, g: test([d], [g])[0])
+                out[cls][name] = _pr_eval([gt is not None for _, gt in claims], len(gts))
     return out
 
 
@@ -298,35 +316,59 @@ def evaluate_detections(
     correct: CorrectFn,
     consume_on_localization: bool = True,
 ) -> dict[str, DetectionEval]:
-    """evaluate_detection_tests with the single test correct."""
-    evals = evaluate_detection_tests(
-        detections, gt_instances, {"correct": correct}, consume_on_localization
-    )
+    """evaluate_detection_tests with the single per-pair test correct."""
+    tests = {"correct": lambda dets, gts: [correct(d, g) for d, g in zip(dets, gts)]}
+    evals = evaluate_detection_tests(detections, gt_instances, tests, consume_on_localization)
     return {cls: by_test["correct"] for cls, by_test in evals.items()}
 
 
-def _require_viewpoints(det: Detection, gt: Instance) -> tuple[EulerAngles, EulerAngles]:
-    if det.viewpoint is None or gt.viewpoint is None:
-        raise ValueError("viewpoint metrics need viewpoints on detections and GT")
-    return gt.viewpoint, det.viewpoint
+def _require_viewpoints(
+    dets: Sequence[Detection], gts: Sequence[Instance]
+) -> tuple[list[EulerAngles], list[EulerAngles]]:
+    """The (annotated, predicted) viewpoints of the claims; raises at the
+    first claim, in rank order, where one is missing."""
+    for det, gt in zip(dets, gts, strict=True):
+        if det.viewpoint is None or gt.viewpoint is None:
+            raise ValueError("viewpoint metrics need viewpoints on detections and GT")
+    return [gt.viewpoint for gt in gts], [det.viewpoint for det in dets]
 
 
-def bin_match(n_bins: int, det: Detection, gt: Instance) -> bool:
+def bin_match(n_bins: int, dets: Sequence[Detection], gts: Sequence[Instance]) -> list[bool]:
     """AVP's viewpoint test: both azimuths fall in the same of n_bins bins."""
-    vg, vp = _require_viewpoints(det, gt)
-    return angle_to_bin(vp.azimuth, n_bins) == angle_to_bin(vg.azimuth, n_bins)
+    return [
+        angle_to_bin(vp.azimuth, n_bins) == angle_to_bin(vg.azimuth, n_bins)
+        for vg, vp in zip(*_require_viewpoints(dets, gts))
+    ]
 
 
-def azimuth_within(theta: float, det: Detection, gt: Instance) -> bool:
+def azimuth_within(
+    theta: float, dets: Sequence[Detection], gts: Sequence[Instance]
+) -> list[bool]:
     """AVP_theta's viewpoint test: azimuth_distance < theta."""
-    vg, vp = _require_viewpoints(det, gt)
-    return azimuth_distance(vg.azimuth, vp.azimuth) < theta
+    return [
+        azimuth_distance(vg.azimuth, vp.azimuth) < theta
+        for vg, vp in zip(*_require_viewpoints(dets, gts))
+    ]
 
 
-def rotation_within(theta: float, det: Detection, gt: Instance) -> bool:
-    """ARP_theta's viewpoint test: full rotation geodesic_distance < theta."""
-    vg, vp = _require_viewpoints(det, gt)
-    return geodesic_distance(*euler_to_rotations([vg, vp])) < theta
+def rotation_within(
+    theta: float, dets: Sequence[Detection], gts: Sequence[Instance]
+) -> list[bool]:
+    """ARP_theta's viewpoint test: full rotation geodesic distance < theta,
+    all claims measured by one viewpoint_errors call."""
+    return (viewpoint_errors(*_require_viewpoints(dets, gts)) < theta).tolist()
+
+
+def _test_aps(
+    detections: Iterable[Detection],
+    gt_instances: Iterable[Instance],
+    test: ViewpointTest,
+    consume_on_localization: bool,
+) -> dict[str, float]:
+    """Per-class AP of evaluate_detection_tests with the single test."""
+    tests = {"test": test}
+    evals = evaluate_detection_tests(detections, gt_instances, tests, consume_on_localization)
+    return {cls: by_test["test"].ap for cls, by_test in evals.items()}
 
 
 def avp(
@@ -337,8 +379,7 @@ def avp(
 ) -> dict[str, float]:
     """Detection AP where correctness also requires an azimuth bin match."""
     test = partial(bin_match, n_bins)
-    evals = evaluate_detections(detections, gt_instances, test, consume_on_localization)
-    return {cls: e.ap for cls, e in evals.items()}
+    return _test_aps(detections, gt_instances, test, consume_on_localization)
 
 
 def avp_theta(
@@ -349,8 +390,7 @@ def avp_theta(
 ) -> dict[str, float]:
     """Detection AP with the viewpoint test azimuth_distance < theta."""
     test = partial(azimuth_within, theta)
-    evals = evaluate_detections(detections, gt_instances, test, consume_on_localization)
-    return {cls: e.ap for cls, e in evals.items()}
+    return _test_aps(detections, gt_instances, test, consume_on_localization)
 
 
 def arp_theta(
@@ -361,8 +401,7 @@ def arp_theta(
 ) -> dict[str, float]:
     """Detection AP with the full rotation test geodesic_distance < theta."""
     test = partial(rotation_within, theta)
-    evals = evaluate_detections(detections, gt_instances, test, consume_on_localization)
-    return {cls: e.ap for cls, e in evals.items()}
+    return _test_aps(detections, gt_instances, test, consume_on_localization)
 
 
 def pck_threshold(bbox: Box, alpha: float) -> float:

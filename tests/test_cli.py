@@ -542,6 +542,33 @@ class TestEvaluateKeypoints:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda r: r.update(id="nosuch"), "unknown instance id 'nosuch'"),
+            (lambda r: r["keypoints"].update({"99": [1.0, 2.0]}),
+             "keypoint id 99 out of range ({k} keypoints)"),
+        ],
+        ids=["unknown-id", "keypoint-out-of-range"],
+    )
+    def test_pck_refuses_a_prediction_outside_the_dataset(self, tmp_path, capsys, spoil, message):
+        """A fused line must name a known instance and only its class's keypoints."""
+        ds = _synth(tmp_path, n=4)
+        fused = tmp_path / "fused.jsonl"
+        assert cli.main(["fuse", "--dataset", str(ds), "--out", str(fused)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in fused.read_text(encoding="utf-8").splitlines()]
+        manifest, instances = dataio.load_ground_truth(ds)
+        cls = next(inst.class_name for inst in instances if inst.id == records[2]["id"])
+        spoil(records[2])
+        fused.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        rc = cli.main(
+            ["evaluate-keypoints", "--dataset", str(ds), "--preds", str(fused), "--mode", "pck"]
+        )
+        assert rc == 2
+        k = len(manifest.keypoint_names[cls])
+        assert capsys.readouterr().err == f"error: fused.jsonl:3: {message.format(k=k)}\n"
+
     def test_mode_choices_enforced(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(

@@ -48,6 +48,11 @@ from posekit.so3 import EulerAngles, euler_to_rotation, rotation_matrix
 from posekit.synth import generate_scene, noise_preset
 
 
+def _instances_beside(path, manifest):
+    """The instances saved in the directory of path."""
+    return load_instances(path.parent / "instances.jsonl", manifest)
+
+
 def _manifest():
     return Manifest(
         classes=["car", "chair"],
@@ -183,7 +188,8 @@ class TestNonFiniteLiterals:
             ("instances.jsonl", lambda p, m: load_instances(p, m)),
             ("detections.jsonl", lambda p, m: load_detections(p, m)),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
-            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p)),
+            ("fused.jsonl",
+             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m))),
         ],
     )
     def test_jsonl_names_file_and_line(self, tmp_path, name, load, constant):
@@ -215,7 +221,9 @@ class TestNonFiniteLiterals:
             ("instances.jsonl", lambda p, m: load_instances(p, m), r'"keypoints":\{"0":\['),
             ("detections.jsonl", lambda p, m: load_detections(p, m),
              r'"keypoint_hypotheses":\{"0":\['),
-            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p), r'"keypoints":\{"0":\['),
+            ("fused.jsonl",
+             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m)),
+             r'"keypoints":\{"0":\['),
         ],
     )
     def test_overflowing_keypoint_names_line(self, tmp_path, name, load, pattern):
@@ -251,7 +259,8 @@ class TestTextEncoding:
             ("instances.jsonl", lambda p, m: load_instances(p, m)),
             ("detections.jsonl", lambda p, m: load_detections(p, m)),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
-            ("fused.jsonl", lambda p, m: load_keypoint_predictions(p)),
+            ("fused.jsonl",
+             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m))),
         ],
     )
     def test_jsonl_names_file_and_line(self, tmp_path, name, load):
@@ -393,10 +402,15 @@ class TestInstanceRecords:
         assert len(load_instances(path, _manifest())) == 1
 
 
-def _two_instances(path):
+def _car_pair():
+    """Car instances i0 and i1 of _manifest(), keypoint 0 annotated."""
     inst = Instance(id="i0", image_id="im0", class_name="car", bbox=(0.0, 0.0, 5.0, 5.0),
                     keypoints={0: Keypoint(1.0, 2.0)})
-    save_instances([inst, dataclasses.replace(inst, id="i1")], path)
+    return [inst, dataclasses.replace(inst, id="i1")]
+
+
+def _two_instances(path):
+    save_instances(_car_pair(), path)
 
 
 def _two_detections(path):
@@ -415,7 +429,8 @@ class TestKeypointIds:
     KINDS = {
         "instances": (_two_instances, lambda p: load_instances(p, _manifest())),
         "detections": (_two_detections, lambda p: load_detections(p, _manifest())),
-        "predictions": (_two_predictions, load_keypoint_predictions),
+        "predictions": (_two_predictions,
+                        lambda p: load_keypoint_predictions(p, _manifest(), _car_pair())),
     }
 
     @pytest.mark.parametrize("key", ["00", "01", "+1", " 7", "-3", "\u0663"])
@@ -446,7 +461,8 @@ class TestFieldTypes:
     KINDS = {
         "instances": (_two_instances, lambda p: load_instances(p, _manifest())),
         "detections": (_two_detections, lambda p: load_detections(p, _manifest())),
-        "predictions": (_two_predictions, load_keypoint_predictions),
+        "predictions": (_two_predictions,
+                        lambda p: load_keypoint_predictions(p, _manifest(), _car_pair())),
         "bank": (_two_bank_rows, lambda p: load_prior_banks(p, _manifest())),
     }
     VIEWPOINT = {"azimuth": 0.5, "elevation": 0.0, "cyclorotation": 0.0}
@@ -527,7 +543,7 @@ class TestFieldTypes:
         manifest = _manifest()
         (inst,) = load_instances(tmp_path / "instances.jsonl", manifest)
         (det,) = load_detections(tmp_path / "detections.jsonl", manifest)
-        preds = load_keypoint_predictions(tmp_path / "predictions.jsonl")
+        preds = load_keypoint_predictions(tmp_path / "predictions.jsonl", manifest, [inst])
         bank = load_prior_banks(tmp_path / "bank.jsonl", manifest)["car"]
         kp, hyp = inst.keypoints[0], det.keypoint_hypotheses[0]
         numbers = [
@@ -842,23 +858,42 @@ class TestDatasetRoundtrip:
 
 
 class TestKeypointPredictions:
+    @staticmethod
+    def _load(path, instances=None):
+        return load_keypoint_predictions(path, _manifest(), instances or _car_pair())
+
     def test_roundtrip(self, tmp_path):
         preds = {"i1": {0: (1.5, 2.5), 2: (math.pi, 0.125)}, "i0": {1: (4.0, 5.0)}}
         save_keypoint_predictions(preds, tmp_path / "preds.jsonl")
-        loaded = load_keypoint_predictions(tmp_path / "preds.jsonl")
-        assert loaded == preds
+        assert self._load(tmp_path / "preds.jsonl") == preds
 
     def test_duplicate_id_rejected(self, tmp_path):
         save_keypoint_predictions({"i0": {0: (1.0, 2.0)}}, tmp_path / "p.jsonl")
         p = tmp_path / "p.jsonl"
         p.write_text(p.read_text() * 2)
         with pytest.raises(ValidationError, match="duplicate"):
-            load_keypoint_predictions(p)
+            self._load(p)
 
     def test_malformed_record_rejected(self, tmp_path):
         (tmp_path / "p.jsonl").write_text('{"id": "i0"}\n')
         with pytest.raises(ParseError):
-            load_keypoint_predictions(tmp_path / "p.jsonl")
+            self._load(tmp_path / "p.jsonl")
+
+    def test_unknown_instance_id_names_line(self, tmp_path):
+        preds = {"i0": {0: (1.0, 2.0)}, "nosuch": {0: (1.0, 2.0)}}
+        save_keypoint_predictions(preds, tmp_path / "p.jsonl")
+        with pytest.raises(ValidationError, match="^p.jsonl:2: unknown instance id 'nosuch'$"):
+            self._load(tmp_path / "p.jsonl")
+
+    def test_keypoint_ids_bounded_by_the_instance_class(self, tmp_path):
+        """Car has 3 keypoints and chair 2: id 2 is a car's roof, but out of
+        range on a chair."""
+        chair = dataclasses.replace(_car_pair()[1], class_name="chair", keypoints={})
+        save_keypoint_predictions({"i1": {2: (1.0, 2.0)}}, tmp_path / "p.jsonl")
+        assert self._load(tmp_path / "p.jsonl") == {"i1": {2: (1.0, 2.0)}}
+        with pytest.raises(ValidationError,
+                           match=r"^p.jsonl:1: keypoint id 2 out of range \(2 keypoints\)$"):
+            self._load(tmp_path / "p.jsonl", [chair])
 
 
 class TestReports:

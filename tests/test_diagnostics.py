@@ -7,7 +7,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from posekit import diagnostics
+from posekit import metrics
 from posekit.diagnostics import (
     MEDIUM_ERROR,
     SMALL_ERROR,
@@ -180,9 +180,10 @@ class TestSlicedReport:
 
 class TestViewpointErrorMetrics:
     def test_errors_computed_once_whatever_the_slices(self, monkeypatch):
-        """One builder call per side and one distance call serve every
-        slice; each slice's acc and mederr_deg are accuracy_at and
-        median_error of its own pairs."""
+        """One builder call per side and one distance call, made by the
+        metrics.viewpoint_errors that ARP_theta uses, serve every slice;
+        each slice's acc and mederr_deg are accuracy_at and median_error of
+        its own pairs."""
         rng = np.random.default_rng(31)
         insts = [_inst(f"i{i:02d}", float(2 + i)) for i in range(30)]
         pairs = {}
@@ -193,13 +194,13 @@ class TestViewpointErrorMetrics:
         calls = Counter()
 
         def counted(name):
-            fn = getattr(diagnostics, name)
+            fn = getattr(metrics, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
 
-            monkeypatch.setattr(diagnostics, name, wrapper)
+            monkeypatch.setattr(metrics, name, wrapper)
 
         counted("euler_to_rotations")
         counted("geodesic_distances")

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from posekit import metrics
 from posekit.metrics import (
     Detection,
     EvalReport,
@@ -152,6 +153,25 @@ class TestVocAp:
         with pytest.raises(ValueError, match="equally long"):
             voc_ap(np.array([0.5]), np.array([1.0, 1.0]))
 
+    def test_area_is_the_left_to_right_sum_bitwise(self):
+        """The area is accumulated term by term, left to right, from 0.0:
+        not a pairwise sum, whose rounding differs on long curves."""
+
+        def loop(rec, prec):
+            mrec = np.concatenate(([0.0], rec, [1.0]))
+            mpre = np.maximum.accumulate(np.concatenate(([0.0], prec, [0.0]))[::-1])[::-1]
+            ap = 0.0
+            for i in range(len(mrec) - 1):
+                if mrec[i + 1] != mrec[i]:
+                    ap += (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+            return ap
+
+        rng = np.random.default_rng(45)
+        for n in (1, 2, 30, 1000, 5000):
+            rec = np.sort(rng.uniform(0, 1, n)).round(3)
+            prec = rng.uniform(0, 1, n)
+            assert voc_ap(rec, prec).hex() == loop(rec, prec).hex()
+
     def test_bounded(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -282,6 +302,100 @@ class TestDetectionMatching:
                    viewpoint=EulerAngles(1.0, 0.4 - math.pi / 2, 0.0))
         assert avp_theta([det], [gt]) == {"car": 1.0}
         assert arp_theta([det], [gt]) == {"car": 0.0}
+
+
+class TestViewpointTests:
+    """A viewpoint test is called once per class on the localized claims, in
+    rank order, as a list of detections and the ground truths they claimed."""
+
+    @staticmethod
+    def _claims(n, missing=()):
+        """n detections, scores falling with the index, each localizing on
+        its own image's ground truth; those in missing have no viewpoint."""
+        gts, dets = [], []
+        for i in range(n):
+            vp = EulerAngles(0.3 * i, 0.1, 0.0)
+            gts.append(_inst(id=f"g{i}", image_id=f"im{i}", viewpoint=vp))
+            dets.append(_det(image_id=f"im{i}", score=1.0 - i / (n + 1),
+                             viewpoint=None if i in missing else vp))
+        return gts, dets
+
+    @staticmethod
+    def _recording(test, seen):
+        def recorded(dets, gts):
+            seen.append(([d.score for d in dets], [g.id for g in gts]))
+            return test(dets, gts)
+
+        return recorded
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_arp_builds_and_measures_once_per_class(self, monkeypatch, n):
+        calls = {"euler_to_rotations": 0, "geodesic_distances": 0}
+        for name in calls:
+            original = getattr(metrics, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(metrics, name, counted)
+        gts, dets = self._claims(n)
+        evals = evaluate_detection_tests(dets, gts, {"arp": partial(rotation_within, 0.5)})
+        assert calls == {"euler_to_rotations": 2, "geodesic_distances": 1}
+        assert evals["car"]["arp"].ap == 1.0
+
+    def test_claims_come_in_rank_order(self):
+        gts, dets = self._claims(4)
+        seen = []
+        test = self._recording(partial(bin_match, 24), seen)
+        evaluate_detection_tests(dets[::-1], gts, {"avp": test})
+        assert seen == [([d.score for d in dets], [g.id for g in gts])]
+
+    def test_class_without_localized_claim_gets_empty_lists(self):
+        gts, dets = self._claims(3)
+        strays = [dataclasses.replace(d, class_name="chair", image_id="elsewhere") for d in dets]
+        chair_gt = _inst(id="c0", image_id="im0", cls="chair", viewpoint=EulerAngles(0, 0, 0))
+        seen = []
+        test = self._recording(partial(rotation_within, 0.5), seen)
+        evals = evaluate_detection_tests(dets + strays, gts + [chair_gt], {"arp": test})
+        assert seen[1] == ([], [])  # car sorts before chair
+        assert evals["chair"]["arp"].ap == 0.0
+        assert evals["chair"]["arp"].recalls.tolist() == [0.0] * 3
+        for test in (bin_match, azimuth_within, rotation_within):
+            assert test(1, [], []) == []
+
+    @pytest.mark.parametrize("consume", [True, False])
+    def test_missing_viewpoint_raises_at_first_claim_in_rank_order(self, consume):
+        """Claim 2 of 4 lacks a viewpoint, and so does a detection that
+        localizes nowhere, which no test sees. With consumption the one
+        per-class call raises; without it, the one-claim calls for the
+        claims ranked above claim 2 pass and claim 2's raises."""
+        gts, dets = self._claims(4, missing={2, 3})
+        stray = dataclasses.replace(dets[3], image_id="elsewhere", score=2.0)
+        seen = []
+        tests = (
+            partial(bin_match, 24), partial(azimuth_within, 0.5), partial(rotation_within, 0.5)
+        )
+        for test in tests:
+            seen.clear()
+            recorded = self._recording(test, seen)
+            with pytest.raises(ValueError, match="^viewpoint metrics need viewpoints"):
+                evaluate_detection_tests([stray, *dets], gts, {"t": recorded}, consume)
+            scores = [[d.score for d in dets]] if consume else [[d.score] for d in dets[:3]]
+            assert [s for s, _ in seen] == scores
+
+    def test_per_pair_correct_still_accepted(self):
+        """evaluate_detections keeps its per-pair correct(det, gt)."""
+        gts, dets = self._claims(3)
+        pairs = []
+
+        def correct(det, gt):
+            pairs.append((det, gt))
+            return gt.id != "g1"
+
+        evals = evaluate_detections(dets, gts, correct)
+        assert pairs == list(zip(dets, gts))
+        assert evals["car"].recalls.tolist() == [1 / 3, 1 / 3, 2 / 3]
 
 
 class TestPck:
