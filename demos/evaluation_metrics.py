@@ -13,6 +13,7 @@ from posekit.metrics import (
     avp_theta,
     arp_theta,
     evaluate_detections,
+    iou,
     median_error,
     pck,
     voc_ap,
@@ -42,6 +43,8 @@ dets = [
     Detection(image_id="im1", class_name="car", bbox=(0, 0, 50, 50), score=0.8, viewpoint=vp(300)),
     Detection(image_id="im1", class_name="car", bbox=(2, 0, 50, 50), score=0.7, viewpoint=vp(118)),
 ]
+# a detection localizes on a same-image ground truth with IoU above 0.5
+print("IoU with the im1 ground truth:", [round(iou(d.bbox, gts[1].bbox), 3) for d in dets[1:]])
 print("AVP (24 azimuth bins):", avp(dets, gts, 24))
 print("AVP_theta (azimuth within 30deg):", avp_theta(dets, gts, math.radians(30)))
 print("ARP_theta (full rotation within 30deg):", arp_theta(dets, gts, math.radians(30)))

@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -159,16 +161,27 @@ def accuracy_at(
     return fraction_below(_pair_errors(pairs, "accuracy_at"), theta)
 
 
+def ious(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Intersection over union of each row pair of two (m, 4) stacks of
+    (x, y, w, h) boxes, 0 where the boxes do not overlap.
+
+    Each pair takes the operations of the scalar rule in the same order:
+    min and max, then the product, then the quotient.
+    """
+    x1, y1, w1, h1 = b1.T
+    x2, y2, w2, h2 = b2.T
+    iw = np.minimum(x1 + w1, x2 + w2) - np.maximum(x1, x2)
+    ih = np.minimum(y1 + h1, y2 + h2) - np.maximum(y1, y2)
+    hit = ~((iw <= 0) | (ih <= 0))
+    out = np.zeros(len(hit))
+    inter = iw[hit] * ih[hit]
+    out[hit] = inter / (w1[hit] * h1[hit] + w2[hit] * h2[hit] - inter)
+    return out
+
+
 def iou(b1: Box, b2: Box) -> float:
-    """Intersection over union of two (x, y, w, h) boxes."""
-    x1, y1, w1, h1 = b1
-    x2, y2, w2, h2 = b2
-    iw = min(x1 + w1, x2 + w2) - max(x1, x2)
-    ih = min(y1 + h1, y2 + h2) - max(y1, y2)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (w1 * h1 + w2 * h2 - inter)
+    """Intersection over union of two (x, y, w, h) boxes: ious of one pair."""
+    return float(ious(np.array([b1], dtype=np.float64), np.array([b2], dtype=np.float64))[0])
 
 
 def voc_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
@@ -211,42 +224,61 @@ CorrectFn = Callable[[Detection, Instance], bool]
 ViewpointTest = Callable[[Sequence[Detection], Sequence[Instance]], list[bool]]
 
 
+def _image_columns(*image_ids: Iterable[str]) -> list[np.ndarray]:
+    """One image-index column per sequence of image ids; equal ids get equal indices."""
+    index: dict[str, int] = {}
+    return [
+        np.fromiter((index.setdefault(i, len(index)) for i in ids), np.intp) for ids in image_ids
+    ]
+
+
+def _same_image_pairs(images: np.ndarray, gt_images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(candidate, ground truth) index columns of every pair that shares an
+    image, given the image-index column of each side."""
+    by_image = np.argsort(gt_images, kind="stable")
+    gt_sorted = gt_images[by_image]
+    starts = np.searchsorted(gt_sorted, images, "left")
+    counts = np.searchsorted(gt_sorted, images, "right") - starts
+    cand = np.repeat(np.arange(len(images)), counts)
+    # a pair's place in its candidate's block of gt_sorted, plus the block's start
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return cand, by_image[offsets + np.arange(len(cand))]
+
+
 def _greedy_match(
-    cands: Sequence[tuple[float, str, object]],
-    gts: Sequence[tuple[str, object]],
-    cost: Callable[[object, object], float | None],
-    keep: Callable[[object, object], bool] | None = None,
-) -> list[tuple[object, object | None]]:
+    scores: np.ndarray,
+    cand: np.ndarray,
+    gt: np.ndarray,
+    cost: np.ndarray,
+    keep: Callable[[int, int], bool] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy score-ordered matching of candidates to ground truths.
 
-    cands are (score, image_id, item) and gts (image_id, item). Candidates
-    are walked in descending score order (stable on ties); each claims the
-    unconsumed same-image ground truth of lowest cost(item, gt_item), the
-    first one winning a tie, where a cost of None rules it out. A claim
-    consumes its ground truth unless keep(item, gt_item) is false, which
-    drops the claim. Returns (item, claimed gt_item or None) per rank.
+    scores holds one score per candidate. The cost table (cand, gt, cost)
+    holds one entry per same-image (candidate, ground truth) index pair
+    that is not ruled out. Candidates are walked in descending score order
+    (stable on ties); each claims the unconsumed ground truth of lowest
+    cost among its entries, the first ground truth winning a tie. A claim
+    consumes its ground truth unless keep(candidate, gt) is false, which
+    drops the claim. Returns the candidates in rank order and, per rank,
+    the ground truth claimed (-1 for none).
     """
-    order = sorted(range(len(cands)), key=lambda i: -cands[i][0])
-    by_image: dict[str, list[int]] = {}
-    for g, (image_id, _) in enumerate(gts):
-        by_image.setdefault(image_id, []).append(g)
-    taken = [False] * len(gts)
-    claims: list[tuple[object, object | None]] = []
-    for i in order:
-        _, image_id, item = cands[i]
-        best_cost, best_g = math.inf, -1
-        for g in by_image.get(image_id, ()):
-            if taken[g]:
-                continue
-            c = cost(item, gts[g][1])
-            if c is not None and c < best_cost:
-                best_cost, best_g = c, g
-        if best_g >= 0 and (keep is None or keep(item, gts[best_g][1])):
-            taken[best_g] = True
-            claims.append((item, gts[best_g][1]))
-        else:
-            claims.append((item, None))
-    return claims
+    order = np.argsort(-scores, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # each candidate's entries, in rank order, lowest cost then first gt
+    walk = np.lexsort((gt, cost, rank[cand]))
+    claimed = [-1] * len(scores)
+    decided: set[int] = set()
+    taken: set[int] = set()
+    for c, g in zip(cand[walk].tolist(), gt[walk].tolist()):
+        if c in decided or g in taken:
+            continue
+        decided.add(c)
+        if keep is None or keep(c, g):
+            taken.add(g)
+            claimed[c] = g
+    return order, np.array(claimed, dtype=np.intp)[order]
 
 
 def _pr_eval(tp: Sequence[bool], n_gt: int) -> DetectionEval:
@@ -258,10 +290,18 @@ def _pr_eval(tp: Sequence[bool], n_gt: int) -> DetectionEval:
     return DetectionEval(ap=ap, recalls=recalls, precisions=precisions, num_gt=n_gt)
 
 
-def _iou_cost(det: Detection, gt: Instance) -> float | None:
-    """Localization: IoU above 0.5, the highest IoU claimed first."""
-    ov = iou(det.bbox, gt.bbox)
-    return -ov if ov > IOU_THRESHOLD else None
+def _localizations(
+    dets: Sequence[Detection], gts: Sequence[Instance]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """IoU cost table of one class: the same-image pairs with IoU above 0.5,
+    each costing -IoU, so that the highest IoU is claimed first."""
+    images, gt_images = _image_columns((d.image_id for d in dets), (g.image_id for g in gts))
+    cand, gt = _same_image_pairs(images, gt_images)
+    boxes = np.array([d.bbox for d in dets], dtype=np.float64).reshape(-1, 4)
+    gt_boxes = np.array([g.bbox for g in gts], dtype=np.float64).reshape(-1, 4)
+    ov = ious(boxes[cand], gt_boxes[gt])
+    near = ov > IOU_THRESHOLD
+    return cand[near], gt[near], -ov[near]
 
 
 def evaluate_detection_tests(
@@ -290,23 +330,30 @@ def evaluate_detection_tests(
         gts_by_class.setdefault(g.class_name, []).append(g)
     out: dict[str, dict[str, DetectionEval]] = {}
     for cls in sorted(set(dets_by_class) | set(gts_by_class)):
-        cands = [(d.score, d.image_id, d) for d in dets_by_class.get(cls, [])]
-        gts = [(g.image_id, g) for g in gts_by_class.get(cls, [])]
+        dets = dets_by_class.get(cls, [])
+        gts = gts_by_class.get(cls, [])
         if not gts:
             warnings.warn(f"class {cls!r} has no ground truth; AP reported as 0")
+        scores = np.array([d.score for d in dets], dtype=np.float64)
+        table = _localizations(dets, gts)
         out[cls] = {}
         if consume_on_localization:
-            claims = _greedy_match(cands, gts, _iou_cost)
-            ranks = [r for r, (_, gt) in enumerate(claims) if gt is not None]
-            claimed = [claims[r][0] for r in ranks], [claims[r][1] for r in ranks]
+            order, claimed = _greedy_match(scores, *table)
+            ranks = np.flatnonzero(claimed >= 0)
+            claims = (
+                [dets[i] for i in order[ranks].tolist()],
+                [gts[g] for g in claimed[ranks].tolist()],
+            )
             for name, test in tests.items():
-                tp = np.zeros(len(claims), dtype=bool)
-                tp[ranks] = test(*claimed)
+                tp = np.zeros(len(dets), dtype=bool)
+                tp[ranks] = test(*claims)
                 out[cls][name] = _pr_eval(tp, len(gts))
         else:
             for name, test in tests.items():
-                claims = _greedy_match(cands, gts, _iou_cost, lambda d, g: test([d], [g])[0])
-                out[cls][name] = _pr_eval([gt is not None for _, gt in claims], len(gts))
+                _, claimed = _greedy_match(
+                    scores, *table, keep=lambda c, g: test([dets[c]], [gts[g]])[0]
+                )
+                out[cls][name] = _pr_eval(claimed >= 0, len(gts))
     return out
 
 
@@ -326,10 +373,15 @@ def _require_viewpoints(
     dets: Sequence[Detection], gts: Sequence[Instance]
 ) -> tuple[list[EulerAngles], list[EulerAngles]]:
     """The (annotated, predicted) viewpoints of the claims; raises at the
-    first claim, in rank order, where one is missing."""
+    first claim, in rank order, where one is missing, naming its image and class."""
     for det, gt in zip(dets, gts, strict=True):
         if det.viewpoint is None or gt.viewpoint is None:
-            raise ValueError("viewpoint metrics need viewpoints on detections and GT")
+            side = "detection" if det.viewpoint is None else "ground truth"
+            raise ValueError(
+                "viewpoint metrics need viewpoints on detections and GT:"
+                f" the {side} of the claim at image {det.image_id}, class {det.class_name!r}"
+                " has none"
+            )
     return [gt.viewpoint for gt in gts], [det.viewpoint for det in dets]
 
 
@@ -491,10 +543,18 @@ class ApkResult:
         return mean_present(self.per_class.values())
 
 
-def _within_radius(hyp: tuple[float, float], gt: tuple[float, float, float]) -> float | None:
-    """APK's match: distance within the instance's radius, the nearest first."""
-    d = math.hypot(hyp[0] - gt[0], hyp[1] - gt[1])
-    return d if d <= gt[2] else None
+def _keypoint_rows(maps: Sequence[Mapping[int, object]]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The entries of a sequence of keypoint maps as rows, in order: the
+    index of the owning map, the keypoint id and the value of each entry."""
+    counts = np.fromiter(map(len, maps), np.intp, len(maps))
+    owner = np.repeat(np.arange(len(maps)), counts)
+    ids = np.fromiter(chain.from_iterable(maps), np.intp, len(owner))
+    return owner, ids, list(chain.from_iterable(m.values() for m in maps))
+
+
+def _column(values: Sequence[object], name: str, dtype: type = np.float64) -> np.ndarray:
+    """One attribute of each value, as an array."""
+    return np.fromiter(map(attrgetter(name), values), dtype, len(values))
 
 
 def apk(
@@ -511,45 +571,70 @@ def apk(
     nearest unmatched same-image ground-truth keypoint lying within that
     instance's alpha * max(h, w) radius, and is otherwise a false positive.
     Only annotated visible keypoints form the ground-truth set.
+
+    The hypotheses and the annotated keypoints are pooled into columns
+    once, and all hypotheses are rescored by one elementwise
+    score_hypothesis call. Distances are math.hypot, pair by pair, whose
+    bits np.hypot does not always reproduce.
     """
-    gt_by_type: dict[tuple[str, int], list[tuple[str, tuple[float, float, float]]]] = {}
-    classes: set[str] = set()
-    kp_ids: dict[str, set[int]] = {}
-    for inst in gt_instances:
-        classes.add(inst.class_name)
-        for k, kp in inst.keypoints.items():
-            kp_ids.setdefault(inst.class_name, set()).add(k)
-            if kp.visible:
-                gt_by_type.setdefault((inst.class_name, k), []).append(
-                    (inst.image_id, (kp.x, kp.y, pck_threshold(inst.bbox, alpha)))
-                )
-    hyps: dict[tuple[str, int], list[tuple[float, str, tuple[float, float]]]] = {}
-    for det in detections:
-        for k, h in det.keypoint_hypotheses.items():
-            kp_ids.setdefault(det.class_name, set()).add(k)
-            try:
-                score = score_hypothesis(det.score, h.score, lam)
-            except ValueError:
-                where = f"image {det.image_id}, class {det.class_name!r}, keypoint {k}"
-                raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
-            hyps.setdefault((det.class_name, k), []).append((score, det.image_id, (h.x, h.y)))
+    dets, insts = list(detections), list(gt_instances)
+    gt_owner, gt_ids, kps = _keypoint_rows([g.keypoints for g in insts])
+    hyp_owner, hyp_ids, hyps = _keypoint_rows([d.keypoint_hypotheses for d in dets])
+    det_scores = np.array([d.score for d in dets], dtype=np.float64)
+    try:
+        scores = score_hypothesis(det_scores[hyp_owner], _column(hyps, "score"), lam)
+    except ValueError:
+        _refuse_rescore(dets, lam)
+        raise
+    images, gt_images = _image_columns((d.image_id for d in dets), (g.image_id for g in insts))
+    radii = np.array([pck_threshold(g.bbox, alpha) for g in insts], dtype=np.float64)
+
+    gt_classes = np.array([g.class_name for g in insts], dtype=str)[gt_owner]
+    hyp_classes = np.array([d.class_name for d in dets], dtype=str)[hyp_owner]
+    visible = _column(kps, "visible", bool)
+    gx, gy, hx, hy = _column(kps, "x"), _column(kps, "y"), _column(hyps, "x"), _column(hyps, "y")
 
     per_keypoint: dict[str, dict[int, float]] = {}
-    for cls in sorted(classes | set(kp_ids)):
+    for cls in sorted({g.class_name for g in insts} | set(hyp_classes.tolist())):
         per_keypoint[cls] = {}
-        for k in sorted(kp_ids.get(cls, ())):
-            gts = gt_by_type.get((cls, k), [])
-            claims = _greedy_match(hyps.get((cls, k), []), gts, _within_radius)
-            tp = [gt is not None for _, gt in claims]
-            per_keypoint[cls][k] = _pr_eval(tp, len(gts)).ap
+        in_gt, in_hyp = gt_classes == cls, hyp_classes == cls
+        for k in sorted(set(gt_ids[in_gt].tolist()) | set(hyp_ids[in_hyp].tolist())):
+            g = np.flatnonzero(in_gt & (gt_ids == k) & visible)
+            h = np.flatnonzero(in_hyp & (hyp_ids == k))
+            cand, gt = _same_image_pairs(images[hyp_owner[h]], gt_images[gt_owner[g]])
+            hr, gr = h[cand], g[gt]
+            dist = np.array(
+                list(map(math.hypot, (hx[hr] - gx[gr]).tolist(), (hy[hr] - gy[gr]).tolist())),
+                dtype=np.float64,
+            )
+            # an infinite distance never claims, even within an infinite radius
+            near = (dist <= radii[gt_owner[gr]]) & (dist < math.inf)
+            _, claimed = _greedy_match(scores[h], cand[near], gt[near], dist[near])
+            per_keypoint[cls][k] = _pr_eval(claimed >= 0, len(g)).ap
     per_class = {cls: mean_present(aps.values()) for cls, aps in per_keypoint.items()}
     return ApkResult(per_keypoint=per_keypoint, per_class=per_class)
 
 
-def score_hypothesis(det_score: float, kp_log_likelihood: float, lam: float = 0.5) -> float:
+def _refuse_rescore(dets: Sequence[Detection], lam: float) -> None:
+    """Raise for the first hypothesis, in load order, whose score_hypothesis is not finite."""
+    for det in dets:
+        for k, h in det.keypoint_hypotheses.items():
+            try:
+                score_hypothesis(det.score, h.score, lam)
+            except ValueError:
+                where = f"image {det.image_id}, class {det.class_name!r}, keypoint {k}"
+                raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
+
+
+def score_hypothesis(
+    det_score: float | np.ndarray, kp_log_likelihood: float | np.ndarray, lam: float = 0.5
+) -> float | np.ndarray:
     """Linear combination of detector score and keypoint log-likelihood, refused unless
-    finite (as it never is when an input is non-finite or the mix overflows)."""
-    score = lam * det_score + (1.0 - lam) * kp_log_likelihood
-    if not math.isfinite(score):
+    finite (as it never is when an input is non-finite or the mix overflows).
+    Over arrays it mixes elementwise, with the same operations, and refuses
+    any non-finite entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = lam * det_score + (1.0 - lam) * kp_log_likelihood
+    if not np.isfinite(score).all():
         raise ValueError("score_hypothesis gave a non-finite score")
     return score

@@ -131,32 +131,25 @@ def rotation_matrix(r: np.ndarray) -> np.ndarray:
     return out
 
 
-# The nine entries of Rz(az), Ry(el) and Rx(cy), row by row, as indices
-# into the 15 values (0, 1, cos, sin, -sin) of the azimuth, then of the
-# elevation, then of the cyclorotation.
-_PLANES = np.array(
-    [
-        [2, 4, 0, 3, 2, 0, 0, 0, 1],  # [[c, -s, 0], [s, c, 0], [0, 0, 1]]
-        [2, 0, 3, 0, 1, 0, 4, 0, 2],  # [[c, 0, s], [0, 1, 0], [-s, 0, c]]
-        [1, 0, 0, 0, 2, 4, 0, 3, 2],  # [[1, 0, 0], [0, c, -s], [0, s, c]]
-    ]
-) + [[0], [5], [10]]
-
-
 def euler_to_rotations(angles: Sequence[EulerAngles]) -> np.ndarray:
     """(n, 3, 3) rotations of n euler triples: Rz(az) @ Ry(el) @ Rx(cy).
 
     Sines and cosines come from math, one angle at a time: np.sin and
     np.cos agree on common builds but dispatch to SIMD kernels on some CPUs.
     """
-    entries = np.array(
-        [
-            (0.0, 1.0, math.cos(a), math.sin(a), -math.sin(a))
-            for e in angles
-            for a in (e.azimuth, e.elevation, e.cyclorotation)
-        ]
-    ).reshape(-1, 15)
-    rz, ry, rx = entries[:, _PLANES].reshape(-1, 3, 3, 3).transpose(1, 0, 2, 3)
+    flat = [a for e in angles for a in (e.azimuth, e.elevation, e.cyclorotation)]
+    cos = np.fromiter(map(math.cos, flat), np.float64, len(flat)).reshape(-1, 3).T
+    sin = np.fromiter(map(math.sin, flat), np.float64, len(flat)).reshape(-1, 3).T
+    rz, ry, rx = np.zeros((3, len(flat) // 3, 3, 3))
+    # [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+    rz[:, 0, 0] = rz[:, 1, 1] = cos[0]
+    rz[:, 0, 1], rz[:, 1, 0], rz[:, 2, 2] = -sin[0], sin[0], 1.0
+    # [[c, 0, s], [0, 1, 0], [-s, 0, c]]
+    ry[:, 0, 0] = ry[:, 2, 2] = cos[1]
+    ry[:, 0, 2], ry[:, 2, 0], ry[:, 1, 1] = sin[1], -sin[1], 1.0
+    # [[1, 0, 0], [0, c, -s], [0, s, c]]
+    rx[:, 1, 1] = rx[:, 2, 2] = cos[2]
+    rx[:, 1, 2], rx[:, 2, 1], rx[:, 0, 0] = -sin[2], sin[2], 1.0
     return rz @ ry @ rx
 
 

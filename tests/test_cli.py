@@ -289,6 +289,23 @@ class TestEvaluateViewpoint:
         assert rc == 2
         assert "expected exactly one" in capsys.readouterr().err
 
+    def test_missing_viewpoint_names_the_claim(self, tmp_path, capsys):
+        """A localized detection with a null viewpoint: the refusal names
+        its image and class."""
+        ds = _synth(tmp_path, seed=3, n=12, noise="moderate")
+        path = ds / "detections.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        culprit = next(r for r in records if r["image_id"] == "im000003")
+        culprit["viewpoint"] = None
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        rc = cli.main(
+            ["evaluate-viewpoint", "--dataset", str(ds), "--preds", str(path), "--detections"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "viewpoint metrics need viewpoints on detections and GT" in err
+        assert f"image im000003, class {culprit['class']!r}" in err
+
     def test_schema_version_rejected(self, tmp_path, capsys):
         ds = _synth(tmp_path, n=2)
         manifest = json.loads((ds / "manifest.json").read_text())

@@ -181,6 +181,95 @@ class TestVocAp:
             assert 0.0 <= voc_ap(rec, prec) <= 1.0
 
 
+def _columns(*entries):
+    """A cost table from (candidate, ground truth, cost) entries."""
+    cand, gt, cost = zip(*entries) if entries else ((), (), ())
+    return np.array(cand, dtype=np.intp), np.array(gt, dtype=np.intp), np.array(cost, dtype=float)
+
+
+def _reference_walk(scores, table, keep=None):
+    """The greedy walk pair by pair: candidates sorted by -score, each
+    scanning the ground truths in index order for a strictly lower cost."""
+    cost = {(c, g): x for c, g, x in zip(*(col.tolist() for col in table))}
+    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    n_gt = max((g for _, g in cost), default=-1) + 1
+    taken, claimed = set(), []
+    for c in order:
+        best, best_g = math.inf, -1
+        for g in range(n_gt):
+            if g not in taken and (c, g) in cost and cost[c, g] < best:
+                best, best_g = cost[c, g], g
+        if best_g >= 0 and (keep is None or keep(c, best_g)):
+            taken.add(best_g)
+            claimed.append(best_g)
+        else:
+            claimed.append(-1)
+    return order, claimed
+
+
+class TestGreedyMatch:
+    """metrics._greedy_match on hand-built score columns and cost tables."""
+
+    @staticmethod
+    def _match(scores, *entries, keep=None):
+        order, claimed = metrics._greedy_match(
+            np.array(scores, dtype=float), *_columns(*entries), keep=keep
+        )
+        return order.tolist(), claimed.tolist()
+
+    def test_tied_scores_keep_input_order(self):
+        """-0.0 ties 0.0: the earlier candidate ranks first and claims."""
+        assert self._match([-0.0, 0.0, 0.0], (1, 0, 1.0), (0, 0, 1.0), (2, 0, 1.0)) == (
+            [0, 1, 2], [0, -1, -1]
+        )
+        assert self._match([0.0, -0.0, 0.5], (0, 0, 1.0), (1, 0, 1.0)) == ([2, 0, 1], [-1, 0, -1])
+
+    def test_equal_costs_go_to_the_first_ground_truth(self):
+        """Entries listed last-first, costs tied (-0.0 against 0.0 too)."""
+        assert self._match([1.0], (0, 2, 0.5), (0, 1, 0.5)) == ([0], [1])
+        assert self._match([1.0], (0, 3, 0.0), (0, 2, -0.0)) == ([0], [2])
+        assert self._match([1.0, 0.5], (0, 1, 0.5), (0, 0, 0.5), (1, 0, 0.1)) == ([0, 1], [0, -1])
+
+    def test_lowest_cost_wins_over_order(self):
+        assert self._match([1.0, 0.5], (0, 0, 2.0), (0, 1, 1.0), (1, 1, 0.0)) == ([0, 1], [1, -1])
+
+    def test_ruled_out_pair_never_claims(self):
+        """Candidate 0 has no entry for the free ground truth 0; candidate
+        1 does, and claims it below it."""
+        assert self._match([1.0, 0.5], (1, 0, 3.0)) == ([0, 1], [-1, 0])
+        assert self._match([1.0]) == ([0], [-1])
+        assert self._match([]) == ([], [])
+
+    def test_dropped_claim_leaves_the_ground_truth_free(self):
+        seen = []
+
+        def keep(c, g):
+            seen.append((c, g))
+            return c != 0
+
+        got = self._match([1.0, 0.5, 0.2], (0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), keep=keep)
+        assert got == ([0, 1, 2], [-1, 0, -1])
+        assert seen == [(0, 0), (1, 0)]
+        # a dropped claim does not try the candidate's next ground truth
+        assert self._match([1.0], (0, 0, 1.0), (0, 1, 2.0), keep=lambda c, g: g == 1) == (
+            [0], [-1]
+        )
+
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_equals_the_pair_by_pair_walk(self, with_keep):
+        rng = np.random.default_rng(51)
+        keep = (lambda c, g: (c + g) % 3 != 0) if with_keep else None
+        for _ in range(200):
+            n, n_gt = int(rng.integers(0, 25)), int(rng.integers(1, 10))
+            scores = rng.choice([-0.0, 0.0, 0.5, 1.0], size=n)
+            pairs = [(c, g) for c in range(n) for g in range(n_gt) if rng.random() < 0.4]
+            rng.shuffle(pairs)
+            costs = rng.choice([-0.0, 0.0, 1.0, 2.0], size=len(pairs))
+            table = _columns(*((c, g, x) for (c, g), x in zip(pairs, costs)))
+            order, claimed = metrics._greedy_match(scores, *table, keep=keep)
+            assert (order.tolist(), claimed.tolist()) == _reference_walk(scores, table, keep)
+
+
 class TestDetectionMatching:
     def _gt(self, az, id="g0", image_id="im0", bbox=(0.0, 0.0, 10.0, 10.0)):
         return _inst(id=id, image_id=image_id, bbox=bbox, viewpoint=EulerAngles(az, 0.1, 0.0))
@@ -567,6 +656,25 @@ class TestApk:
         ]
         np.testing.assert_allclose(apk(dets, gts).per_keypoint["car"][0], 1.0 / 3.0, atol=1e-12)
 
+    def test_refusal_names_the_first_overflow_in_load_order(self):
+        """At lam = 3 only the hypotheses scored -1e308 overflow: keypoint 2
+        of the second detection, and keypoint 0 of the third, whose type
+        sorts first. The message names the one loaded first."""
+        def hyps(bad):
+            return {k: KeypointHypothesis(1.0, 1.0, -1e308 if k == bad else 0.5) for k in range(3)}
+
+        dets = [
+            _det(image_id="im0", keypoint_hypotheses=hyps(None)),
+            _det(image_id="im1", keypoint_hypotheses=hyps(2)),
+            _det(image_id="im2", keypoint_hypotheses=hyps(0)),
+        ]
+        with pytest.raises(ValueError) as info:
+            apk(dets, self._scene(), lam=3.0)
+        assert str(info.value) == (
+            "image im1, class 'car', keypoint 2: hypothesis score is not finite at lambda 3.0"
+        )
+        assert apk(dets, self._scene(), lam=0.5).per_keypoint["car"] == {0: 0.0, 1: 0.0, 2: 0.0}
+
 
 class TestScoreHypothesis:
     def test_known_value(self):
@@ -618,6 +726,18 @@ class TestDataShapes:
 
     def test_instance_area(self):
         assert _inst(bbox=(5.0, 5.0, 20.0, 30.0)).area == 600.0
+
+
+def _reference_iou(b1, b2):
+    """The scalar IoU rule: min, max, product, quotient; 0 without overlap."""
+    x1, y1, w1, h1 = b1
+    x2, y2, w2, h2 = b2
+    iw = min(x1 + w1, x2 + w2) - max(x1, x2)
+    ih = min(y1 + h1, y2 + h2) - max(y1, y2)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (w1 * h1 + w2 * h2 - inter)
 
 
 def _reference_match_class(dets, gts, correct, consume_on_localization):
@@ -788,6 +908,26 @@ class TestOnePassScorer:
         assert 0.0 < min(aps.values()) and max(aps.values()) < 1.0
         # the consumption policy changes the outcome on this scene
         assert any(aps[True, c, n] != aps[False, c, n] for _, c, n in aps)
+
+    def test_stacked_iou_is_the_scalar_rule_bitwise(self, scene):
+        """ious on every same-image (detection, ground truth) pair of the
+        scene, plus an IoU of exactly 0.5 and edge-touching boxes, gives the
+        bits of the scalar rule, and iou is its one-row view."""
+        gts, dets = scene
+        pairs = [(d.bbox, g.bbox) for d in dets for g in gts if d.image_id == g.image_id]
+        pairs += [
+            ((0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 5.0)),
+            ((0.0, 0.0, 10.0, 10.0), (10.0, 0.0, 10.0, 10.0)),
+            ((0.0, 0.0, 10.0, 10.0), (0.0, 10.0, 10.0, 10.0)),
+            ((0.0, 0.0, 10.0, 10.0), (10.0, 10.0, 10.0, 10.0)),
+        ]
+        b1, b2 = (np.array(side, dtype=np.float64) for side in zip(*pairs))
+        expected = np.array([_reference_iou(a, b) for a, b in pairs])
+        got = metrics.ious(b1, b2)
+        assert got.tobytes() == expected.tobytes()
+        assert [iou(a, b) for a, b in pairs] == expected.tolist()
+        assert 0.5 in got.tolist() and 0.0 in got.tolist()
+        assert ((got > 0.0) & (got < 0.5)).any() and (got > 0.5).any()
 
     def test_apk_equals_inline_reference(self, scene):
         gts, dets = scene

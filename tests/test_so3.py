@@ -268,6 +268,38 @@ class TestEulerMatrixConversion:
             assert np.array_equal(r, _zyx_matrix(e.azimuth, e.elevation, e.cyclorotation))
         assert euler_to_rotations([]).shape == (0, 3, 3)
 
+    def test_stack_is_the_gathered_tuple_form_bitwise(self):
+        """The plane stacks filled by assignment give the bytes, signed
+        zeros included, of gathering one (0, 1, cos, sin, -sin) tuple per
+        angle, on random triples and on every triple of +-0, +-pi/2 and pi."""
+        planes = np.array(
+            [
+                [2, 4, 0, 3, 2, 0, 0, 0, 1],
+                [2, 0, 3, 0, 1, 0, 4, 0, 2],
+                [1, 0, 0, 0, 2, 4, 0, 3, 2],
+            ]
+        ) + [[0], [5], [10]]
+
+        def gathered(angles):
+            entries = np.array(
+                [
+                    (0.0, 1.0, math.cos(a), math.sin(a), -math.sin(a))
+                    for e in angles
+                    for a in (e.azimuth, e.elevation, e.cyclorotation)
+                ]
+            ).reshape(-1, 15)
+            rz, ry, rx = entries[:, planes].reshape(-1, 3, 3, 3).transpose(1, 0, 2, 3)
+            return rz @ ry @ rx
+
+        rng = np.random.default_rng(23)
+        special = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi)
+        es = [EulerAngles(*map(float, t)) for t in rng.uniform(-7.0, 7.0, size=(500, 3))]
+        es += [EulerAngles(a, b, c) for a in special for b in special for c in special]
+        assert any(math.copysign(1.0, e.azimuth) < 0 for e in es)
+        got, expected = euler_to_rotations(es), gathered(es)
+        assert got.tobytes() == expected.tobytes()
+        assert np.signbit(got).any()
+
     def test_identity(self):
         e = rotation_to_euler(np.eye(3))
         assert (e.azimuth, e.elevation, e.cyclorotation) == (0.0, 0.0, 0.0)
