@@ -20,17 +20,19 @@ values row-major. Angles are radians in the ZYX-intrinsic convention named
 by the manifest; loaders reject unknown convention tags and unknown schema
 versions rather than guessing.
 
-Each reader makes one validating pass over its input: a record's keys, its
-class and every keypoint entry are checked as the record is converted, and
-the first fault is raised naming "file:line" (bytes that are not UTF-8
-included). Every field must hold its JSON type: numbers are JSON numbers
-(not numeric strings, not booleans), flags are JSON booleans, ids are JSON
-strings. No record holds an integer field, so the record reader decodes
-every JSON number as a float (an integer literal as float(int(text)), so -0
-reads as 0.0) and the one number test is type(v) is float. read_json, the
-reader of the manifest and of noise-profile files, keeps integers. The
-rotations of a prior bank are checked as one stack once the file is read,
-and the earliest bad row is named.
+Each reader makes one validating pass over its input: a record's keys and
+class are checked as it is converted, and one builder checks each keypoint
+entry as it makes the record's keypoint map: {id: Keypoint},
+{id: KeypointHypothesis} or, in a prediction file, {id: (x, y)}. The first
+fault is raised naming "file:line" (bytes that are not UTF-8 included).
+Every field must hold its JSON type: numbers are JSON numbers (not numeric
+strings, not booleans), flags are JSON booleans, ids are JSON strings. No
+record holds an integer field, so the record reader decodes every JSON
+number as a float (an integer literal as float(int(text)), so -0 reads as
+0.0) and the one number test is type(v) is float. read_json, the reader of
+the manifest and of noise-profile files, keeps integers. The rotations of a
+prior bank are checked as one stack once the file is read, and the earliest
+bad row is named.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -226,7 +228,7 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(_dump(record) + "\n")
 
 
-def _check_keys(record: dict, required: frozenset[str], where: str) -> None:
+def _check_keys(record: dict, required: frozenset[str], where: str, what: str = "") -> None:
     if record.keys() == required:
         return
     missing = required - record.keys()
@@ -236,7 +238,7 @@ def _check_keys(record: dict, required: frozenset[str], where: str) -> None:
         parts.append(f"missing {sorted(missing)}")
     if extra:
         parts.append(f"unexpected {sorted(extra)}")
-    raise ParseError(f"{where}: {'; '.join(parts)}")
+    raise ParseError(f"{where}{what}: {'; '.join(parts)}")
 
 
 _JSON_TYPE_NAMES = {str: "a string", bool: "a JSON boolean"}
@@ -276,7 +278,7 @@ def _viewpoint_from_record(value: object, where: str) -> EulerAngles | None:
         return None
     if not isinstance(value, dict):
         raise ParseError(f"{where}: viewpoint must be an object or null")
-    _check_keys(value, _VIEWPOINT_KEYS, f"{where} viewpoint")
+    _check_keys(value, _VIEWPOINT_KEYS, where, " viewpoint")
     az, el, cy = value["azimuth"], value["elevation"], value["cyclorotation"]
     if not (type(az) is float and type(el) is float and type(cy) is float):
         raise ParseError(f"{where}: viewpoint angles must be numbers")
@@ -293,36 +295,37 @@ def _id_of(key: str) -> int | None:
     return k if str(k) == key else None
 
 
-def _keypoint_entries(
-    record: dict, name: str, fields: tuple[str, ...], ids: dict[str, int], where: str
-) -> Iterator[tuple[int, list]]:
-    """Each (id, entry) of the keypoint map record[name], an entry being a
-    list of one value per field: [x, y] or [x, y, visible | score], where
-    visible is a JSON boolean and the rest are floats.
-
-    ids maps each key as saved to every id of the class. A key it lacks is
-    refused, as not canonical or as out of range.
-    """
+def _keypoint_map(
+    record: dict, name: str, fields: tuple, ids: dict[str, int], where: str, make: Callable
+) -> dict:
+    """{id: make(*entry)} of the keypoint map record[name]. An entry is a list of
+    one value per field, visible a JSON boolean and the rest floats; a key not
+    in ids (each id of the class as saved) is refused as not canonical or out
+    of range, and a ValueError of make is refused naming the line and the id."""
     mapping = record[name]
     if not isinstance(mapping, dict):
         raise ParseError(f"{where}: {name} must be an object")
     size = len(fields)
     last = bool if fields[-1] == "visible" else float
+    built = {}
     for key, entry in mapping.items():
         k = ids.get(key)
         if k is None:
-            k = _id_of(key)
-            if k is None:
+            if _id_of(key) is None:
                 raise ParseError(
                     f"{where}: keypoint id {key!r} is not an integer in canonical form"
                 )
-            raise ValidationError(f"{where}: keypoint id {k} out of range ({len(ids)} keypoints)")
+            raise ValidationError(f"{where}: keypoint id {key} out of range ({len(ids)} keypoints)")
         if not (
             type(entry) is list and len(entry) == size
             and type(entry[0]) is float and type(entry[1]) is float and type(entry[-1]) is last
         ):
             raise ParseError(f"{where}: keypoint {k} must be [{', '.join(fields)}]")
-        yield k, entry
+        try:
+            built[k] = make(*entry)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc} (id {k})") from exc
+    return built
 
 
 def _class_of(record: dict, manifest: Manifest, where: str) -> tuple[str, dict[str, int]]:
@@ -364,14 +367,7 @@ def instance_to_record(inst: Instance) -> dict:
 def instance_from_record(record: dict, manifest: Manifest, where: str) -> Instance:
     _check_keys(record, INSTANCE_FIELDS, where)
     cls, ids = _class_of(record, manifest, where)
-    keypoints: dict[int, Keypoint] = {}
-    for k, (x, y, visible) in _keypoint_entries(
-        record, "keypoints", ("x", "y", "visible"), ids, where
-    ):
-        try:
-            keypoints[k] = Keypoint(x, y, visible)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc} (id {k})") from exc
+    keypoints = _keypoint_map(record, "keypoints", ("x", "y", "visible"), ids, where, Keypoint)
     try:
         return Instance(
             id=_typed(record, "id", str, where),
@@ -414,15 +410,9 @@ def detection_to_record(det: Detection) -> dict:
 def detection_from_record(record: dict, manifest: Manifest, where: str) -> Detection:
     _check_keys(record, DETECTION_FIELDS, where)
     cls, ids = _class_of(record, manifest, where)
-    hypotheses: dict[int, KeypointHypothesis] = {}
-    fields = ("x", "y", "score")
-    for k, (x, y, score) in _keypoint_entries(
-        record, "keypoint_hypotheses", fields, ids, where
-    ):
-        try:
-            hypotheses[k] = KeypointHypothesis(x, y, score)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc} (id {k})") from exc
+    hypotheses = _keypoint_map(
+        record, "keypoint_hypotheses", ("x", "y", "score"), ids, where, KeypointHypothesis
+    )
     score = record["score"]
     if type(score) is not float:
         raise ParseError(f"{where}: score is not numeric")
@@ -544,10 +534,7 @@ def save_instances(instances: Iterable[Instance], path: str | Path) -> None:
 
 
 def load_detections(path: str | Path, manifest: Manifest) -> list[Detection]:
-    return [
-        detection_from_record(record, manifest, where)
-        for where, record in _read_jsonl(path)
-    ]
+    return [detection_from_record(record, manifest, where) for where, record in _read_jsonl(path)]
 
 
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
@@ -750,6 +737,12 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 _PREDICTION_FIELDS = frozenset({"id", "keypoints"})
 
 
+def _point(x: float, y: float) -> tuple[float, float]:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("keypoint has non-finite coordinates")
+    return (x, y)
+
+
 def load_keypoint_predictions(
     path: str | Path, manifest: Manifest, instances: Iterable[Instance]
 ) -> dict[str, dict[int, tuple[float, float]]]:
@@ -768,12 +761,7 @@ def load_keypoint_predictions(
         ids = ids_of.get(iid)
         if ids is None:
             raise ValidationError(f"{where}: unknown instance id {iid!r}")
-        kps = {}
-        for k, (x, y) in _keypoint_entries(record, "keypoints", ("x", "y"), ids, where):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValidationError(f"{where}: keypoint has non-finite coordinates (id {k})")
-            kps[k] = (x, y)
-        preds[iid] = kps
+        preds[iid] = _keypoint_map(record, "keypoints", ("x", "y"), ids, where, _point)
     return preds
 
 

@@ -31,38 +31,54 @@ IOU_THRESHOLD = 0.5
 Box = tuple[float, float, float, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Keypoint:
     x: float
     y: float
     visible: bool = True
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float, visible: bool = True) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("keypoint has non-finite coordinates")
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_visible(self, visible)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KeypointHypothesis:
     x: float
     y: float
     score: float
+
+    def __init__(self, x: float, y: float, score: float) -> None:
+        _set_hyp_x(self, x)
+        _set_hyp_y(self, y)
+        _set_hyp_score(self, score)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.score)):
             raise ValueError("keypoint hypothesis has non-finite values")
 
 
+# The slots' own setters: past the frozen __setattr__, cheaper than object.__setattr__.
+_set_x, _set_y, _set_visible = Keypoint.x.__set__, Keypoint.y.__set__, Keypoint.visible.__set__
+_set_hyp_x, _set_hyp_y, _set_hyp_score = (
+    KeypointHypothesis.x.__set__, KeypointHypothesis.y.__set__, KeypointHypothesis.score.__set__
+)
+
+
 def _check_box(bbox: Box, what: str) -> None:
     """Refuse a non-finite or empty (x, y, w, h) box; what names it in the message."""
     x, y, w, h = bbox
-    if not all(math.isfinite(v) for v in (x, y, w, h)):
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
         raise ValueError(f"{what} has non-finite values")
     if w <= 0 or h <= 0:
         raise ValueError(f"{what} must have w > 0 and h > 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """An annotated object: identity, box, flags, viewpoint, keypoints."""
 
@@ -83,7 +99,7 @@ class Instance:
         return self.bbox[2] * self.bbox[3]
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     """A scored prediction candidate in the detection setting."""
 

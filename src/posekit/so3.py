@@ -42,7 +42,7 @@ def wrap_signed(a: float) -> float:
     return wrap_angle(float(a) + math.pi) - math.pi
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EulerAngles:
     """A viewpoint as ZYX euler angles, normalized on construction.
 
@@ -56,12 +56,8 @@ class EulerAngles:
     elevation: float
     cyclorotation: float
 
-    def __post_init__(self) -> None:
-        az, el, cy = (
-            float(self.azimuth),
-            float(self.elevation),
-            float(self.cyclorotation),
-        )
+    def __init__(self, azimuth: float, elevation: float, cyclorotation: float) -> None:
+        az, el, cy = float(azimuth), float(elevation), float(cyclorotation)
         if not (math.isfinite(az) and math.isfinite(el) and math.isfinite(cy)):
             raise ValueError("euler angles must be finite")
         # In-range values pass through untouched so that re-normalizing an

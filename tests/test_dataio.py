@@ -241,6 +241,38 @@ class TestNonFiniteLiterals:
         with pytest.raises(ValidationError, match=f"{name}:2: .*non-finite"):
             load(path, scene.manifest)
 
+    @pytest.mark.parametrize(
+        "name, load, pattern, message",
+        [
+            ("instances.jsonl", lambda p, m: load_instances(p, m), r'"keypoints":\{"0":\[',
+             "instances.jsonl:2: keypoint has non-finite coordinates (id 0)"),
+            ("detections.jsonl", lambda p, m: load_detections(p, m),
+             r'"keypoint_hypotheses":\{"0":\[',
+             "detections.jsonl:2: keypoint hypothesis has non-finite values (id 0)"),
+            ("fused.jsonl",
+             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m)),
+             r'"keypoints":\{"0":\[',
+             "fused.jsonl:2: keypoint has non-finite coordinates (id 0)"),
+        ],
+    )
+    def test_keypoint_builder_message(self, tmp_path, name, load, pattern, message):
+        """The keypoint-map builder refuses what the record type (or, for
+        predictions, the point check) refuses, with the line and the id."""
+        scene = generate_scene(seed=3, n_instances=3, profile=noise_preset("mild"),
+                               bank_size=2)
+        save_dataset(scene, tmp_path)
+        save_keypoint_predictions({inst.id: {0: (1.5, 2.5)} for inst in scene.instances},
+                                  tmp_path / "fused.jsonl")
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[1] = re.sub(pattern + r"-?[\d.e-]+", lambda m: m[0].split("[")[0] + "[1e999",
+                          lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as caught:
+            load(path, scene.manifest)
+        assert str(caught.value) == message
+        assert isinstance(caught.value.__cause__, ValueError)
+
 
 class TestTextEncoding:
     """Text that is not UTF-8 is refused with the file and the line of the bad byte."""

@@ -727,6 +727,20 @@ class TestDataShapes:
     def test_instance_area(self):
         assert _inst(bbox=(5.0, 5.0, 20.0, 30.0)).area == 600.0
 
+    def test_slotted_records_recheck_on_replace(self):
+        """Instance and Detection are slotted (no per-record __dict__), and
+        dataclasses.replace still runs their box check."""
+        for record in (_inst(), _det()):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            moved = dataclasses.replace(record, bbox=(1.0, 2.0, 3.0, 4.0))
+            assert moved.bbox == (1.0, 2.0, 3.0, 4.0) and record.bbox != moved.bbox
+            with pytest.raises(ValueError, match="w > 0"):
+                dataclasses.replace(record, bbox=(0.0, 0.0, 0.0, 10.0))
+            with pytest.raises(ValueError, match="non-finite"):
+                dataclasses.replace(record, bbox=(0.0, math.inf, 10.0, 10.0))
+
 
 def _reference_iou(b1, b2):
     """The scalar IoU rule: min, max, product, quotient; 0 without overlap."""

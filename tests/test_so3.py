@@ -170,6 +170,28 @@ class TestEulerAngles:
             assert type(record)(*dataclasses.astuple(record)) == record
             assert len({record, same, moved}) == 2
 
+    def test_replace_runs_the_init(self):
+        """dataclasses.replace builds through the hand-written __init__: a
+        replaced elevation folds as a constructed one does, and a replaced
+        keypoint coordinate or hypothesis score is checked."""
+        e = EulerAngles(1.0, 0.5, -0.5)
+        moved = dataclasses.replace(e, elevation=2.0)
+        assert moved == EulerAngles(1.0, 2.0, -0.5)
+        assert (moved.azimuth, moved.elevation) == pytest.approx((1.0 + math.pi, math.pi - 2.0))
+        wrapped = EulerAngles(azimuth=-1.0, elevation=0.0, cyclorotation=0.0)
+        assert dataclasses.replace(wrapped) == wrapped == EulerAngles(TWO_PI - 1.0, 0.0, 0.0)
+        kp = Keypoint(1.0, 2.0)
+        assert kp.visible is True
+        assert dataclasses.replace(kp, visible=False) == Keypoint(1.0, 2.0, False)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(kp, x=math.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(kp, y=math.nan)
+        hyp = KeypointHypothesis(1.0, 2.0, 0.5)
+        assert dataclasses.replace(hyp, score=-1.0) == KeypointHypothesis(1.0, 2.0, -1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(hyp, score=math.inf)
+
 
 class TestRotationMatrix:
     def test_accepts_valid(self):
