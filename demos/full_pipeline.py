@@ -49,10 +49,7 @@ tally = diagnostics.error_mode_decomposition(
 )
 print("error modes (%):", {k: round(v, 1) for k, v in tally.percentages().items()})
 
-# each instance's error is computed once; every slice looks its members up
-sliced = diagnostics.sliced_report(
-    diagnostics.size_slices(scene.instances),
-    diagnostics.viewpoint_error_metrics(views, math.pi / 6),
-)
+# each instance's error is computed once; every slice reads its members' errors
+sliced = diagnostics.sliced_report(diagnostics.size_slices(scene.instances), views, math.pi / 6)
 for name, rows in sliced.sections.items():
     print("  %-6s acc=%.2f" % (name, rows["acc"]))

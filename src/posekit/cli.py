@@ -131,11 +131,7 @@ def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
     preds = dataio.load_detections(args.preds, manifest)
     if args.gt_boxes:
         views = diagnostics.viewpoint_pairs(instances, match_by_box(instances, preds))
-        classes = sorted({inst.class_name for inst in instances})
-        report = diagnostics.sliced_report(
-            {cls: [inst for inst in instances if inst.class_name == cls] for cls in classes},
-            diagnostics.viewpoint_error_metrics(views, args.theta),
-        )
+        report = diagnostics.sliced_report(diagnostics.class_slices(instances), views, args.theta)
     else:
         report = EvalReport()
         avp_name = f"avp{args.bins}"
@@ -219,22 +215,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         views = diagnostics.viewpoint_pairs(kept, matched)
 
     if args.slices:
-        slices: dict[str, list[Instance]] = {}
-        for token in args.slices.split(","):
-            token = token.strip()
-            if token == "size":
-                slices.update(diagnostics.size_slices(kept))
-            elif token == "occlusion":
-                slices["occluded"] = [inst for inst in kept if inst.occluded]
-            elif token == "truncation":
-                slices["truncated"] = [inst for inst in kept if inst.truncated]
-            else:
-                raise ValueError(
-                    f"unknown slice {token!r} (known: size, occlusion, truncation)"
-                )
-        fns = diagnostics.viewpoint_error_metrics(views, args.theta)
-        sliced = diagnostics.sliced_report(slices, fns).sections
-        report.sections.update((f"slice/{name}", rows) for name, rows in sliced.items())
+        slices = diagnostics.named_slices(args.slices, kept)
+        sliced = diagnostics.sliced_report(slices, views, args.theta)
+        report.sections.update((f"slice/{name}", rows) for name, rows in sliced.sections.items())
 
     if args.error_modes:
         azimuths = [(gt.azimuth, pred.azimuth) for gt, pred in views.values()]

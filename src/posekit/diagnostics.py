@@ -1,5 +1,5 @@
-"""Error analysis: known-box viewpoint errors, object-characteristic slices
-and azimuth error modes.
+"""Error analysis: the known-box viewpoint report over named slices of the
+instances (size, occlusion, truncation, class) and azimuth error modes.
 
 The decomposition follows a fixed precedence so every instance lands in
 exactly one category even where the raw conditions overlap: small error,
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dataio import ValidationError
 from .metrics import Detection, EvalReport, Instance, PckResult, fraction_below, median_degrees, pck
@@ -86,7 +86,30 @@ def size_slices(instances: Sequence[Instance]) -> dict[str, list[Instance]]:
     return {name: [instances[i] for i in sorted(cut)] for name, cut in cuts.items()}
 
 
-MetricFn = Callable[[Sequence[Instance]], float | None]
+def named_slices(spec: str, instances: Sequence[Instance]) -> dict[str, list[Instance]]:
+    """The size terciles, "occluded" and "truncated" slices that a comma list of
+    size, occlusion and truncation names, in its order; other names raise."""
+    slices: dict[str, list[Instance]] = {}
+    for token in spec.split(","):
+        token = token.strip()
+        if token == "size":
+            slices.update(size_slices(instances))
+        elif token == "occlusion":
+            slices["occluded"] = [inst for inst in instances if inst.occluded]
+        elif token == "truncation":
+            slices["truncated"] = [inst for inst in instances if inst.truncated]
+        else:
+            raise ValueError(f"unknown slice {token!r} (known: size, occlusion, truncation)")
+    return slices
+
+
+def class_slices(instances: Iterable[Instance]) -> dict[str, list[Instance]]:
+    """One slice per class, in class-name order, members in instance order."""
+    by_class: dict[str, list[Instance]] = {}
+    for inst in instances:
+        by_class.setdefault(inst.class_name, []).append(inst)
+    return dict(sorted(by_class.items()))
+
 
 ViewpointPairs = dict[str, tuple[EulerAngles, EulerAngles]]
 
@@ -110,32 +133,21 @@ def viewpoint_pairs(
     return pairs
 
 
-def viewpoint_error_metrics(pairs: ViewpointPairs, theta: float) -> dict[str, MetricFn]:
-    """acc (accuracy_at theta) and mederr_deg (median_error) of a subset of
-    the instances in pairs, as functions of that subset. Each instance's
-    geodesic error is computed once, here, and the subsets look it up."""
-    gt, pred = ([pair[k] for pair in pairs.values()] for k in (0, 1))
-    errors = dict(zip(pairs, viewpoint_errors(gt, pred).tolist()))
-    return {
-        "acc": lambda insts: fraction_below([errors[i.id] for i in insts], theta),
-        "mederr_deg": lambda insts: median_degrees([errors[i.id] for i in insts]),
-    }
-
-
 def sliced_report(
-    slices: Mapping[str, Sequence[Instance]], metrics: Mapping[str, MetricFn]
+    slices: Mapping[str, Sequence[Instance]], pairs: ViewpointPairs, theta: float
 ) -> EvalReport:
-    """Evaluate each metric independently on each named slice.
-
-    Callers pass only the instances they want scored (diagnose drops the
-    manifest's excluded classes first). A slice with no members reports
-    None for every metric (absent, never a zero that could be mistaken
-    for a measurement).
-    """
+    """acc (fraction_below theta) and mederr_deg (median_degrees) rows of each
+    slice, in the order given, read from one metrics.viewpoint_errors array
+    over pairs. An empty slice reports None for both (absent, never a zero)."""
+    gt, pred = ([pair[k] for pair in pairs.values()] for k in (0, 1))
+    errors = viewpoint_errors(gt, pred)
+    row = {iid: i for i, iid in enumerate(pairs)}
     report = EvalReport()
     for name, members in slices.items():
+        mine = errors[[row[inst.id] for inst in members]]
         report.sections[name] = {
-            metric_name: fn(members) if members else None for metric_name, fn in metrics.items()
+            "acc": fraction_below(mine, theta) if members else None,
+            "mederr_deg": median_degrees(mine) if members else None,
         }
     return report
 

@@ -52,14 +52,11 @@ class KeypointHypothesis:
     score: float
 
     def __init__(self, x: float, y: float, score: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(score)):
+            raise ValueError("keypoint hypothesis has non-finite values")
         _set_hyp_x(self, x)
         _set_hyp_y(self, y)
         _set_hyp_score(self, score)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.score)):
-            raise ValueError("keypoint hypothesis has non-finite values")
 
 
 # The slots' own setters: past the frozen __setattr__, cheaper than object.__setattr__.
@@ -69,13 +66,13 @@ _set_hyp_x, _set_hyp_y, _set_hyp_score = (
 )
 
 
-def _check_box(bbox: Box, what: str) -> None:
-    """Refuse a non-finite or empty (x, y, w, h) box; what names it in the message."""
+def _check_box(bbox: Box) -> None:
+    """Refuse a non-finite or empty (x, y, w, h) box; the owner prefixes the message."""
     x, y, w, h = bbox
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
-        raise ValueError(f"{what} has non-finite values")
+        raise ValueError("bbox has non-finite values")
     if w <= 0 or h <= 0:
-        raise ValueError(f"{what} must have w > 0 and h > 0")
+        raise ValueError("bbox must have w > 0 and h > 0")
 
 
 @dataclass(slots=True)
@@ -92,7 +89,10 @@ class Instance:
     keypoints: dict[int, Keypoint] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_box(self.bbox, f"instance {self.id}: bbox")
+        try:
+            _check_box(self.bbox)
+        except ValueError as exc:
+            raise ValueError(f"instance {self.id}: {exc}") from None
 
     @property
     def area(self) -> float:
@@ -113,7 +113,10 @@ class Detection:
     def __post_init__(self) -> None:
         if not math.isfinite(self.score):
             raise ValueError("detection score must be finite")
-        _check_box(self.bbox, "detection bbox")
+        try:
+            _check_box(self.bbox)
+        except ValueError as exc:
+            raise ValueError(f"detection {exc}") from None
 
 
 @dataclass

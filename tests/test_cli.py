@@ -529,13 +529,13 @@ class TestEvaluateKeypoints:
             for line in path.read_text(encoding="utf-8").splitlines()
         )
         built = []
-        check = metrics.KeypointHypothesis.__post_init__
+        init = metrics.KeypointHypothesis.__init__
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            check(self)
+            init(self, *args)
 
-        monkeypatch.setattr(metrics.KeypointHypothesis, "__post_init__", counted)
+        monkeypatch.setattr(metrics.KeypointHypothesis, "__init__", counted)
         rc = cli.main(
             ["evaluate-keypoints", "--dataset", str(ds), "--preds", str(path), "--mode", "apk"]
         )

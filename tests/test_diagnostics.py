@@ -11,11 +11,12 @@ from posekit import metrics
 from posekit.diagnostics import (
     MEDIUM_ERROR,
     SMALL_ERROR,
+    class_slices,
     error_mode_decomposition,
     left_right_pck,
+    named_slices,
     size_slices,
     sliced_report,
-    viewpoint_error_metrics,
 )
 from posekit.metrics import Instance, Keypoint, accuracy_at, median_error, pck
 from posekit.so3 import EulerAngles, euler_to_rotation
@@ -144,38 +145,81 @@ class TestSizeSlices:
             size_slices([_inst("a"), _inst("b")])
 
 
-class TestSlicedReport:
-    def _metric(self, insts):
-        return float(np.mean([inst.area for inst in insts]))
+def _azimuth_pairs(insts, errors):
+    """Viewpoint pairs whose prediction is off in azimuth alone, by each
+    instance's error in radians (the geodesic error, for errors below pi)."""
+    return {
+        inst.id: (EulerAngles(0.5, 0.1, 0.0), EulerAngles(0.5 + err, 0.1, 0.0))
+        for inst, err in zip(insts, errors)
+    }
 
+
+class TestSlicedReport:
     def test_whole_population_slice_matches_direct_call(self):
         insts = [_inst(f"i{i}", float(3 + i)) for i in range(9)]
-        report = sliced_report({"all": insts}, {"mean_area": self._metric})
-        assert report.sections["all"]["mean_area"] == self._metric(insts)
+        pairs = _azimuth_pairs(insts, [0.1 * (i + 1) for i in range(9)])
+        rots = [tuple(map(euler_to_rotation, pair)) for pair in pairs.values()]
+        report = sliced_report({"all": insts}, pairs, math.pi / 6)
+        assert report.sections["all"] == {
+            "acc": accuracy_at(rots, math.pi / 6),
+            "mederr_deg": median_error(rots),
+        }
+        assert report.sections["all"]["acc"] == pytest.approx(5 / 9)
+        assert report.sections["all"]["mederr_deg"] == pytest.approx(math.degrees(0.5))
 
     def test_empty_slice_reports_absent(self):
         insts = [_inst(f"i{i}", occluded=False) for i in range(4)]
         occluded = [inst for inst in insts if inst.occluded]
-        report = sliced_report(
-            {"occluded": occluded}, {"mean_area": self._metric, "count": len}
-        )
-        assert report.sections["occluded"] == {"mean_area": None, "count": None}
+        report = sliced_report({"occluded": occluded}, _azimuth_pairs(insts, [0.2] * 4), 0.5)
+        assert report.sections["occluded"] == {"acc": None, "mederr_deg": None}
 
     def test_sections_follow_slice_order(self):
         insts = [_inst(f"i{i}", float(3 + i)) for i in range(6)]
-        report = sliced_report(
-            {"z": insts[:2], "a": insts[2:], "m": []}, {"mean_area": self._metric}
-        )
+        pairs = _azimuth_pairs(insts, [0.3] * 6)
+        report = sliced_report({"z": insts[:2], "a": insts[2:], "m": []}, pairs, 0.5)
         assert list(report.sections) == ["z", "a", "m"]
+        assert all(list(rows) == ["acc", "mederr_deg"] for rows in report.sections.values())
 
     def test_size_degradation_shows_up(self):
-        """A metric that worsens with small boxes separates the size
+        """Viewpoint error that grows as boxes shrink separates the size
         terciles in the report."""
         insts = [_inst(f"i{i:02d}", float(2 + i)) for i in range(30)]
-        report = sliced_report(size_slices(insts), {"mean_area": self._metric})
-        small = report.sections["small"]["mean_area"]
-        large = report.sections["large"]["mean_area"]
-        assert small < large
+        pairs = _azimuth_pairs(insts, [1.5 / (2 + i) for i in range(30)])
+        report = sliced_report(size_slices(insts), pairs, math.pi / 36)
+        small, large = report.sections["small"], report.sections["large"]
+        assert small["mederr_deg"] > large["mederr_deg"]
+        assert small["acc"] < large["acc"]
+
+
+class TestNamedSlices:
+    def test_tokens_add_slices_in_order(self):
+        insts = [
+            _inst(f"i{i}", float(3 + i), occluded=i % 2 == 0, truncated=i == 4)
+            for i in range(6)
+        ]
+        slices = named_slices(" truncation,size , occlusion", insts)
+        assert list(slices) == ["truncated", "small", "medium", "large", "occluded"]
+        assert slices["truncated"] == [insts[4]]
+        assert slices["occluded"] == insts[0::2]
+        assert {k: slices[k] for k in ("small", "medium", "large")} == size_slices(insts)
+
+    @pytest.mark.parametrize("spec", ["size,banana", "", "size;occlusion", "Size"])
+    def test_unknown_name_refused(self, spec):
+        insts = [_inst(f"i{i}", float(3 + i)) for i in range(3)]
+        token = spec.split(",")[-1].strip()
+        with pytest.raises(ValueError) as info:
+            named_slices(spec, insts)
+        assert str(info.value) == (
+            f"unknown slice {token!r} (known: size, occlusion, truncation)"
+        )
+
+
+class TestClassSlices:
+    def test_one_slice_per_class_in_name_order(self):
+        insts = [_inst("a", cls="sofa"), _inst("b", cls="car"), _inst("c", cls="sofa")]
+        slices = class_slices(iter(insts))
+        assert list(slices) == ["car", "sofa"]
+        assert slices == {"car": [insts[1]], "sofa": [insts[0], insts[2]]}
 
 
 class TestViewpointErrorMetrics:
@@ -205,7 +249,7 @@ class TestViewpointErrorMetrics:
         counted("euler_to_rotations")
         counted("geodesic_distances")
         slices = {**size_slices(insts), "all": insts, "odd": insts[1::2], "one": insts[:1]}
-        report = sliced_report(slices, viewpoint_error_metrics(pairs, math.pi / 6))
+        report = sliced_report(slices, pairs, math.pi / 6)
         assert calls == {"euler_to_rotations": 2, "geodesic_distances": 1}
         for name, members in slices.items():
             rots = [tuple(map(euler_to_rotation, pairs[inst.id])) for inst in members]

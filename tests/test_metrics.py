@@ -741,6 +741,20 @@ class TestDataShapes:
             with pytest.raises(ValueError, match="non-finite"):
                 dataclasses.replace(record, bbox=(0.0, math.inf, 10.0, 10.0))
 
+    def test_box_refusals_name_their_record(self):
+        """The box check's message carries the record's prefix, added only
+        when a box is refused."""
+        cases = [
+            (_inst, (0.0, math.nan, 1.0, 1.0), "instance i0: bbox has non-finite values"),
+            (_inst, (0.0, 0.0, 1.0, 0.0), "instance i0: bbox must have w > 0 and h > 0"),
+            (_det, (math.inf, 0.0, 1.0, 1.0), "detection bbox has non-finite values"),
+            (_det, (0.0, 0.0, -1.0, 1.0), "detection bbox must have w > 0 and h > 0"),
+        ]
+        for make, bbox, message in cases:
+            with pytest.raises(ValueError) as info:
+                make(bbox=bbox)
+            assert str(info.value) == message
+
 
 def _reference_iou(b1, b2):
     """The scalar IoU rule: min, max, product, quotient; 0 without overlap."""

@@ -191,6 +191,8 @@ class TestEulerAngles:
         assert dataclasses.replace(hyp, score=-1.0) == KeypointHypothesis(1.0, 2.0, -1.0)
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(hyp, score=math.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(hyp, x=math.inf)
 
 
 class TestRotationMatrix:
