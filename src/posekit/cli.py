@@ -204,7 +204,11 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    if not (args.slices or args.error_modes or args.left_right):
+        raise ValueError("nothing to diagnose: pass --slices, --error-modes, or --left-right")
     manifest, instances = dataio.load_ground_truth(args.dataset)
+    if not instances:
+        raise dataio.ValidationError("instances.jsonl holds no instances")
     excluded = set(manifest.excluded_classes)
     kept = [inst for inst in instances if inst.class_name not in excluded]
     if not kept:
@@ -240,8 +244,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             sorted(swapped.per_class.items()), all=swapped.mean()
         )
 
-    if not report.sections:
-        raise ValueError("nothing to diagnose: pass --slices, --error-modes, or --left-right")
     _emit_report(report, args)
     return 0
 

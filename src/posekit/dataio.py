@@ -94,26 +94,17 @@ class Manifest:
 
     keypoint_names[c][k] names keypoint id k of class c, so ids are dense
     0..K_c-1 by construction. symmetry_pairs[c] is an involution on those
-    ids (ids not listed are self-paired).
+    ids (ids not listed are self-paired). load_manifest checks the file's
+    version tags against SCHEMA_VERSION and EULER_CONVENTION, and
+    save_manifest writes those constants.
     """
 
     classes: list[str]
     keypoint_names: dict[str, list[str]]
     symmetry_pairs: dict[str, dict[int, int]] = field(default_factory=dict)
     excluded_classes: list[str] = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
-    euler_convention: str = EULER_CONVENTION
 
     def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise SchemaVersionError(
-                f"unknown schema version {self.schema_version!r}"
-                f" (this library reads version {SCHEMA_VERSION})"
-            )
-        if self.euler_convention != EULER_CONVENTION:
-            raise ValidationError(
-                f"unknown euler convention tag {self.euler_convention!r}"
-            )
         if len(set(self.classes)) != len(self.classes):
             raise ValidationError("manifest classes must be unique")
         if set(self.keypoint_names) != set(self.classes):
@@ -478,6 +469,15 @@ def load_manifest(path: str | Path) -> Manifest:
     for name, (ok, expected) in _MANIFEST_FIELDS.items():
         if not ok(record[name]):
             raise ParseError(f"{path.name}: {name} must be {expected}")
+    if record["schema_version"] != SCHEMA_VERSION:
+        raise SchemaVersionError(
+            f"{path.name}: unknown schema version {record['schema_version']!r}"
+            f" (this library reads version {SCHEMA_VERSION})"
+        )
+    if record["euler_convention"] != EULER_CONVENTION:
+        raise ValidationError(
+            f"{path.name}: unknown euler convention tag {record['euler_convention']!r}"
+        )
     try:
         return Manifest(
             classes=record["classes"],
@@ -487,8 +487,6 @@ def load_manifest(path: str | Path) -> Manifest:
                 for cls, pairs in record["symmetry_pairs"].items()
             },
             excluded_classes=record["excluded_classes"],
-            schema_version=record["schema_version"],
-            euler_convention=record["euler_convention"],
         )
     except DatasetError as exc:
         raise type(exc)(f"{path.name}: {exc}") from None
@@ -496,8 +494,8 @@ def load_manifest(path: str | Path) -> Manifest:
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
     record = {
-        "schema_version": manifest.schema_version,
-        "euler_convention": manifest.euler_convention,
+        "schema_version": SCHEMA_VERSION,
+        "euler_convention": EULER_CONVENTION,
         "classes": manifest.classes,
         "keypoint_names": manifest.keypoint_names,
         "symmetry_pairs": {

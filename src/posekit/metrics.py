@@ -234,7 +234,6 @@ class DetectionEval:
     ap: float
     recalls: np.ndarray
     precisions: np.ndarray
-    num_gt: int
 
 
 CorrectFn = Callable[[Detection, Instance], bool]
@@ -306,7 +305,7 @@ def _pr_eval(tp: Sequence[bool], n_gt: int) -> DetectionEval:
     recalls = cum_tp / n_gt if n_gt else np.zeros(len(tp))
     precisions = cum_tp / np.arange(1, len(tp) + 1)
     ap = voc_ap(recalls, precisions) if n_gt else 0.0
-    return DetectionEval(ap=ap, recalls=recalls, precisions=precisions, num_gt=n_gt)
+    return DetectionEval(ap=ap, recalls=recalls, precisions=precisions)
 
 
 def _localizations(

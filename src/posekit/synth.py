@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dataio import Dataset, Manifest
 from .fusion import COARSE_SIZE, GRID_SIZE, PriorBank, normalize_keypoints
 from .metrics import Detection, Instance, Keypoint, KeypointHypothesis
-from .so3 import pi_flip, rotation_to_euler
+from .so3 import EulerAngles, pi_flip, rotation_to_euler
 
 DEFAULT_CLASSES = ("car", "chair", "sofa")
 DEFAULT_KEYPOINT_COUNTS = {"car": 8, "chair": 7, "sofa": 6}
@@ -205,11 +205,11 @@ def _grid_coords(template: np.ndarray, rots: np.ndarray) -> np.ndarray:
     return np.clip(g, 0.0, GRID_SIZE - 1e-9)
 
 
-def _make_manifest(classes: Sequence[str], counts: Mapping[str, int]) -> Manifest:
+def _make_manifest() -> Manifest:
     names = {}
     pairs = {}
-    for cls in classes:
-        k_c = counts[cls]
+    for cls in DEFAULT_CLASSES:
+        k_c = DEFAULT_KEYPOINT_COUNTS[cls]
         cls_names = []
         cls_pairs = {}
         for m in range(k_c // 2):
@@ -221,7 +221,7 @@ def _make_manifest(classes: Sequence[str], counts: Mapping[str, int]) -> Manifes
         names[cls] = cls_names
         pairs[cls] = cls_pairs
     return Manifest(
-        classes=list(classes),
+        classes=list(DEFAULT_CLASSES),
         keypoint_names=names,
         symmetry_pairs=pairs,
         excluded_classes=[],
@@ -376,12 +376,29 @@ def _scene_columns(
     )
 
 
+def _detection(
+    image_id: str,
+    cls: str,
+    bbox: tuple[float, ...],
+    score: float,
+    viewpoint: EulerAngles,
+    hyps: Iterable[tuple[float, float, float]],
+) -> Detection:
+    """One detection; hyps gives (x, y, score) of each keypoint in id order."""
+    return Detection(
+        image_id=image_id,
+        class_name=cls,
+        bbox=bbox,
+        score=score,
+        viewpoint=viewpoint,
+        keypoint_hypotheses={k: KeypointHypothesis(*h) for k, h in enumerate(hyps)},
+    )
+
+
 def generate_scene(
     seed: int,
     n_instances: int,
     profile: NoiseProfile,
-    classes: Sequence[str] = DEFAULT_CLASSES,
-    keypoint_counts: Mapping[str, int] | None = None,
     box_size: tuple[float, float] | None = None,
     bank_size: int = 200,
 ) -> Dataset:
@@ -400,16 +417,12 @@ def generate_scene(
         raise ValueError("bank_size must be at least 1")
     if box_size is not None and not all(math.isfinite(v) and v > 0 for v in box_size):
         raise ValueError(f"box_size must be positive and finite, got {box_size!r}")
-    counts = dict(DEFAULT_KEYPOINT_COUNTS if keypoint_counts is None else keypoint_counts)
-    missing = [c for c in classes if c not in counts]
-    if missing:
-        raise ValueError(f"no keypoint count for classes {missing}")
-    manifest = _make_manifest(classes, counts)
-    templates = [class_template(ci, counts[cls]) for ci, cls in enumerate(classes)]
+    counts = [DEFAULT_KEYPOINT_COUNTS[cls] for cls in DEFAULT_CLASSES]
+    templates = [class_template(ci, k_c) for ci, k_c in enumerate(counts)]
 
     rng = np.random.default_rng(seed)
     banks = {}
-    for cls, template in zip(classes, templates):
+    for cls, template in zip(DEFAULT_CLASSES, templates):
         rots = _quat_to_matrix(_unit_rows(rng.normal(size=(bank_size, 4))))
         kps = _grid_coords(template, rots)
         banks[cls] = PriorBank(
@@ -419,7 +432,7 @@ def generate_scene(
             present=np.ones(kps.shape[:2], dtype=bool),
         )
 
-    draws = _draw_stream(rng, n_instances, [counts[cls] for cls in classes])
+    draws = _draw_stream(rng, n_instances, counts)
     c = _scene_columns(draws, profile, templates, box_size)
     del draws  # free the draws before the records grow
 
@@ -427,7 +440,7 @@ def generate_scene(
     detections: list[Detection] = []
     response_maps: dict[str, dict[str, np.ndarray]] = {}
     for i in range(n_instances):
-        cls = classes[c.cls[i]]
+        cls = DEFAULT_CLASSES[c.cls[i]]
         start, stop = c.offsets[i], c.offsets[i + 1]
         bbox = tuple(c.boxes[i])
         image_id = f"im{i:06d}"
@@ -448,38 +461,17 @@ def generate_scene(
             )
         )
         response_maps[iid] = {"fine": c.fine[start:stop], "coarse": c.coarse[start:stop]}
-        detections.append(
-            Detection(
-                image_id=image_id,
-                class_name=cls,
-                bbox=bbox,
-                score=c.score[i],
-                viewpoint=c.euler_pred[i],
-                keypoint_hypotheses={
-                    k: KeypointHypothesis(c.hyp_x[r], c.hyp_y[r], c.kp_score[r])
-                    for k, r in enumerate(range(start, stop))
-                },
-            )
-        )
+        hyps = zip(c.hyp_x[start:stop], c.hyp_y[start:stop], c.kp_score[start:stop])
+        detections.append(_detection(image_id, cls, bbox, c.score[i], c.euler_pred[i], hyps))
         if c.is_fp[i]:
-            fp_x, fp_y = c.fp_px[start:stop].T.tolist()
-            fp_kp_score = c.fp_kp_score[start:stop].tolist()
+            hyps = zip(*c.fp_px[start:stop].T.tolist(), c.fp_kp_score[start:stop].tolist())
+            fp_box = tuple(c.fp_boxes[i].tolist())
             detections.append(
-                Detection(
-                    image_id=image_id,
-                    class_name=cls,
-                    bbox=tuple(c.fp_boxes[i].tolist()),
-                    score=float(c.fp_score[i]),
-                    viewpoint=c.euler_fp[i],
-                    keypoint_hypotheses={
-                        k: KeypointHypothesis(fp_x[k], fp_y[k], fp_kp_score[k])
-                        for k in range(stop - start)
-                    },
-                )
+                _detection(image_id, cls, fp_box, float(c.fp_score[i]), c.euler_fp[i], hyps)
             )
 
     return Dataset(
-        manifest=manifest,
+        manifest=_make_manifest(),
         instances=instances,
         detections=detections,
         response_maps=response_maps,

@@ -675,6 +675,41 @@ class TestDiagnoseCommand:
         assert rc == 2
         assert "nothing to diagnose" in capsys.readouterr().err
 
+    def test_request_checked_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        rc = cli.main(
+            ["diagnose", "--dataset", str(missing), "--preds", str(missing / "detections.jsonl")]
+        )
+        assert rc == 2
+        assert "nothing to diagnose" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "empty, message",
+        [
+            (True, "instances.jsonl holds no instances"),
+            (False, "no instances left after class exclusion"),
+        ],
+        ids=["empty-file", "all-excluded"],
+    )
+    def test_no_instance_to_diagnose_names_the_cause(self, tmp_path, capsys, empty, message):
+        """An empty instances file is not reported as a class exclusion."""
+        ds = _synth(tmp_path, n=3)
+        if empty:
+            (ds / "instances.jsonl").write_text("")
+            (ds / "detections.jsonl").write_text("")
+        else:
+            manifest = json.loads((ds / "manifest.json").read_text())
+            manifest["excluded_classes"] = manifest["classes"]
+            (ds / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(
+            [
+                "diagnose", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                "--slices", "size",
+            ]
+        )
+        assert rc == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+
     def test_unknown_slice_token(self, tmp_path, capsys):
         ds = _synth(tmp_path, n=3)
         rc = cli.main(

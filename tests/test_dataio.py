@@ -92,6 +92,26 @@ class TestManifest:
         with pytest.raises(ValidationError, match="convention"):
             load_manifest(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("schema_version", 99, SchemaVersionError,
+             "manifest.json: unknown schema version 99 (this library reads version 1)"),
+            ("euler_convention", "XYZ-extrinsic", ValidationError,
+             "manifest.json: unknown euler convention tag 'XYZ-extrinsic'"),
+        ],
+        ids=["schema_version", "euler_convention"],
+    )
+    def test_version_tags_checked_before_classes(self, tmp_path, field, value, error, message):
+        save_manifest(_manifest(), tmp_path / "manifest.json")
+        record = json.loads((tmp_path / "manifest.json").read_text())
+        record[field] = value
+        record["classes"] = ["car", "car"]
+        (tmp_path / "manifest.json").write_text(json.dumps(record))
+        with pytest.raises(error) as info:
+            load_manifest(tmp_path / "manifest.json")
+        assert str(info.value) == message
+
     def test_rejects_missing_key(self, tmp_path):
         save_manifest(_manifest(), tmp_path / "manifest.json")
         record = json.loads((tmp_path / "manifest.json").read_text())

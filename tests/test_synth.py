@@ -111,9 +111,6 @@ class TestSceneDeterminism:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_instances"):
             generate_scene(seed=1, n_instances=0, profile=noise_preset("zero"))
-        with pytest.raises(ValueError, match="keypoint count"):
-            generate_scene(seed=1, n_instances=2, profile=noise_preset("zero"),
-                           classes=("boat",))
 
 
 class TestNoiselessScene:
@@ -243,8 +240,8 @@ class TestInjectedErrors:
 
 # SHA-256 of the saved dataset tree (relative path, NUL, file bytes, in
 # sorted path order) for scenes whose bytes must never change: every
-# noise preset, a fixed box size, odd and single-keypoint classes, a
-# small bank, and a profile forcing every injected error.
+# noise preset, a fixed box size, a small bank, and a profile forcing
+# every injected error.
 SCENE_DIGESTS = {
     "zero": (
         dict(seed=21, n_instances=60, profile=noise_preset("zero")),
@@ -266,12 +263,6 @@ SCENE_DIGESTS = {
         dict(seed=25, n_instances=60, profile=noise_preset("moderate"),
              box_size=(100.0, 100.0)),
         "badc87122969abba3dcd180cda8dc3f755c8a8998e350d61484657cd489d5c59",
-    ),
-    "odd_counts": (
-        dict(seed=26, n_instances=60, profile=noise_preset("heavy"),
-             classes=("car", "bus", "bike"),
-             keypoint_counts={"car": 5, "bus": 1, "bike": 2}),
-        "7c4bbacdb5a2c2d58f7d7898cc68be88eb57eff6d333ac327bfb542bf081fe4e",
     ),
     "bank_size": (
         dict(seed=27, n_instances=60, profile=noise_preset("mild"), bank_size=7),
