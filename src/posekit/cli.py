@@ -24,8 +24,6 @@ from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
 from .so3 import EulerAngles, euler_to_rotations
@@ -67,8 +65,10 @@ def fuse_predictions(
     keypoint with no support among the prior-bank neighbors falls back to
     a uniform prior. Returns pixel-space predictions per instance.
 
-    Every instance is checked, in id order, before any is fused; then the
-    instances of each class are fused in stacks of fusion.FUSE_CHUNK.
+    Every instance is checked, in id order, before any is fused. Then the
+    instances of each class (and map shape) are fused in one
+    fusion.fuse_instances call, and the output is built once every class
+    is fused, so no prior table is alive while it grows.
     """
     by_id = {inst.id: inst for inst in dataset.instances}
     ids = sorted(by_id.keys() | dataset.response_maps.keys())
@@ -97,25 +97,27 @@ def fuse_predictions(
         members, vps = stacks.setdefault(key, ([], []))
         members.append(inst)
         vps.append(vp)
-    out = dict.fromkeys(ids)
-    for (cls, _, _), (members, vps) in stacks.items():
-        for start in range(0, len(members), fusion.FUSE_CHUNK):
-            stop = start + fusion.FUSE_CHUNK
-            chunk = members[start:stop]
-            maps = [dataset.response_maps[inst.id] for inst in chunk]
-            cells = fusion.fuse_instances(
-                euler_to_rotations(vps[start:stop]),
+    fused = [
+        (
+            members,
+            fusion.fuse_instances(
+                euler_to_rotations(vps),
                 dataset.prior_banks[cls],
-                np.stack([m["fine"] for m in maps]),
-                np.stack([m["coarse"] for m in maps]),
+                [dataset.response_maps[inst.id]["fine"] for inst in members],
+                [dataset.response_maps[inst.id]["coarse"] for inst in members],
                 w_fine,
                 w_coarse,
                 sigma,
                 threshold,
-            )
-            pixels = fusion.denormalize_keypoints([inst.bbox for inst in chunk], cells)
-            for inst, kps in zip(chunk, pixels.tolist()):
-                out[inst.id] = {k: (x, y) for k, (x, y) in enumerate(kps)}
+            ),
+        )
+        for (cls, _, _), (members, vps) in stacks.items()
+    ]
+    out = dict.fromkeys(ids)
+    for members, cells in fused:
+        pixels = fusion.denormalize_keypoints([inst.bbox for inst in members], cells)
+        for inst, kps in zip(members, pixels):
+            out[inst.id] = {k: (x, y) for k, (x, y) in enumerate(kps.tolist())}
     return out
 
 
@@ -188,8 +190,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     )
     viewpoints = None
     if args.preds:
-        dets = dataio.load_detections(args.preds, manifest)
-        viewpoints = match_by_box(instances, dets)
+        # only the matched detections stay alive while fusing
+        viewpoints = match_by_box(instances, dataio.load_detections(args.preds, manifest))
     preds = fuse_predictions(
         dataset,
         viewpoints,

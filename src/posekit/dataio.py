@@ -43,6 +43,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -547,10 +548,9 @@ def _is_float_rows(value: object, rows: int, cols: int) -> bool:
     return (
         type(value) is list
         and len(value) == rows
-        and all(
-            type(row) is list and len(row) == cols and set(map(type, row)) <= {float}
-            for row in value
-        )
+        and all(type(row) is list and len(row) == cols for row in value)
+        # one type set for the whole list, not one per row
+        and set(map(type, chain.from_iterable(value))) <= {float}
     )
 
 

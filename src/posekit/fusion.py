@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,13 +25,15 @@ NEIGHBOR_THRESHOLD = math.pi / 6
 PRIOR_SIGMA = 2.0
 PRIOR_FLOOR = 1e-12
 
-# Instances of one class fused per stacked pass. Larger passes save
-# per-call overhead, but each holds a few (B, K, 12, 12) float64 arrays and
-# the heap keeps what they free. On the n = 4000 fuse-bank scene (K <= 8,
-# one CPU of a 2-core host) fusion takes 1.0 s at 1, 0.57 s at 8 and
-# 0.56 s at 16, and the fuse process's peak RSS grows by 0.2 MB at 8 and
-# 0.35 MB at 16 over 1.
-FUSE_CHUNK = 8
+# Instances of one class whose neighbor sets are found in one distance
+# pass, and whose priors are gathered, summed and decoded together. A
+# block's gather is (FUSE_CHUNK, largest neighbor set, 144) float64. On
+# the n = 4000 fuse-bank scene (bank 1000 per class, K <= 8, one CPU of a
+# 2-core host), fuse_predictions takes 0.34-0.55 s of CPU at 8, 0.27-0.38 s
+# at 16, 0.24-0.28 s at 32 and 0.27-0.29 s at 64 (best of 9, six runs
+# each), and the fuse process's peak RSS is flat up to 32 and 0.9 MB
+# higher at 64.
+FUSE_CHUNK = 32
 
 Box = tuple[float, float, float, float]
 
@@ -198,58 +201,73 @@ def neighbor_set(
     return np.flatnonzero(_neighbors(np.asarray(r)[None], bank, threshold)[0])
 
 
-# [dx2 | dy2] @ _OUTER_SUM is dx2[j] + dy2[i] at cell 12 i + j: each cell
-# adds its two terms once and the rest are exact zeros, so it is bitwise
-# the broadcast sum, in one BLAS call instead of 12-cell loops.
-_OUTER_SUM = np.vstack(
-    [np.tile(np.eye(GRID_SIZE), GRID_SIZE), np.repeat(np.eye(GRID_SIZE), GRID_SIZE, axis=1)]
-)
+def _neighbor_rows(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
+    """(B, m) indices of the neighbors (_neighbors) of each of B rotations,
+    each row in bank order and padded at its end with len(bank)."""
+    near = _neighbors(rs, bank, threshold)
+    query, entries = np.nonzero(near)
+    sizes = near.sum(axis=1)
+    rows = np.full((len(near), sizes.max(initial=0)), len(bank))
+    rows[query, np.arange(query.size) - (np.cumsum(sizes) - sizes)[query]] = entries
+    return rows
 
 
-def _mixture(
-    bank: PriorBank, entries: np.ndarray, sizes: np.ndarray, ids: slice, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian mixtures over the neighbors of B queries, one per keypoint.
+def _table(bank: PriorBank, entries: np.ndarray, k: int, sigma: float) -> np.ndarray:
+    """(len(entries) + 1, 144) Gaussian grids of keypoint k around the given
+    bank entries, row i for entries[i], 0.0 where that entry lacks the
+    keypoint; the last row is all zeros, for padding."""
+    present = bank.present[entries, k]
+    # absent coordinates are unvalidated: zero them so they stay finite
+    means = np.where(present[:, None], bank.keypoints[entries, k], 0.0)
+    # squared offsets of the keypoint from the cell centers: [:, 0] over
+    # columns (dx2), [:, 1] over rows (dy2)
+    d2 = np.empty((entries.size, 2, GRID_SIZE))
+    np.subtract(np.arange(GRID_SIZE) + 0.5, means[..., None], out=d2)
+    np.square(d2, out=d2)
+    table = np.zeros((entries.size + 1, GRID_SIZE * GRID_SIZE))
+    grid = table[:-1]
+    # dx2[j] + dy2[i] at cell 12 i + j
+    np.add(d2[:, 1, :, None], d2[:, 0, None, :], out=grid.reshape(-1, GRID_SIZE, GRID_SIZE))
+    grid /= -2.0 * sigma * sigma  # bitwise -(d2) / (2 sigma^2)
+    np.exp(grid, out=grid)
+    # norm where present, 0.0 where absent: one multiply for both
+    grid *= np.where(present, 1.0 / (2.0 * math.pi * sigma * sigma), 0.0)[:, None]
+    return table
 
-    entries holds the neighbor indices of the queries one query after
-    another, each query's in bank order, and sizes (B,) how many belong to
-    each (at least one). Returns the (B, k, 12, 12) stack for the keypoint
-    ids in the slice, clamped below at PRIOR_FLOOR, and the (B, k) number
-    of neighbors carrying each keypoint. A keypoint that no neighbor
-    carries gets count 0 and a grid of floor values. Each query's sum runs
-    over its neighbors in bank order and adds 0.0 for an absent entry, so
-    each grid is bitwise the mean over the entries that carry the keypoint.
+
+def _priors(bank: PriorBank, blocks: list[np.ndarray], keypoints: range, sigma: float):
+    """Mixture priors of each keypoint around blocks of neighbor rows.
+
+    blocks holds (B_j, m_j) neighbor rows (_neighbor_rows). Yields
+    (k, j, priors, count) keypoint by keypoint, block by block: the
+    (B_j, 12, 12) priors of keypoint k, clamped below at PRIOR_FLOOR, and
+    the (B_j,) number of neighbors carrying it; where that is 0 the prior
+    is uniform. Each keypoint's grids are evaluated once, in one _table
+    around the entries any block uses, and only one table is alive at a
+    time. A query's sum runs over its neighbors in bank order and adds
+    0.0 for an absent entry or a padding row, so each grid is bitwise the
+    mean over the entries that carry the keypoint.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    present = bank.present[entries, ids]  # (pairs, k)
-    count = np.add.reduceat(present, starts, axis=0, dtype=np.intp)
-    # absent coordinates are unvalidated: zero them so they stay finite
-    means = np.where(present[..., None], bank.keypoints[entries, ids], 0.0)
-    # [dx2 | dy2]: squared offsets of the keypoint from the cell centers,
-    # over columns then over rows, one (pair, keypoint) per row
-    d2 = np.empty((*present.shape, 2, GRID_SIZE))
-    np.subtract(np.arange(GRID_SIZE) + 0.5, means[..., None], out=d2)
-    np.square(d2, out=d2)
-    d2 = d2.reshape(-1, 2 * GRID_SIZE)
-    # norm where present, 0.0 where absent: one multiply for both
-    scale = np.where(present, 1.0 / (2.0 * math.pi * sigma * sigma), 0.0).reshape(-1, 1)
-    total = np.empty((*count.shape, GRID_SIZE, GRID_SIZE))
-    sums = total.reshape(*count.shape, GRID_SIZE * GRID_SIZE)
-    k = present.shape[1]
-    # one query's (neighbors * k, 144) array at a time: the whole stack's
-    # would outgrow the heap (see FUSE_CHUNK)
-    for b, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-        rows = slice(start * k, end * k)
-        grid = d2[rows] @ _OUTER_SUM  # dx2 + dy2 in every cell
-        grid /= -2.0 * sigma * sigma  # bitwise -(d2) / (2 sigma^2)
-        np.exp(grid, out=grid)
-        grid *= scale[rows]
-        grid.reshape(end - start, *sums.shape[1:]).sum(axis=0, out=sums[b])
-    total /= np.maximum(count, 1)[..., None, None]
-    return np.maximum(total, PRIOR_FLOOR, out=total), count
+    used = np.zeros(len(bank) + 1, dtype=bool)
+    for b in blocks:
+        used[b] = True
+    entries = np.flatnonzero(used[:-1])
+    # table row of each bank entry; the padding index maps to the zero row
+    row_of = np.full(len(bank) + 1, entries.size)
+    row_of[entries] = np.arange(entries.size)
+    rows = [row_of[b] for b in blocks]
+    for k in keypoints:
+        table = _table(bank, entries, k, sigma)
+        carried = np.append(bank.present[entries, k], False)
+        for j, r in enumerate(rows):
+            count = carried[r].sum(axis=1)
+            priors = table[r].sum(axis=1).reshape(-1, GRID_SIZE, GRID_SIZE)
+            priors /= np.maximum(count, 1)[:, None, None]
+            np.maximum(priors, PRIOR_FLOOR, out=priors)
+            priors[count == 0] = uniform_prior()
+            yield k, j, priors, count
 
 
 def pose_prior(
@@ -270,39 +288,13 @@ def pose_prior(
     if not 0 <= keypoint_id < bank.num_keypoints:
         raise ValueError(f"keypoint id {keypoint_id} out of range")
     neighbors = neighbor_set(r, bank, threshold)
-    ids = slice(keypoint_id, keypoint_id + 1)
-    prior, count = _mixture(bank, neighbors, np.array([neighbors.size]), ids, sigma)
-    if count[0, 0] == 0:
+    ids = range(keypoint_id, keypoint_id + 1)
+    ((_, _, prior, count),) = _priors(bank, [neighbors[None]], ids, sigma)
+    if count[0] == 0:
         raise NoPriorSupportError(
             f"keypoint {keypoint_id} absent from all {neighbors.size} neighbors"
         )
-    return prior[0, 0]
-
-
-def keypoint_priors(
-    rs: np.ndarray,
-    bank: PriorBank,
-    num_keypoints: int,
-    sigma: float = PRIOR_SIGMA,
-    threshold: float = NEIGHBOR_THRESHOLD,
-) -> np.ndarray:
-    """Priors of keypoints 0..num_keypoints-1 at each of a (B, 3, 3) stack
-    of viewpoints, as (B, k, 12, 12).
-
-    Entry [b, k] equals pose_prior(rs[b], bank, k, sigma, threshold), or
-    uniform_prior() where that raises NoPriorSupportError; the neighbor
-    sets of the whole stack are found in one distance pass.
-    """
-    if num_keypoints > bank.num_keypoints:
-        raise ValueError(
-            f"{num_keypoints} keypoints requested but the {bank.class_name!r} bank"
-            f" has {bank.num_keypoints}"
-        )
-    near = _neighbors(rs, bank, threshold)
-    _, entries = np.nonzero(near)
-    priors, count = _mixture(bank, entries, near.sum(axis=1), slice(0, num_keypoints), sigma)
-    priors[count == 0] = uniform_prior()
-    return priors
+    return prior[0]
 
 
 def uniform_prior() -> np.ndarray:
@@ -342,25 +334,52 @@ def fuse_and_decode(prior: np.ndarray, loglik: np.ndarray) -> tuple[float, float
 def fuse_instances(
     rs: np.ndarray,
     bank: PriorBank,
-    fine: np.ndarray,
-    coarse: np.ndarray,
+    fine: Sequence[np.ndarray],
+    coarse: Sequence[np.ndarray],
     w_fine: float = 0.5,
     w_coarse: float = 0.5,
     sigma: float = PRIOR_SIGMA,
     threshold: float = NEIGHBOR_THRESHOLD,
 ) -> np.ndarray:
-    """Fused grid coordinates of every keypoint of a stack of instances.
+    """Fused grid coordinates of every keypoint of the instances of a class.
 
     rs (B, 3, 3) are the viewpoints the instances are conditioned on, and
-    fine (B, K, 12, 12) and coarse (B, K, 6, 6) their response maps,
-    channel i for keypoint id i of the bank. Returns (B, K, 2) cell
-    centers (x, y), equal to combine_scales, pose_prior (uniform_prior on
-    NoPriorSupportError) and fuse_and_decode run one keypoint of one
-    instance at a time. Callers bound B (see FUSE_CHUNK): a call holds a
-    few (B, K, 12, 12) arrays at once.
+    fine and coarse their response maps: B per-instance (K, 12, 12) and
+    (K, 6, 6) maps (a list, or a stacked array), channel i for keypoint id
+    i of the bank; maps of any other shape raise ValueError. Returns (B, K, 2) cell centers (x, y), equal to
+    combine_scales, pose_prior (uniform_prior on NoPriorSupportError) and
+    fuse_and_decode run one keypoint of one instance at a time.
+
+    Neighbor sets are found in blocks of FUSE_CHUNK instances, one
+    distance pass per block. Fusion then runs keypoint by keypoint: each
+    keypoint's Gaussian grids are evaluated once around the bank entries
+    the blocks use (_priors), and each block's priors are decoded against
+    that keypoint's combined maps, so no (B, K, 12, 12) array is built.
     """
-    logliks = combine_scales(fine, coarse, w_fine, w_coarse)
-    if logliks.ndim != 4:
-        raise ValueError(f"response maps must be stacked (B, K, 12, 12), got {logliks.shape}")
-    priors = keypoint_priors(rs, bank, logliks.shape[1], sigma, threshold)
-    return _decode(priors, logliks)
+    if not len(rs) == len(fine) == len(coarse):
+        raise ValueError(
+            f"{len(rs)} viewpoints but {len(fine)} fine and {len(coarse)} coarse maps"
+        )
+    channels = len(fine[0]) if len(fine) else 0
+    want = ((channels, GRID_SIZE, GRID_SIZE), (channels, COARSE_SIZE, COARSE_SIZE))
+    for shapes in zip(map(np.shape, fine), map(np.shape, coarse)):
+        if shapes != want:
+            raise ValueError(
+                f"fine and coarse maps disagree: shapes {shapes[0]} and {shapes[1]},"
+                f" expected {want[0]} and {want[1]}"
+            )
+    if channels > bank.num_keypoints:
+        raise ValueError(
+            f"{channels} keypoints requested but the {bank.class_name!r} bank"
+            f" has {bank.num_keypoints}"
+        )
+    chunks = [slice(lo, lo + FUSE_CHUNK) for lo in range(0, len(rs), FUSE_CHUNK)]
+    blocks = [_neighbor_rows(rs[c], bank, threshold) for c in chunks]
+    cells = np.empty((len(rs), channels, 2))
+    for k, j, priors, _ in _priors(bank, blocks, range(channels), sigma):
+        c = chunks[j]
+        logliks = combine_scales(
+            [f[k] for f in fine[c]], [m[k] for m in coarse[c]], w_fine, w_coarse
+        )
+        cells[c, k] = _decode(priors, logliks)
+    return cells

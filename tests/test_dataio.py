@@ -771,6 +771,22 @@ class TestPriorBankIO:
         with pytest.raises(ValidationError, match=rf"^prior_bank.jsonl:3: bad {field} \("):
             load_prior_banks(p, _manifest())
 
+    @pytest.mark.parametrize(
+        "first",
+        [("present", [True, 1.0, False]), ("keypoints", [[1.0, 2.0], ["a", 3.0], [4.0, 5.0]])],
+        ids=["flag", "number"],
+    )
+    def test_type_error_names_its_line_before_a_later_shape_error(self, tmp_path, first):
+        """A value of the wrong type is named at its line, ahead of a shape
+        or JSON error on a later line."""
+        p = self._forge(tmp_path, {2: first, 4: ("rotation", "eye")})
+        with pytest.raises(ValidationError, match=rf"^prior_bank.jsonl:2: (present|bad {first[0]})"):
+            load_prior_banks(p, _manifest())
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:3] + ["{not json"] + lines[4:]) + "\n")
+        with pytest.raises(ValidationError, match=r"^prior_bank.jsonl:2: "):
+            load_prior_banks(p, _manifest())
+
 
 class TestResponseMapIO:
     def test_roundtrip_exact(self, tmp_path):

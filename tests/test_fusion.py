@@ -6,6 +6,7 @@ library path.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,6 @@ from posekit.fusion import (
     denormalize_keypoint,
     fuse_and_decode,
     fuse_instances,
-    keypoint_priors,
     neighbor_set,
     normalize_keypoint,
     pose_prior,
@@ -335,6 +335,21 @@ def _per_keypoint_reference(r, bank, fine, coarse, w_fine, w_coarse, sigma, thre
     return np.array(priors), cells
 
 
+def _stacked_priors(rs, bank, num_keypoints, sigma=PRIOR_SIGMA, threshold=NEIGHBOR_THRESHOLD,
+                    chunk=None):
+    """The (B, K, 12, 12) priors that fuse_instances decodes, its neighbor
+    sets found in blocks of chunk viewpoints (all at once by default)."""
+    chunk = chunk or len(rs)
+    blocks = [
+        fusion._neighbor_rows(rs[lo : lo + chunk], bank, threshold)
+        for lo in range(0, len(rs), chunk)
+    ]
+    priors = np.empty((len(rs), num_keypoints, GRID_SIZE, GRID_SIZE))
+    for k, j, prior, _ in fusion._priors(bank, blocks, range(num_keypoints), sigma):
+        priors[j * chunk : j * chunk + len(prior), k] = prior
+    return priors
+
+
 class TestFuseInstance:
     def _assert_matches_reference(
         self, r, bank, fine, coarse, w_fine=0.5, w_coarse=0.5, sigma=2.0,
@@ -343,7 +358,7 @@ class TestFuseInstance:
         ref_priors, ref_cells = _per_keypoint_reference(
             r, bank, fine, coarse, w_fine, w_coarse, sigma, threshold
         )
-        priors = keypoint_priors(r[None], bank, fine.shape[0], sigma, threshold)[0]
+        priors = _stacked_priors(r[None], bank, fine.shape[0], sigma, threshold)[0]
         assert np.array_equal(priors, ref_priors)
         cells = fuse_instances(
             r[None], bank, fine[None], coarse[None], w_fine, w_coarse, sigma, threshold
@@ -392,6 +407,30 @@ class TestFuseInstance:
                 np.eye(3)[None], bank, np.zeros((1, 3, 12, 12)), np.zeros((1, 3, 6, 6))
             )[0]
 
+    def test_rejects_maps_for_another_number_of_instances(self):
+        bank = PriorBank("c", np.eye(3)[None], np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="2 viewpoints but 1 fine and 2 coarse maps"):
+            fuse_instances(
+                np.stack([np.eye(3)] * 2), bank, [np.zeros((2, 12, 12))], [np.zeros((2, 6, 6))] * 2
+            )
+
+    @pytest.mark.parametrize(
+        "fine, coarse",
+        [
+            (np.zeros((1, 2, 12, 12)), np.zeros((1, 3, 6, 6))),
+            (np.zeros((1, 3, 12, 12)), np.zeros((1, 2, 6, 6))),
+            ([np.zeros((2, 12, 12)), np.zeros((3, 12, 12))], [np.zeros((2, 6, 6)), np.zeros((3, 6, 6))]),
+        ],
+        ids=["fewer-fine", "fewer-coarse", "per-instance"],
+    )
+    def test_rejects_maps_with_other_channel_counts(self, fine, coarse):
+        """Every instance's fine and coarse maps carry the first instance's
+        number of channels; none is dropped or read out of range."""
+        bank = PriorBank("c", np.eye(3)[None], np.zeros((1, 3, 2)))
+        rs = np.stack([np.eye(3)] * len(fine))
+        with pytest.raises(ValueError, match="fine and coarse maps disagree"):
+            fuse_instances(rs, bank, fine, coarse)
+
 
 class TestStackedEngine:
     """A stack of instances, fused whole or in chunks of any size, gives
@@ -413,13 +452,17 @@ class TestStackedEngine:
         coarse = rng.normal(size=(len(queries), 4, 6, 6)).astype(np.float32)
         return bank, rs, fine, coarse
 
-    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.8, 0.3)])
-    def test_chunks_equal_per_instance_reference(self, weights):
-        bank, rs, fine, coarse = self._mixed_stack()
-        refs = [
+    @staticmethod
+    def _references(bank, rs, fine, coarse, weights):
+        return [
             _per_keypoint_reference(r, bank, f, c, *weights, PRIOR_SIGMA, NEIGHBOR_THRESHOLD)
             for r, f, c in zip(rs, fine, coarse)
         ]
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.8, 0.3)])
+    def test_chunks_equal_per_instance_reference(self, weights):
+        bank, rs, fine, coarse = self._mixed_stack()
+        refs = self._references(bank, rs, fine, coarse, weights)
         sizes = [neighbor_set(r, bank).size for r in rs]
         assert sizes == [3, 1, 2, 3, 1, 2, 3]
         for b in (1, 4):  # the lone neighbour is a fallback, not within the threshold
@@ -435,14 +478,29 @@ class TestStackedEngine:
         for chunk in (1, 3, 4, len(rs)):
             for lo in range(0, len(rs), chunk):
                 hi = min(lo + chunk, len(rs))
-                priors = keypoint_priors(rs[lo:hi], bank, 4)
+                priors = _stacked_priors(rs[lo:hi], bank, 4)
                 cells = fuse_instances(rs[lo:hi], bank, fine[lo:hi], coarse[lo:hi], *weights)
                 assert priors.shape == (hi - lo, 4, 12, 12) and cells.shape == (hi - lo, 4, 2)
                 for b in range(lo, hi):
                     assert np.array_equal(priors[b - lo], refs[b][0])
                     assert [tuple(c) for c in cells[b - lo].tolist()] == refs[b][1]
 
-    @pytest.mark.parametrize("chunk", [1, 3, FUSE_CHUNK])
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.8, 0.3)])
+    def test_whole_class_from_per_instance_maps(self, monkeypatch, weights):
+        """One call over the whole stack, with maps passed as a list of
+        per-instance arrays and blocks of 3, 3 and 1 instances."""
+        bank, rs, fine, coarse = self._mixed_stack()
+        refs = self._references(bank, rs, fine, coarse, weights)
+        monkeypatch.setattr(fusion, "FUSE_CHUNK", 3)
+        assert len(rs) % fusion.FUSE_CHUNK == 1
+        priors = _stacked_priors(rs, bank, 4, chunk=3)
+        cells = fuse_instances(rs, bank, list(fine), list(coarse), *weights)
+        assert cells.shape == (len(rs), 4, 2)
+        for b, (ref_priors, ref_cells) in enumerate(refs):
+            assert np.array_equal(priors[b], ref_priors)
+            assert [tuple(c) for c in cells[b].tolist()] == ref_cells
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, FUSE_CHUNK])
     def test_fuse_predictions_equals_one_instance_at_a_time(self, monkeypatch, chunk):
         scene = generate_scene(1, 40, noise_preset("moderate"), bank_size=300)
         viewpoints = cli.match_by_box(scene.instances, scene.detections)
@@ -468,6 +526,49 @@ class TestStackedEngine:
         fused = cli.fuse_predictions(scene, viewpoints, 0.8, 0.3)
         assert fused == expected
         assert list(fused) == sorted(expected)
+
+
+class TestPriorTables:
+    """Each bank entry's grid of a keypoint is evaluated once per fuse, and
+    only one keypoint's grids are held at a time."""
+
+    def test_fuse_builds_one_table_per_keypoint_of_a_class(self, monkeypatch):
+        scene = generate_scene(3, 60, noise_preset("moderate"), bank_size=40)
+        viewpoints = cli.match_by_box(scene.instances, scene.detections)
+        built = Counter()
+        table = fusion._table
+
+        def counted(bank, entries, k, sigma):
+            built[bank.class_name, k] += 1
+            assert entries.size <= len(bank)
+            assert np.array_equal(entries, np.unique(entries))
+            return table(bank, entries, k, sigma)
+
+        monkeypatch.setattr(fusion, "_table", counted)
+        monkeypatch.setattr(fusion, "FUSE_CHUNK", 3)  # many blocks per class
+        cli.fuse_predictions(scene, viewpoints)
+        classes = {inst.class_name for inst in scene.instances}
+        assert len(classes) == 3
+        assert built == Counter(
+            {(cls, k): 1 for cls in classes for k in range(scene.prior_banks[cls].num_keypoints)}
+        )
+
+    def test_fusing_a_class_stays_below_4_mb(self):
+        """A 1,000-entry bank with K = 8 and 1,300 instances: one keypoint's
+        table is 1.15 MB, where a whole-class table would be 9.2 MB."""
+        rng = np.random.default_rng(38)
+        bank = _random_bank(rng, n=1000, k=8, with_absent=True)
+        rs = _random_bank(rng, n=1300, k=1).rotations
+        fine = list(rng.normal(size=(1300, 8, 12, 12)).astype(np.float32))
+        coarse = list(rng.normal(size=(1300, 8, 6, 6)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            cells = fuse_instances(rs, bank, fine, coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (1300, 8, 2)
+        assert peak < 4 * 2**20
 
 
 class TestValidation:
