@@ -18,7 +18,7 @@ from posekit.fusion import (
     PriorBank,
     denormalize_keypoint,
     fuse_and_decode,
-    normalize_keypoint,
+    normalize_keypoints,
     pose_prior,
     uniform_prior,
 )
@@ -69,4 +69,4 @@ print("fused argmax lands at", tuple(map(float, fused)), "(the true location)")
 box = (12.0, 30.0, 180.0, 120.0)
 pixels = denormalize_keypoint(box, fused)
 print("in pixels:", tuple(round(float(v), 1) for v in pixels))
-print("sanity: normalize back ->", tuple(map(float, normalize_keypoint(box, pixels))))
+print("sanity: normalize back ->", tuple(normalize_keypoints([box], [[pixels]])[0, 0].tolist()))

@@ -306,6 +306,7 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite numb
 _nonnegative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _finite = _checked(float, math.isfinite, "a finite number")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:
@@ -390,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="number of instances")
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--n", type=_count, required=True, help="number of instances")
     p.add_argument(
         "--noise-profile",
         "--noise",

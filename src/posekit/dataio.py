@@ -43,7 +43,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -559,11 +559,12 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
 
     Order matters: the prior averages neighbor Gaussians in bank order, so
     reordering exemplars would change float summation order. Every field's
-    type and shape is checked line by line; the numbers are then converted
-    in one call per file (rotations) and per class (keypoints), and the
-    rotations of the whole file are checked as one stack. Rows are not
-    converted one by one: thousands of small buffers freed at once
-    fragment the heap and raise the peak RSS.
+    type and shape, and that each present keypoint lies on the grid, are
+    checked line by line; the numbers are then converted in one call per
+    file (rotations) and per class (keypoints), and the rotations of the
+    whole file are checked as one stack. Rows are not converted one by
+    one: thousands of small buffers freed at once fragment the heap and
+    raise the peak RSS.
     """
     wheres: list[str] = []
     rotations: list[list] = []
@@ -585,6 +586,9 @@ def load_prior_banks(path: str | Path, manifest: Manifest) -> dict[str, PriorBan
             )
         if not _is_float_rows(record["rotation"], 3, 3):
             raise ValidationError(f"{where}: bad rotation (expected 3 rows of 3 numbers)")
+        placed = chain.from_iterable(compress(record["keypoints"], present))
+        if not all(0.0 <= v < GRID_SIZE for v in placed):
+            raise ValidationError(f"{where}: present keypoint coordinates must lie in [0, 12)")
         indices, keypoints, flags = rows.setdefault(cls, ([], [], []))
         indices.append(len(wheres))
         keypoints.append(record["keypoints"])

@@ -151,12 +151,6 @@ def normalize_keypoints(boxes: np.ndarray, px: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(grid, 0.0), GRID_SIZE - 1e-9)
 
 
-def normalize_keypoint(box: Box, p: tuple[float, float]) -> tuple[float, float]:
-    """normalize_keypoints for one box and one pixel point."""
-    gx, gy = normalize_keypoints([box], [[p]])[0, 0].tolist()
-    return (gx, gy)
-
-
 def denormalize_keypoints(boxes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Map 12x12 grid coordinates back to pixels (inverse of normalize).
 
@@ -212,62 +206,54 @@ def _neighbor_rows(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndar
     return rows
 
 
-def _table(bank: PriorBank, entries: np.ndarray, k: int, sigma: float) -> np.ndarray:
-    """(len(entries) + 1, 144) Gaussian grids of keypoint k around the given
-    bank entries, row i for entries[i], 0.0 where that entry lacks the
-    keypoint; the last row is all zeros, for padding."""
-    present = bank.present[entries, k]
+def _table(bank: PriorBank, k: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(len(bank) + 1, 144) Gaussian grids of keypoint k around every bank
+    entry, row i for entry i, 0.0 where that entry lacks the keypoint, and
+    the (len(bank) + 1,) flags of the entries carrying it. The last row,
+    which _neighbor_rows pads with, is zeros and carries nothing. Raises
+    ValueError unless the Gaussian is finite: sigma > 0, and the norm
+    1 / (2 pi sigma^2) does not overflow, which keeps 2 sigma^2 above 0.
+    """
+    denom = 2.0 * math.pi * sigma * sigma
+    if not (sigma > 0 and denom > 0 and math.isfinite(1.0 / denom)):
+        raise ValueError(f"sigma must be positive with a finite Gaussian, got {sigma}")
+    present = bank.present[:, k]
     # absent coordinates are unvalidated: zero them so they stay finite
-    means = np.where(present[:, None], bank.keypoints[entries, k], 0.0)
+    means = np.where(present[:, None], bank.keypoints[:, k], 0.0)
     # squared offsets of the keypoint from the cell centers: [:, 0] over
     # columns (dx2), [:, 1] over rows (dy2)
-    d2 = np.empty((entries.size, 2, GRID_SIZE))
+    d2 = np.empty((len(bank), 2, GRID_SIZE))
     np.subtract(np.arange(GRID_SIZE) + 0.5, means[..., None], out=d2)
     np.square(d2, out=d2)
-    table = np.zeros((entries.size + 1, GRID_SIZE * GRID_SIZE))
+    table = np.zeros((len(bank) + 1, GRID_SIZE * GRID_SIZE))
     grid = table[:-1]
     # dx2[j] + dy2[i] at cell 12 i + j
     np.add(d2[:, 1, :, None], d2[:, 0, None, :], out=grid.reshape(-1, GRID_SIZE, GRID_SIZE))
     grid /= -2.0 * sigma * sigma  # bitwise -(d2) / (2 sigma^2)
     np.exp(grid, out=grid)
     # norm where present, 0.0 where absent: one multiply for both
-    grid *= np.where(present, 1.0 / (2.0 * math.pi * sigma * sigma), 0.0)[:, None]
-    return table
+    grid *= np.where(present, 1.0 / denom, 0.0)[:, None]
+    return table, np.append(present, False)
 
 
-def _priors(bank: PriorBank, blocks: list[np.ndarray], keypoints: range, sigma: float):
-    """Mixture priors of each keypoint around blocks of neighbor rows.
+def _priors(
+    table: np.ndarray, carried: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture priors of one keypoint for a block of neighbor rows.
 
-    blocks holds (B_j, m_j) neighbor rows (_neighbor_rows). Yields
-    (k, j, priors, count) keypoint by keypoint, block by block: the
-    (B_j, 12, 12) priors of keypoint k, clamped below at PRIOR_FLOOR, and
-    the (B_j,) number of neighbors carrying it; where that is 0 the prior
-    is uniform. Each keypoint's grids are evaluated once, in one _table
-    around the entries any block uses, and only one table is alive at a
-    time. A query's sum runs over its neighbors in bank order and adds
-    0.0 for an absent entry or a padding row, so each grid is bitwise the
-    mean over the entries that carry the keypoint.
+    table and carried come from _table, rows (B, m) from _neighbor_rows.
+    Returns the (B, 12, 12) priors, clamped below at PRIOR_FLOOR, and the
+    (B,) number of neighbors carrying the keypoint; where that is 0 the
+    prior is uniform. A query's sum runs over its neighbors in bank order
+    and adds 0.0 for an absent entry or a padding row, so each grid is
+    bitwise the mean over the entries that carry the keypoint.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    used = np.zeros(len(bank) + 1, dtype=bool)
-    for b in blocks:
-        used[b] = True
-    entries = np.flatnonzero(used[:-1])
-    # table row of each bank entry; the padding index maps to the zero row
-    row_of = np.full(len(bank) + 1, entries.size)
-    row_of[entries] = np.arange(entries.size)
-    rows = [row_of[b] for b in blocks]
-    for k in keypoints:
-        table = _table(bank, entries, k, sigma)
-        carried = np.append(bank.present[entries, k], False)
-        for j, r in enumerate(rows):
-            count = carried[r].sum(axis=1)
-            priors = table[r].sum(axis=1).reshape(-1, GRID_SIZE, GRID_SIZE)
-            priors /= np.maximum(count, 1)[:, None, None]
-            np.maximum(priors, PRIOR_FLOOR, out=priors)
-            priors[count == 0] = uniform_prior()
-            yield k, j, priors, count
+    count = carried[rows].sum(axis=1)
+    priors = table[rows].sum(axis=1).reshape(-1, GRID_SIZE, GRID_SIZE)
+    priors /= np.maximum(count, 1)[:, None, None]
+    np.maximum(priors, PRIOR_FLOOR, out=priors)
+    priors[count == 0] = uniform_prior()
+    return priors, count
 
 
 def pose_prior(
@@ -288,8 +274,7 @@ def pose_prior(
     if not 0 <= keypoint_id < bank.num_keypoints:
         raise ValueError(f"keypoint id {keypoint_id} out of range")
     neighbors = neighbor_set(r, bank, threshold)
-    ids = range(keypoint_id, keypoint_id + 1)
-    ((_, _, prior, count),) = _priors(bank, [neighbors[None]], ids, sigma)
+    prior, count = _priors(*_table(bank, keypoint_id, sigma), neighbors[None])
     if count[0] == 0:
         raise NoPriorSupportError(
             f"keypoint {keypoint_id} absent from all {neighbors.size} neighbors"
@@ -352,9 +337,9 @@ def fuse_instances(
 
     Neighbor sets are found in blocks of FUSE_CHUNK instances, one
     distance pass per block. Fusion then runs keypoint by keypoint: each
-    keypoint's Gaussian grids are evaluated once around the bank entries
-    the blocks use (_priors), and each block's priors are decoded against
-    that keypoint's combined maps, so no (B, K, 12, 12) array is built.
+    keypoint's Gaussian grids are evaluated once, around every bank entry
+    (_table), and each block's priors (_priors) are decoded against that
+    keypoint's combined maps, so no (B, K, 12, 12) array is built.
     """
     if not len(rs) == len(fine) == len(coarse):
         raise ValueError(
@@ -376,10 +361,12 @@ def fuse_instances(
     chunks = [slice(lo, lo + FUSE_CHUNK) for lo in range(0, len(rs), FUSE_CHUNK)]
     blocks = [_neighbor_rows(rs[c], bank, threshold) for c in chunks]
     cells = np.empty((len(rs), channels, 2))
-    for k, j, priors, _ in _priors(bank, blocks, range(channels), sigma):
-        c = chunks[j]
-        logliks = combine_scales(
-            [f[k] for f in fine[c]], [m[k] for m in coarse[c]], w_fine, w_coarse
-        )
-        cells[c, k] = _decode(priors, logliks)
+    for k in range(channels):
+        table, carried = _table(bank, k, sigma)
+        for c, rows in zip(chunks, blocks):
+            priors, _ = _priors(table, carried, rows)
+            logliks = combine_scales(
+                [f[k] for f in fine[c]], [m[k] for m in coarse[c]], w_fine, w_coarse
+            )
+            cells[c, k] = _decode(priors, logliks)
     return cells

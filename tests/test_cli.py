@@ -151,9 +151,11 @@ class TestSynthCommand:
         assert "unknown noise profile" in capsys.readouterr().err
 
     def test_zero_instances_rejected(self, tmp_path, capsys):
-        rc = cli.main(["synth", "--seed", "1", "--n", "0", "--out", str(tmp_path / "d")])
-        assert rc == 2
-        assert "n_instances" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", "--seed", "1", "--n", "0", "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert "argument --n: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestEvaluateViewpoint:
@@ -366,6 +368,38 @@ class TestFuseCommand:
         assert exc.value.code == 2
         assert "argument --sigma" in capsys.readouterr().err
         assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+    def test_sigma_without_a_finite_gaussian_refused(self, tmp_path, capsys, sigma):
+        """2 sigma^2 rounds to 0 (1e-200) or the norm 1 / (2 pi sigma^2)
+        overflows (1e-160): refused, not a crash or NaN priors."""
+        ds = _synth(tmp_path, seed=3, n=12, noise="moderate")
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["fuse", "--dataset", str(ds), "--sigma", sigma, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma must be positive with a finite Gaussian")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_maps_and_bank_from_their_flags(self, tmp_path):
+        """--maps and --prior-bank replace the dataset's own files: the fused
+        bytes match a default run, with corrupt decoys left in their place."""
+        ds = _synth(tmp_path, seed=3, n=12, noise="moderate")
+        default = tmp_path / "default.jsonl"
+        assert cli.main(["fuse", "--dataset", str(ds), "--out", str(default)]) == 0
+        maps, bank = tmp_path / "maps", tmp_path / "bank.jsonl"
+        (ds / "responses").rename(maps)
+        (ds / "prior_bank.jsonl").rename(bank)
+        (ds / "responses").mkdir()
+        for blob in maps.iterdir():
+            (ds / "responses" / blob.name).write_bytes(b"not a response map")
+        (ds / "prior_bank.jsonl").write_text("{not json\n")
+        out = tmp_path / "flags.jsonl"
+        rc = cli.main(["fuse", "--dataset", str(ds), "--maps", str(maps),
+                       "--prior-bank", str(bank), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == default.read_bytes()
 
     @pytest.mark.parametrize(
         "kinds", [("fine", "coarse"), ("coarse",)], ids=["no-maps", "fine-only"]
@@ -931,12 +965,18 @@ class TestNumericFlags:
             (["evaluate-viewpoint", "--preds", "p.jsonl", "--detections"], "--bins", "2.5"),
             (["evaluate-keypoints", "--preds", "p.jsonl", "--mode", "apk"], "--lambda", "nan"),
             (["evaluate-keypoints", "--preds", "p.jsonl", "--mode", "apk"], "--lambda", "-inf"),
+            (["synth", "--n", "2"], "--seed", "-1"),
+            (["synth", "--n", "2"], "--seed", "1.5"),
+            (["synth", "--seed", "1"], "--n", "-3"),
+            (["synth", "--seed", "1"], "--n", "2.5"),
         ],
     )
     def test_rejected_at_the_parser(self, tmp_path, capsys, command, flag, value):
         out = tmp_path / "fused.jsonl"
-        args = command + ["--dataset", "ds", flag, value]
-        if command == ["fuse"]:
+        args = command + [flag, value]
+        if command[0] != "synth":
+            args += ["--dataset", "ds"]
+        if command[0] in ("fuse", "synth"):
             args += ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             cli.main(args)

@@ -788,6 +788,27 @@ class TestPriorBankIO:
             load_prior_banks(p, _manifest())
 
 
+    @pytest.mark.parametrize(
+        "point", [[12.5, 3.0], [3.0, 12.0], [-0.1, 3.0], [3.0, 1e999]],
+        ids=["x-past-grid", "y-at-12", "negative", "overflow"],
+    )
+    def test_out_of_grid_keypoint_names_its_line(self, tmp_path, point):
+        """Checked at its line, ahead of a bad rotation on a later line; the
+        same coordinates on an absent keypoint are not read."""
+        p = self._forge(tmp_path, {4: ("rotation", "eye")})
+        records = [json.loads(line) for line in p.read_text().splitlines()]
+        for line, flag in ((1, False), (3, True)):
+            records[line - 1].update(
+                keypoints=[[1.0, 2.0], point, [4.0, 5.0]], present=[True, flag, True]
+            )
+        text = "".join(json.dumps(r) + "\n" for r in records)
+        p.write_text(text.replace("Infinity", "1e999"))
+        message = "prior_bank.jsonl:3: present keypoint coordinates must lie in [0, 12)"
+        with pytest.raises(ValidationError) as exc:
+            load_prior_banks(p, _manifest())
+        assert str(exc.value) == message
+
+
 class TestResponseMapIO:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(65)

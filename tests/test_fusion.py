@@ -27,7 +27,7 @@ from posekit.fusion import (
     fuse_and_decode,
     fuse_instances,
     neighbor_set,
-    normalize_keypoint,
+    normalize_keypoints,
     pose_prior,
     uniform_prior,
     upsample_coarse,
@@ -122,7 +122,8 @@ class TestCombineScales:
 
 class TestNormalization:
     def test_box_center_maps_to_grid_center(self):
-        assert normalize_keypoint((10.0, 20.0, 100.0, 50.0), (60.0, 45.0)) == (6.0, 6.0)
+        grid = normalize_keypoints([(10.0, 20.0, 100.0, 50.0)], [[(60.0, 45.0)]])
+        assert grid.tolist() == [[[6.0, 6.0]]]
 
     def test_roundtrip_inside_box(self):
         rng = np.random.default_rng(33)
@@ -132,23 +133,23 @@ class TestNormalization:
                 float(rng.uniform(12.0, 91.9)),
                 float(rng.uniform(-5.0, 134.9)),
             )
-            g = normalize_keypoint(box, p)
-            back = denormalize_keypoint(box, g)
+            gx, gy = normalize_keypoints([box], [[p]])[0, 0].tolist()
+            back = denormalize_keypoint(box, (gx, gy))
             np.testing.assert_allclose(back, p, atol=1e-9)
 
     def test_clamps_to_grid(self):
         box = (0.0, 0.0, 10.0, 10.0)
-        assert normalize_keypoint(box, (-5.0, 3.0))[0] == 0.0
-        gx, gy = normalize_keypoint(box, (50.0, 50.0))
+        assert normalize_keypoints([box], [[(-5.0, 3.0)]])[0, 0, 0] == 0.0
+        gx, gy = normalize_keypoints([box], [[(50.0, 50.0)]])[0, 0].tolist()
         assert gx == GRID_SIZE - 1e-9
         assert gy == GRID_SIZE - 1e-9
         assert int(gx) == GRID_SIZE - 1
 
     def test_rejects_degenerate_box(self):
         with pytest.raises(ValueError, match="degenerate"):
-            normalize_keypoint((0.0, 0.0, 0.0, 10.0), (1.0, 1.0))
+            normalize_keypoints([(0.0, 0.0, 0.0, 10.0)], [[(1.0, 1.0)]])
         with pytest.raises(ValueError, match="degenerate"):
-            normalize_keypoint((0.0, 0.0, math.nan, 10.0), (1.0, 1.0))
+            normalize_keypoints([(0.0, 0.0, math.nan, 10.0)], [[(1.0, 1.0)]])
         with pytest.raises(ValueError, match="degenerate"):
             denormalize_keypoint((0.0, 0.0, 10.0, -1.0), (1.0, 1.0))
 
@@ -266,6 +267,14 @@ class TestPosePrior:
         with pytest.raises(ValueError, match="keypoint id"):
             pose_prior(np.eye(3), bank, 5)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160, -2.0, math.nan])
+    def test_sigma_without_a_finite_gaussian_refused(self, sigma):
+        """At 1e-200, 2 sigma^2 rounds to 0; at 1e-160 the norm overflows and
+        every cell would be NaN."""
+        bank = PriorBank("c", np.eye(3)[None], np.full((1, 1, 2), 6.5))
+        with pytest.raises(ValueError, match="^sigma must be positive with a finite Gaussian"):
+            pose_prior(np.eye(3), bank, 0, sigma=sigma)
+
     def test_uniform_prior_sums_to_one(self):
         u = uniform_prior()
         assert u.shape == (12, 12)
@@ -345,8 +354,10 @@ def _stacked_priors(rs, bank, num_keypoints, sigma=PRIOR_SIGMA, threshold=NEIGHB
         for lo in range(0, len(rs), chunk)
     ]
     priors = np.empty((len(rs), num_keypoints, GRID_SIZE, GRID_SIZE))
-    for k, j, prior, _ in fusion._priors(bank, blocks, range(num_keypoints), sigma):
-        priors[j * chunk : j * chunk + len(prior), k] = prior
+    for k in range(num_keypoints):
+        table, carried = fusion._table(bank, k, sigma)
+        for j, rows in enumerate(blocks):
+            priors[j * chunk : j * chunk + len(rows), k] = fusion._priors(table, carried, rows)[0]
     return priors
 
 
@@ -533,16 +544,20 @@ class TestPriorTables:
     only one keypoint's grids are held at a time."""
 
     def test_fuse_builds_one_table_per_keypoint_of_a_class(self, monkeypatch):
+        """One table per (class, keypoint), whatever the number of blocks,
+        each over the whole bank plus the zero padding row."""
         scene = generate_scene(3, 60, noise_preset("moderate"), bank_size=40)
         viewpoints = cli.match_by_box(scene.instances, scene.detections)
         built = Counter()
         table = fusion._table
 
-        def counted(bank, entries, k, sigma):
+        def counted(bank, k, sigma):
             built[bank.class_name, k] += 1
-            assert entries.size <= len(bank)
-            assert np.array_equal(entries, np.unique(entries))
-            return table(bank, entries, k, sigma)
+            grids, carried = table(bank, k, sigma)
+            assert grids.shape == (len(bank) + 1, GRID_SIZE * GRID_SIZE)
+            assert carried.shape == (len(bank) + 1,)
+            assert not grids[-1].any() and not carried[-1]
+            return grids, carried
 
         monkeypatch.setattr(fusion, "_table", counted)
         monkeypatch.setattr(fusion, "FUSE_CHUNK", 3)  # many blocks per class

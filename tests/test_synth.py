@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from posekit.dataio import save_dataset
-from posekit.fusion import fuse_and_decode, normalize_keypoint, uniform_prior
+from posekit.fusion import fuse_and_decode, normalize_keypoints, uniform_prior
 from posekit.metrics import iou, voc_ap
 from posekit.so3 import azimuth_distance, geodesic_distance, euler_to_rotation
 from posekit.synth import (
@@ -130,7 +130,7 @@ class TestNoiselessScene:
         for inst in scene.instances:
             fine = scene.response_maps[inst.id]["fine"]
             for k, kp in inst.keypoints.items():
-                gx, gy = normalize_keypoint(inst.bbox, (kp.x, kp.y))
+                gx, gy = normalize_keypoints([inst.bbox], [[(kp.x, kp.y)]])[0, 0]
                 row, col = np.unravel_index(int(fine[k].argmax()), fine[k].shape)
                 assert (row, col) == (int(gy), int(gx))
                 assert fine[k].max() <= 0.0
@@ -194,10 +194,9 @@ class TestInjectedErrors:
         checked = 0
         for inst in scene.instances:
             fine = scene.response_maps[inst.id]["fine"]
-            grid = {
-                k: normalize_keypoint(inst.bbox, (kp.x, kp.y))
-                for k, kp in inst.keypoints.items()
-            }
+            grid = dict(zip(inst.keypoints, normalize_keypoints(
+                [inst.bbox], [[(kp.x, kp.y) for kp in inst.keypoints.values()]]
+            )[0]))
             for m in range(len(inst.keypoints) // 2):
                 a, b = 2 * m, 2 * m + 1
                 own = (int(grid[a][1]), int(grid[a][0]))
