@@ -715,8 +715,14 @@ def load_response_maps(
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset directory in the documented formats."""
+    """Write a dataset directory in the documented formats.
+
+    Raises ValidationError unless the directory is new or empty, so that no
+    file of another dataset (a response map, say) is read back with this one.
+    """
     base = Path(path)
+    if base.is_dir() and any(base.iterdir()):
+        raise ValidationError(f"{base}: not empty; a dataset needs a new or empty directory")
     base.mkdir(parents=True, exist_ok=True)
     save_manifest(dataset.manifest, base / "manifest.json")
     save_instances(dataset.instances, base / "instances.jsonl")

@@ -167,22 +167,6 @@ def denormalize_keypoint(box: Box, g: tuple[float, float]) -> tuple[float, float
     return (x, y)
 
 
-def _neighbors(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
-    """(B, n) mask of the bank entries geodesically near each of B rotations.
-
-    Row b marks the entries with distance strictly below the threshold;
-    when none qualify, the single nearest entry (the first on a tie), so
-    the prior is always defined. One distance pass serves the whole stack.
-    """
-    if len(bank) == 0:
-        raise ValueError("prior bank is empty")
-    d = geodesic_distances(rs[:, None], bank.rotations)
-    near = d < threshold
-    lonely = np.flatnonzero(~near.any(axis=1))
-    near[lonely, d[lonely].argmin(axis=1)] = True
-    return near
-
-
 def neighbor_set(
     r: np.ndarray, bank: PriorBank, threshold: float = NEIGHBOR_THRESHOLD
 ) -> np.ndarray:
@@ -192,13 +176,22 @@ def neighbor_set(
     none qualify, falls back to the single nearest entry so the prior is
     always defined.
     """
-    return np.flatnonzero(_neighbors(np.asarray(r)[None], bank, threshold)[0])
+    return _neighbor_rows(np.asarray(r)[None], bank, threshold)[0]
 
 
 def _neighbor_rows(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
-    """(B, m) indices of the neighbors (_neighbors) of each of B rotations,
-    each row in bank order and padded at its end with len(bank)."""
-    near = _neighbors(rs, bank, threshold)
+    """(B, m) indices of the neighbors (neighbor_set) of each of B rotations,
+    each row in bank order and padded at its end with len(bank).
+
+    One distance pass serves the whole stack; a row whose rotation has no
+    entry below the threshold holds the nearest entry (the first on a tie).
+    """
+    if len(bank) == 0:
+        raise ValueError("prior bank is empty")
+    d = geodesic_distances(rs[:, None], bank.rotations)
+    near = d < threshold
+    lonely = np.flatnonzero(~near.any(axis=1))
+    near[lonely, d[lonely].argmin(axis=1)] = True
     query, entries = np.nonzero(near)
     sizes = near.sum(axis=1)
     rows = np.full((len(near), sizes.max(initial=0)), len(bank))
@@ -229,8 +222,10 @@ def _table(bank: PriorBank, k: int, sigma: float) -> tuple[np.ndarray, np.ndarra
     grid = table[:-1]
     # dx2[j] + dy2[i] at cell 12 i + j
     np.add(d2[:, 1, :, None], d2[:, 0, None, :], out=grid.reshape(-1, GRID_SIZE, GRID_SIZE))
-    grid /= -2.0 * sigma * sigma  # bitwise -(d2) / (2 sigma^2)
-    np.exp(grid, out=grid)
+    # A tiny sigma sends far cells to -inf, whose exp is the exact limit 0.
+    with np.errstate(over="ignore"):
+        grid /= -2.0 * sigma * sigma  # bitwise -(d2) / (2 sigma^2)
+        np.exp(grid, out=grid)
     # norm where present, 0.0 where absent: one multiply for both
     grid *= np.where(present, 1.0 / denom, 0.0)[:, None]
     return table, np.append(present, False)

@@ -11,11 +11,11 @@ log-Gaussian cones peaked at the (possibly swapped) predicted keypoint, so
 appearance-only decoding reproduces the prediction and a swapped map keeps
 a secondary peak at the true location one unit lower.
 
-The random stream is consumed in fixed per-instance blocks, but the
-arithmetic runs once per scene: every rotation, projection and response
-map of the scene is computed in stacked numpy passes, bitwise equal to
-the per-instance arithmetic (see the note above `_unit_rows` for the
-steps that stay scalar), and the records are built last.
+A scene is built in one pass. The random stream is consumed in fixed
+per-instance blocks (`_draw_stream`); then every rotation, projection and
+response map of the scene is computed in stacked numpy passes, bitwise
+equal to the per-instance arithmetic (see the note above `_unit_rows` for
+the steps that stay scalar); and the records are built last.
 
 The module also carries brute-force re-derivations of the fused decode and
 of average precision. They share no arithmetic with the library code they
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -228,152 +227,65 @@ def _make_manifest() -> Manifest:
     )
 
 
-def _draw_stream(rng: np.random.Generator, n: int, k_all: Sequence[int]) -> SimpleNamespace:
+def _draw_stream(
+    rng: np.random.Generator, n: int, k_all: Sequence[int]
+) -> dict[str, np.ndarray]:
     """Consume the random stream in its fixed per-instance block.
 
-    Keypoint-sized draws are stacked in instance order: instance i owns
-    keypoint rows offsets[i]:offsets[i + 1], and owner[row] is i;
-    lateral-swap draws, one per keypoint pair, are stacked the same way.
+    Returns each draw stacked in instance order: per-instance draws as
+    (n, ...) arrays, and the per-pair (u_swap) and per-keypoint draws as
+    their instances' rows one after another.
     """
-    k_max = max(k_all)
-    d = SimpleNamespace(
-        cls=np.empty(n, dtype=np.intp),
-        offsets=np.zeros(n + 1, dtype=np.intp),
-        dims=np.empty((n, 2)),
-        pos=np.empty((n, 2)),
-        q_gt=np.empty((n, 4)),
-        flags=np.empty((n, 2)),
-        eps_vp=np.empty((n, 3)),
-        u_flip=np.empty(n),
-        u_swap=np.empty(n * (k_max // 2)),
-        eps_kp=np.empty((n * k_max, 2)),
-        eps_kp_score=np.empty(n * k_max),
-        eps_score=np.empty(n),
-        u_fp=np.empty(n),
-        fp_shift=np.empty((n, 2)),
-        q_fp=np.empty((n, 4)),
-        eps_fp_score=np.empty(n),
-        eps_fp_kp_score=np.empty(n * k_max),
-    )
-    pairs = 0
-    for i in range(n):
-        ci = d.cls[i] = rng.integers(len(k_all))
-        k_c = k_all[ci]
-        rows = slice(d.offsets[i], d.offsets[i] + k_c)
-        d.offsets[i + 1] = rows.stop
-        d.dims[i] = rng.uniform(60.0, 160.0, size=2)
-        d.pos[i] = rng.uniform(0.0, 200.0, size=2)
-        d.q_gt[i] = rng.normal(size=4)
-        d.flags[i] = rng.random(2)
-        d.eps_vp[i] = rng.normal(size=3)
-        d.u_flip[i] = rng.random()
-        d.u_swap[pairs : pairs + k_c // 2] = rng.random(k_c // 2)
-        pairs += k_c // 2
-        d.eps_kp[rows] = rng.normal(size=(k_c, 2))
-        d.eps_kp_score[rows] = rng.normal(size=k_c)
-        d.eps_score[i] = rng.normal()
-        d.u_fp[i] = rng.random()
-        d.fp_shift[i] = rng.random(2)
-        d.q_fp[i] = rng.normal(size=4)
-        d.eps_fp_score[i] = rng.normal()
-        d.eps_fp_kp_score[rows] = rng.normal(size=k_c)
-    total = d.offsets[-1]
-    d.owner = np.repeat(np.arange(n), np.diff(d.offsets))
-    d.u_swap = d.u_swap[:pairs]
-    d.eps_kp, d.eps_kp_score, d.eps_fp_kp_score = (
-        a[:total] for a in (d.eps_kp, d.eps_kp_score, d.eps_fp_kp_score)
-    )
-    return d
+    fixed: dict[str, list] = {}
+    ragged: dict[str, list] = {}
+    for _ in range(n):
+        ci = rng.integers(len(k_all))
+        k = k_all[ci]
+        # One instance's block, in draw order: a new draw goes here once.
+        for into, name, value in (
+            (fixed, "cls", ci),
+            (fixed, "dims", rng.uniform(60.0, 160.0, size=2)),
+            (fixed, "pos", rng.uniform(0.0, 200.0, size=2)),
+            (fixed, "q_gt", rng.normal(size=4)),
+            (fixed, "flags", rng.random(2)),
+            (fixed, "eps_vp", rng.normal(size=3)),
+            (fixed, "u_flip", rng.random()),
+            (ragged, "u_swap", rng.random(k // 2)),
+            (ragged, "eps_kp", rng.normal(size=(k, 2))),
+            (ragged, "eps_kp_score", rng.normal(size=k)),
+            (fixed, "eps_score", rng.normal()),
+            (fixed, "u_fp", rng.random()),
+            (fixed, "fp_shift", rng.random(2)),
+            (fixed, "q_fp", rng.normal(size=4)),
+            (fixed, "eps_fp_score", rng.normal()),
+            (ragged, "eps_fp_kp_score", rng.normal(size=k)),
+        ):
+            into.setdefault(name, []).append(value)
+    draws = {name: np.array(values) for name, values in fixed.items()}
+    draws.update((name, np.concatenate(values)) for name, values in ragged.items())
+    return draws
 
 
 def _project_rows(
-    templates: Sequence[np.ndarray], d: SimpleNamespace, rots: np.ndarray, boxes: np.ndarray
+    templates: Sequence[np.ndarray],
+    cls: np.ndarray,
+    offsets: np.ndarray,
+    rots: np.ndarray,
+    boxes: np.ndarray,
 ) -> np.ndarray:
     """Each instance's class template under its rotation, mapped into its box.
 
-    One stacked matmul per class; returns the (total keypoints, 2) pixel
-    rows in instance order.
+    Instance i is of class cls[i] and owns keypoint rows
+    offsets[i]:offsets[i + 1]. One stacked matmul per class; returns the
+    (total keypoints, 2) pixel rows in instance order.
     """
-    rotated = np.empty((d.offsets[-1], 3))
+    rotated = np.empty((offsets[-1], 3))
     for ci, template in enumerate(templates):
-        sel = np.flatnonzero(d.cls == ci)
-        at = (d.offsets[sel][:, None] + np.arange(len(template))).ravel()
+        sel = np.flatnonzero(cls == ci)
+        at = (offsets[sel][:, None] + np.arange(len(template))).ravel()
         rotated[at] = (template @ rots[sel].transpose(0, 2, 1)).reshape(-1, 3)
-    x, y, w, h = boxes[d.owner].T
+    x, y, w, h = np.repeat(boxes, np.diff(offsets), axis=0).T
     return _to_box(rotated, x, y, w, h)
-
-
-def _scene_columns(
-    d: SimpleNamespace,
-    profile: NoiseProfile,
-    templates: Sequence[np.ndarray],
-    box_size: tuple[float, float] | None,
-) -> SimpleNamespace:
-    """Every rotation, projection and response map of the scene at once.
-
-    Returns what the records are built from: per-instance and
-    per-keypoint-row values, as Python lists where a record takes them.
-    """
-    n, total, owner = len(d.cls), d.offsets[-1], d.owner
-    k_inst = np.diff(d.offsets)
-    local = np.arange(total) - d.offsets[owner]
-
-    size = d.dims if box_size is None else np.tile(np.asarray(box_size, float), (n, 1))
-    boxes = np.concatenate((d.pos, size), axis=1)
-    fp_boxes = np.concatenate((d.pos + size * (1.5 + d.fp_shift), size), axis=1)
-
-    r_gt = _quat_to_matrix(_unit_rows(d.q_gt))
-    r_pred = r_gt @ _exp_so3(profile.viewpoint_jitter * d.eps_vp)
-    flip = d.u_flip < profile.pi_flip_prob
-    r_pred[flip] = pi_flip(r_pred[flip])
-
-    gt_px = _project_rows(templates, d, r_gt, boxes)
-    pred_px = gt_px + profile.keypoint_jitter * d.eps_kp
-
-    # A swapped pair trades predictions: row 2m reads 2m+1 and back.
-    swap = np.zeros(total, dtype=bool)
-    swap[local < k_inst[owner] // 2 * 2] = np.repeat(
-        d.u_swap < profile.lateral_swap_prob, 2
-    )
-    target = np.arange(total)
-    target[swap] += 1 - 2 * (local[swap] % 2)
-
-    grid = normalize_keypoints(boxes[owner], pred_px[:, None])[:, 0]
-
-    fine = _response_maps(grid[target], swap, grid, GRID_SIZE, RESPONSE_SHARPNESS)
-    coarse = _response_maps(
-        grid[target] / 2.0, swap, grid / 2.0, COARSE_SIZE, RESPONSE_SHARPNESS / 2.0
-    )
-    hyp_px = pred_px[target]
-    is_fp = d.u_fp < profile.false_positive_rate
-    r_fp = _quat_to_matrix(_unit_rows(d.q_fp))
-    fp_px = _project_rows(templates, d, r_fp, fp_boxes)
-
-    noise = profile.score_noise
-    return SimpleNamespace(
-        cls=d.cls.tolist(),
-        offsets=d.offsets.tolist(),
-        boxes=boxes.tolist(),
-        occluded=(d.flags[:, 0] < OCCLUSION_RATE).tolist(),
-        truncated=(d.flags[:, 1] < TRUNCATION_RATE).tolist(),
-        euler_gt=[rotation_to_euler(r) for r in r_gt],
-        euler_pred=[rotation_to_euler(r) for r in r_pred],
-        score=(1.0 + noise * d.eps_score).tolist(),
-        gt_x=gt_px[:, 0].tolist(),
-        gt_y=gt_px[:, 1].tolist(),
-        hyp_x=hyp_px[:, 0].tolist(),
-        hyp_y=hyp_px[:, 1].tolist(),
-        kp_score=(1.0 + noise * d.eps_kp_score).tolist(),
-        fine=fine,
-        coarse=coarse,
-        # false positives, read for the few instances that have one
-        is_fp=is_fp.tolist(),
-        fp_boxes=fp_boxes,
-        euler_fp={i: rotation_to_euler(r_fp[i]) for i in np.flatnonzero(is_fp).tolist()},
-        fp_px=fp_px,
-        fp_score=0.5 + noise * d.eps_fp_score,
-        fp_kp_score=0.5 + noise * d.eps_fp_kp_score,
-    )
 
 
 def _detection(
@@ -424,50 +336,93 @@ def generate_scene(
     banks = {}
     for cls, template in zip(DEFAULT_CLASSES, templates):
         rots = _quat_to_matrix(_unit_rows(rng.normal(size=(bank_size, 4))))
-        kps = _grid_coords(template, rots)
-        banks[cls] = PriorBank(
-            class_name=cls,
-            rotations=rots,
-            keypoints=kps,
-            present=np.ones(kps.shape[:2], dtype=bool),
-        )
+        banks[cls] = PriorBank(cls, rots, _grid_coords(template, rots))  # every keypoint present
 
-    draws = _draw_stream(rng, n_instances, counts)
-    c = _scene_columns(draws, profile, templates, box_size)
-    del draws  # free the draws before the records grow
+    d = _draw_stream(rng, n_instances, counts)
+    cls = d["cls"]
+    k_inst = np.asarray(counts)[cls]
+    offsets = np.concatenate(([0], np.cumsum(k_inst)))
+    owner = np.repeat(np.arange(n_instances), k_inst)
+    local = np.arange(offsets[-1]) - offsets[owner]
+
+    size = d["dims"]
+    if box_size is not None:
+        size = np.tile(np.asarray(box_size, float), (n_instances, 1))
+    boxes = np.concatenate((d["pos"], size), axis=1)
+    fp_boxes = np.concatenate((d["pos"] + size * (1.5 + d["fp_shift"]), size), axis=1)
+
+    r_gt = _quat_to_matrix(_unit_rows(d["q_gt"]))
+    r_pred = r_gt @ _exp_so3(profile.viewpoint_jitter * d["eps_vp"])
+    flip = d["u_flip"] < profile.pi_flip_prob
+    r_pred[flip] = pi_flip(r_pred[flip])
+
+    gt_px = _project_rows(templates, cls, offsets, r_gt, boxes)
+    pred_px = gt_px + profile.keypoint_jitter * d["eps_kp"]
+
+    # A swapped pair trades predictions: row 2m reads 2m+1 and back.
+    swap = np.zeros(offsets[-1], dtype=bool)
+    swap[local < k_inst[owner] // 2 * 2] = np.repeat(d["u_swap"] < profile.lateral_swap_prob, 2)
+    target = np.arange(offsets[-1])
+    target[swap] += 1 - 2 * (local[swap] % 2)
+
+    grid = normalize_keypoints(boxes[owner], pred_px[:, None])[:, 0]
+
+    fine = _response_maps(grid[target], swap, grid, GRID_SIZE, RESPONSE_SHARPNESS)
+    coarse = _response_maps(
+        grid[target] / 2.0, swap, grid / 2.0, COARSE_SIZE, RESPONSE_SHARPNESS / 2.0
+    )
+    is_fp = d["u_fp"] < profile.false_positive_rate
+    r_fp = _quat_to_matrix(_unit_rows(d["q_fp"]))
+    fp_px = _project_rows(templates, cls, offsets, r_fp, fp_boxes)
+
+    # What the records read, as Python values where a record takes them;
+    # false positives are read for the few instances that have one.
+    noise = profile.score_noise
+    occluded = (d["flags"][:, 0] < OCCLUSION_RATE).tolist()
+    truncated = (d["flags"][:, 1] < TRUNCATION_RATE).tolist()
+    euler_gt = [rotation_to_euler(r) for r in r_gt]
+    euler_pred = [rotation_to_euler(r) for r in r_pred]
+    score = (1.0 + noise * d["eps_score"]).tolist()
+    gt_x, gt_y = gt_px.T.tolist()
+    hyp_x, hyp_y = pred_px[target].T.tolist()
+    kp_score = (1.0 + noise * d["eps_kp_score"]).tolist()
+    euler_fp = {i: rotation_to_euler(r_fp[i]) for i in np.flatnonzero(is_fp).tolist()}
+    fp_score = 0.5 + noise * d["eps_fp_score"]
+    fp_kp_score = 0.5 + noise * d["eps_fp_kp_score"]
 
     instances: list[Instance] = []
     detections: list[Detection] = []
     response_maps: dict[str, dict[str, np.ndarray]] = {}
-    for i in range(n_instances):
-        cls = DEFAULT_CLASSES[c.cls[i]]
-        start, stop = c.offsets[i], c.offsets[i + 1]
-        bbox = tuple(c.boxes[i])
+    bounds = offsets.tolist()
+    for i, (ci, box) in enumerate(zip(cls.tolist(), boxes.tolist())):
+        name = DEFAULT_CLASSES[ci]
+        start, stop = bounds[i], bounds[i + 1]
+        bbox = tuple(box)
         image_id = f"im{i:06d}"
         iid = f"inst{i:06d}"
         instances.append(
             Instance(
                 id=iid,
                 image_id=image_id,
-                class_name=cls,
+                class_name=name,
                 bbox=bbox,
-                occluded=c.occluded[i],
-                truncated=c.truncated[i],
-                viewpoint=c.euler_gt[i],
+                occluded=occluded[i],
+                truncated=truncated[i],
+                viewpoint=euler_gt[i],
                 keypoints={
-                    k: Keypoint(c.gt_x[r], c.gt_y[r], True)
+                    k: Keypoint(gt_x[r], gt_y[r], True)
                     for k, r in enumerate(range(start, stop))
                 },
             )
         )
-        response_maps[iid] = {"fine": c.fine[start:stop], "coarse": c.coarse[start:stop]}
-        hyps = zip(c.hyp_x[start:stop], c.hyp_y[start:stop], c.kp_score[start:stop])
-        detections.append(_detection(image_id, cls, bbox, c.score[i], c.euler_pred[i], hyps))
-        if c.is_fp[i]:
-            hyps = zip(*c.fp_px[start:stop].T.tolist(), c.fp_kp_score[start:stop].tolist())
-            fp_box = tuple(c.fp_boxes[i].tolist())
+        response_maps[iid] = {"fine": fine[start:stop], "coarse": coarse[start:stop]}
+        hyps = zip(hyp_x[start:stop], hyp_y[start:stop], kp_score[start:stop])
+        detections.append(_detection(image_id, name, bbox, score[i], euler_pred[i], hyps))
+        if is_fp[i]:
+            hyps = zip(*fp_px[start:stop].T.tolist(), fp_kp_score[start:stop].tolist())
+            fp_box = tuple(fp_boxes[i].tolist())
             detections.append(
-                _detection(image_id, cls, fp_box, float(c.fp_score[i]), c.euler_fp[i], hyps)
+                _detection(image_id, name, fp_box, float(fp_score[i]), euler_fp[i], hyps)
             )
 
     return Dataset(

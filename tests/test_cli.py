@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -75,6 +76,20 @@ class TestSynthCommand:
         a = _tree(_synth(tmp_path / "a", seed=31, n=8))
         b = _tree(_synth(tmp_path / "b", seed=31, n=8))
         assert a == b
+
+    def test_refuses_an_out_directory_that_is_not_empty(self, tmp_path, capsys):
+        """A second scene over a first would leave the first one's response
+        maps for instances the second lacks, which fuse then refuses: the
+        second synth exits 2 and writes nothing. An empty directory is fine."""
+        ds = _synth(tmp_path, seed=1, n=10)
+        before = _tree(ds)
+        rc = cli.main(["synth", "--seed", "2", "--n", "5", "--out", str(ds)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {ds}: not empty")
+        assert _tree(ds) == before
+        assert cli.main(["fuse", "--dataset", str(ds), "--out", str(tmp_path / "f.jsonl")]) == 0
+        (tmp_path / "empty").mkdir()
+        assert cli.main(["synth", "--seed", "2", "--n", "5", "--out", str(tmp_path / "empty")]) == 0
 
     def test_different_seeds_differ(self, tmp_path):
         a = _tree(_synth(tmp_path / "a", seed=31, n=8))
@@ -381,6 +396,18 @@ class TestFuseCommand:
         assert err.startswith("error: sigma must be positive with a finite Gaussian")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_tiny_sigma_fuses_without_a_warning(self):
+        """At 1e-154 the exponent of every far cell overflows to -inf, whose
+        exp is the exact limit 0: no warning, not even one raised as an
+        error, and the cells of a run that ignores warnings."""
+        scene = synth.generate_scene(3, 12, synth.noise_preset("moderate"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = cli.fuse_predictions(scene, sigma=1e-154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.fuse_predictions(scene, sigma=1e-154) == quiet
 
     def test_maps_and_bank_from_their_flags(self, tmp_path):
         """--maps and --prior-bank replace the dataset's own files: the fused
@@ -1184,10 +1211,11 @@ class TestCollectorPause:
         n = 12 and n = 48 (the argument parser's own cycles), so no record
         type or loader makes reference cycles per record, and pausing the
         collector for a command leaks nothing that grows with its input.
-        A first pass at n = 12 settles one-time lazy set-up."""
+        A first pass at n = 12 settles one-time lazy set-up; each pass
+        writes its own dataset directory."""
 
-        def commands(n: int) -> list[list[str]]:
-            ds, out = tmp_path / f"ds{n}", tmp_path / f"out{n}"
+        def commands(run: int, n: int) -> list[list[str]]:
+            ds, out = tmp_path / f"ds{run}", tmp_path / f"out{run}"
             dets, fused, report = str(ds / "detections.jsonl"), str(out), str(out) + ".json"
             evaluate = ["--dataset", str(ds), "--report", report]
             return [
@@ -1207,10 +1235,10 @@ class TestCollectorPause:
         gc.disable()
         try:
             found = {}
-            for n in (12, 12, 48):
+            for run, n in enumerate((12, 12, 48)):
                 gc.collect()
                 counts = []
-                for argv in commands(n):
+                for argv in commands(run, n):
                     with contextlib.redirect_stdout(io.StringIO()):
                         assert cli.main(argv) == 0, argv
                     counts.append(gc.collect())

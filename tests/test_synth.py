@@ -108,6 +108,23 @@ class TestSceneDeterminism:
                 a.prior_banks[cls].rotations, b.prior_banks[cls].rotations
             )
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_scene_is_a_prefix_of_a_larger_one(self, seed):
+        """Each instance consumes a fixed block of the stream, so a scene's
+        records, maps and bank do not depend on how many instances follow."""
+        small = generate_scene(seed, 10, noise_preset("heavy"), bank_size=30)
+        large = generate_scene(seed, 40, noise_preset("heavy"), bank_size=30)
+        assert small.instances == large.instances[:10]
+        images = {inst.image_id for inst in small.instances}
+        assert small.detections == [d for d in large.detections if d.image_id in images]
+        assert len(small.detections) > 10  # some false positives among them
+        for iid, maps in small.response_maps.items():
+            for kind in ("fine", "coarse"):
+                np.testing.assert_array_equal(maps[kind], large.response_maps[iid][kind])
+        for cls, bank in small.prior_banks.items():
+            np.testing.assert_array_equal(bank.rotations, large.prior_banks[cls].rotations)
+            np.testing.assert_array_equal(bank.keypoints, large.prior_banks[cls].keypoints)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_instances"):
             generate_scene(seed=1, n_instances=0, profile=noise_preset("zero"))
