@@ -674,20 +674,45 @@ _MAP_KINDS = ("fine", "coarse")
 _MAP_SIZES = {"fine": GRID_SIZE, "coarse": COARSE_SIZE}
 
 
-def load_response_maps(
-    directory: str | Path, manifest: Manifest, instances: Iterable[Instance]
+def _class_maps(
+    prefix: str, blobs: Iterable[tuple[str, str, str]], cls: str, class_id: int, k_c: int
 ) -> dict[str, dict[str, np.ndarray]]:
-    """Read every VKRM blob in a directory, keyed by instance id and kind.
+    """Read one class's blobs, (name, instance id, kind) each, checking each
+    against the class's id and keypoint count; fine maps are 12x12, coarse 6x6.
 
-    Each blob must belong to a known instance and agree with the manifest
-    on class id and keypoint count; fine maps are 12x12, coarse 6x6.
+    A function of its own so that no local of response_maps_by_class holds
+    a map of this class while the next class is read.
+    """
+    maps: dict[str, dict[str, np.ndarray]] = {}
+    for name, iid, kind in blobs:
+        found, data = read_response_map(prefix + name)
+        if found != class_id:
+            raise ValidationError(
+                f"{name}: class id {found} but instance {iid!r}"
+                f" is {cls!r} (id {class_id})"
+            )
+        size = _MAP_SIZES[kind]
+        if data.shape != (k_c, size, size):
+            raise ValidationError(
+                f"{name}: shape {data.shape}, expected ({k_c}, {size}, {size})"
+            )
+        maps.setdefault(iid, {})[kind] = data
+    return maps
+
+
+def response_maps_by_class(
+    directory: str | Path, manifest: Manifest, instances: Iterable[Instance]
+) -> Iterator[tuple[list[Instance], dict[str, dict[str, np.ndarray]]]]:
+    """Read the VKRM blobs of a directory one class at a time.
+
+    Every blob name is checked first, before any blob is read: it must be
+    <id>_fine.vkrm or <id>_coarse.vkrm for a known instance. Then, in sorted
+    class order, yields (members, maps): the class's instances and its maps
+    keyed by instance id and kind. A class without blobs yields an empty
+    dict. The reader keeps no class's maps once the next class is asked for.
     """
     by_id = {inst.id: inst for inst in instances}
-    expected = {  # class -> (class id, keypoint count)
-        cls: (i, len(manifest.keypoint_names[cls])) for i, cls in enumerate(manifest.classes)
-    }
-    prefix = os.path.join(directory, "")
-    response_maps: dict[str, dict[str, np.ndarray]] = {}
+    blobs: dict[str, list[tuple[str, str, str]]] = {}  # class -> (name, id, kind)
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".vkrm"):
             continue
@@ -698,20 +723,15 @@ def load_response_maps(
         inst = by_id.get(iid)
         if inst is None:
             raise ValidationError(f"{name}: unknown instance id {iid!r}")
-        class_id, data = read_response_map(prefix + name)
-        expect_cls, k_c = expected[inst.class_name]
-        if class_id != expect_cls:
-            raise ValidationError(
-                f"{name}: class id {class_id} but instance {iid!r}"
-                f" is {inst.class_name!r} (id {expect_cls})"
-            )
-        size = _MAP_SIZES[kind]
-        if data.shape != (k_c, size, size):
-            raise ValidationError(
-                f"{name}: shape {data.shape}, expected ({k_c}, {size}, {size})"
-            )
-        response_maps.setdefault(iid, {})[kind] = data
-    return response_maps
+        blobs.setdefault(inst.class_name, []).append((name, iid, kind))
+    members: dict[str, list[Instance]] = {}
+    for inst in by_id.values():
+        members.setdefault(inst.class_name, []).append(inst)
+    prefix = os.path.join(directory, "")
+    for cls in sorted(members):
+        class_id = manifest.classes.index(cls)
+        k_c = len(manifest.keypoint_names[cls])
+        yield members[cls], _class_maps(prefix, blobs.get(cls, ()), cls, class_id, k_c)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

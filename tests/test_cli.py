@@ -15,7 +15,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -429,12 +433,20 @@ class TestFuseCommand:
         assert out.read_bytes() == default.read_bytes()
 
     @pytest.mark.parametrize(
-        "kinds", [("fine", "coarse"), ("coarse",)], ids=["no-maps", "fine-only"]
+        "iid, kinds",
+        [
+            ("inst000004", ("fine", "coarse")),
+            ("inst000004", ("coarse",)),
+            ("inst000005", ("fine", "coarse")),
+            ("inst000005", ("coarse",)),
+        ],
+        ids=["no-maps", "fine-only", "no-maps-first-class", "fine-only-first-class"],
     )
-    def test_instance_missing_maps_rejected(self, tmp_path, capsys, kinds):
-        """An instance with one map kind or none exits 2; it is never dropped."""
+    def test_instance_missing_maps_rejected(self, tmp_path, capsys, iid, kinds):
+        """An instance with one map kind or none exits 2; it is never dropped.
+        inst000005 is a car, the first class fused; inst000004 is the only
+        chair, fused after the cars, so without maps its class has none."""
         ds = _synth(tmp_path, n=6)
-        iid = "inst000004"
         for kind in kinds:
             (ds / "responses" / f"{iid}_{kind}.vkrm").unlink()
         out = tmp_path / "p.jsonl"
@@ -442,6 +454,32 @@ class TestFuseCommand:
         assert rc == 2
         message = f"instance {iid!r}: needs both fine and coarse response maps"
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_class_stops_before_a_later_class_is_read(self, tmp_path, capsys):
+        """The maps are read and fused one class at a time: a missing
+        viewpoint in the first class is refused before the corrupt blob of
+        a later class is read."""
+        ds = _synth(tmp_path, n=6)
+        manifest, instances = dataio.load_ground_truth(ds)
+        classes = sorted({inst.class_name for inst in instances})
+        victim = min(inst.id for inst in instances if inst.class_name == classes[0])
+        later = min(inst.id for inst in instances if inst.class_name == classes[-1])
+        box = {inst.id: (inst.image_id, inst.bbox) for inst in instances}
+        dets = [
+            dataclasses.replace(det, viewpoint=None)
+            if (det.image_id, det.bbox) == box[victim] else det
+            for det in dataio.load_detections(ds / "detections.jsonl", manifest)
+        ]
+        dataio.save_detections(dets, ds / "detections.jsonl")
+        (ds / "responses" / f"{later}_fine.vkrm").write_bytes(b"not a response map")
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                       "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"instance {victim!r}: no viewpoint to condition on" in err
+        assert f"{later}_fine.vkrm" not in err
         assert not out.exists()
 
     def test_missing_bank_file(self, tmp_path):
@@ -923,6 +961,32 @@ class TestInputsRead:
         assert rc == 0
         assert calls == {"read_response_map": 2 * n, "check_rotations": 1}
 
+    def test_fuse_holds_one_class_of_maps_at_a_time(self, tmp_path, monkeypatch):
+        """When the first blob of a class is read, no map of an earlier
+        class is still alive: fuse reads, fuses and frees class by class."""
+        ds = _synth(tmp_path, n=12)
+        _, instances = dataio.load_ground_truth(ds)
+        class_of = {inst.id: inst.class_name for inst in instances}
+        read = dataio.read_response_map
+        alive: list[tuple[str, weakref.ref]] = []
+        order, stale = [], []
+
+        def watched(path):
+            cls = class_of[os.path.basename(path).rpartition("_")[0]]
+            if cls not in order:
+                order.append(cls)
+                stale.extend(c for c, ref in alive if ref() is not None)
+            class_id, data = read(path)
+            alive.append((cls, weakref.ref(data)))
+            return class_id, data
+
+        monkeypatch.setattr(dataio, "read_response_map", watched)
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                       "--out", str(tmp_path / "fused.jsonl")])
+        assert rc == 0
+        assert order == sorted(set(class_of.values())) and len(order) == 3
+        assert stale == []
+
     def test_fuse_makes_one_distance_pass_per_chunk_of_a_class(self, tmp_path, monkeypatch):
         """Neighbour search runs once per stacked chunk, ceil(n_c / chunk)
         passes for a class of n_c instances, not once per instance."""
@@ -953,6 +1017,34 @@ class TestInputsRead:
             cls: math.ceil(n / 3) for cls, n in per_class.items()
         }
         assert sum(passes.values()) == sum(math.ceil(n / 3) for n in per_class.values())
+
+
+class TestImports:
+    def test_known_box_commands_skip_numpy_ma(self, tmp_path):
+        """evaluate-viewpoint --gt-boxes and diagnose take their medians
+        without importing numpy.ma, in a fresh process."""
+        ds = _synth(tmp_path, n=12, noise="moderate")
+        dets = str(ds / "detections.jsonl")
+        script = "; ".join(
+            [
+                "import sys",
+                "from posekit import cli",
+                "ds, dets, out = sys.argv[1:]",
+                "assert cli.main(['evaluate-viewpoint', '--dataset', ds, '--preds', dets,"
+                " '--gt-boxes', '--report', out + '/vp.txt']) == 0",
+                "assert cli.main(['diagnose', '--dataset', ds, '--preds', dets, '--slices',"
+                " 'size', '--error-modes', '--left-right', '--report', out + '/dx.txt']) == 0",
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'",
+            ]
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ds), dets, str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestThresholdFlags:

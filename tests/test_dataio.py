@@ -30,9 +30,9 @@ from posekit.dataio import (
     load_keypoint_predictions,
     load_manifest,
     load_prior_banks,
-    load_response_maps,
     read_response_map,
     render_report,
+    response_maps_by_class,
     save_dataset,
     save_detections,
     save_instances,
@@ -876,7 +876,8 @@ class TestResponseMapIO:
 
     def test_load_directory(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
-        maps = load_response_maps(d, _manifest(), insts)
+        [(members, maps)] = response_maps_by_class(d, _manifest(), insts)
+        assert members == insts
         assert set(maps["i0"]) == {"fine", "coarse"}
         assert maps["i0"]["fine"].shape == (3, 12, 12)
 
@@ -884,31 +885,63 @@ class TestResponseMapIO:
         d, insts = self._responses_dir(tmp_path)
         write_response_map(d / "ghost_fine.vkrm", np.zeros((3, 12, 12), np.float32), 0)
         with pytest.raises(ValidationError, match="unknown instance"):
-            load_response_maps(d, _manifest(), insts)
+            list(response_maps_by_class(d, _manifest(), insts))
 
     def test_class_id_mismatch_rejected(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         write_response_map(d / "i0_fine.vkrm", np.zeros((3, 12, 12), np.float32), 1)
         with pytest.raises(ValidationError, match="class id"):
-            load_response_maps(d, _manifest(), insts)
+            list(response_maps_by_class(d, _manifest(), insts))
 
     def test_shape_mismatch_rejected(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         write_response_map(d / "i0_fine.vkrm", np.zeros((2, 12, 12), np.float32), 0)
         with pytest.raises(ValidationError, match="shape"):
-            load_response_maps(d, _manifest(), insts)
+            list(response_maps_by_class(d, _manifest(), insts))
 
     def test_bad_filename_rejected(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         write_response_map(d / "whatever.vkrm", np.zeros((3, 12, 12), np.float32), 0)
         with pytest.raises(ValidationError, match="expected <id>"):
-            load_response_maps(d, _manifest(), insts)
+            list(response_maps_by_class(d, _manifest(), insts))
 
     def test_non_blob_files_ignored(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         (d / "README.txt").write_text("notes\n")
-        maps = load_response_maps(d, _manifest(), insts)
+        [(_, maps)] = response_maps_by_class(d, _manifest(), insts)
         assert set(maps) == {"i0"}
+
+    def test_names_checked_before_any_blob_is_read(self, tmp_path):
+        """A blob that sorts first is corrupt and a later name is unknown:
+        the name is refused, as no blob is read before every name is checked."""
+        d, insts = self._responses_dir(tmp_path)
+        (d / "i0_coarse.vkrm").write_bytes(b"not a response map")
+        write_response_map(d / "zz_fine.vkrm", np.zeros((3, 12, 12), np.float32), 0)
+        with pytest.raises(ValidationError, match="zz_fine.vkrm: unknown instance id 'zz'"):
+            next(response_maps_by_class(d, _manifest(), insts))
+
+    def test_one_class_at_a_time_in_class_order(self, tmp_path):
+        """Each class is yielded with its members, in sorted class order,
+        and its blobs are read only when it is asked for; a class with no
+        blobs still comes, with no maps."""
+        d, insts = self._responses_dir(tmp_path)
+        seat = Instance(id="a0", image_id="im0", class_name="chair",
+                        bbox=(0.0, 0.0, 5.0, 5.0))
+        bare = Instance(id="b0", image_id="im0", class_name="car",
+                        bbox=(1.0, 0.0, 5.0, 5.0))
+        write_response_map(d / "a0_fine.vkrm", np.ones((2, 12, 12), np.float32), 1)
+        reader = response_maps_by_class(d, _manifest(), [seat, *insts, bare])
+        members, maps = next(reader)
+        assert members == [*insts, bare]
+        assert set(maps) == {"i0"}
+        (d / "a0_fine.vkrm").write_bytes(b"not a response map")
+        with pytest.raises(ParseError, match="a0_fine.vkrm"):
+            next(reader)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert list(response_maps_by_class(empty, _manifest(), [seat, bare])) == [
+            ([bare], {}), ([seat], {})
+        ]
 
 
 class TestDatasetRoundtrip:
@@ -920,7 +953,11 @@ class TestDatasetRoundtrip:
         assert manifest == scene.manifest
         assert instances == scene.instances
         assert load_detections(d / "detections.jsonl", manifest) == scene.detections
-        response_maps = load_response_maps(d / "responses", manifest, instances)
+        response_maps = {
+            iid: kinds
+            for _, by_class in response_maps_by_class(d / "responses", manifest, instances)
+            for iid, kinds in by_class.items()
+        }
         assert set(response_maps) == set(scene.response_maps)
         for iid, kinds in scene.response_maps.items():
             for kind, grid in kinds.items():

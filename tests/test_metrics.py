@@ -638,6 +638,18 @@ class TestApk:
     def test_no_hypotheses_gives_zero(self):
         assert apk([], self._scene()).per_keypoint["car"][0] == 0.0
 
+    def test_scored_classes_are_those_of_ground_truth_or_hypotheses(self):
+        """A class with only hypotheses scores 0 and one with only bare
+        detections is absent; the car hypothesis is matched within its class."""
+        dets = [
+            _det(image_id="im0", keypoint_hypotheses={0: KeypointHypothesis(10.0, 10.0, 0.9)}),
+            _det(image_id="im0", cls="sofa",
+                 keypoint_hypotheses={0: KeypointHypothesis(10.0, 10.0, 0.9)}),
+            _det(image_id="im1", cls="chair"),
+        ]
+        out = apk(dets, self._scene())
+        assert out.per_keypoint == {"car": {0: 0.5}, "sofa": {0: 0.0}}
+
     def test_equal_distance_tie_goes_to_first_gt_of_the_image(self):
         """Two im0 ground truths at distance 2 from the top hypothesis,
         separated in input order by an im1 one: the first claims it. The
