@@ -18,11 +18,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import heapq
 import math
 import sys
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
@@ -32,9 +36,10 @@ from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces
 
 
 def match_by_box(
-    instances: Sequence[Instance], detections: Sequence[Detection]
+    instances: Sequence[Instance], detections: Iterable[Detection]
 ) -> dict[str, Detection]:
-    """Pair each instance with the single detection at its exact box."""
+    """Pair each instance with the single detection at its exact box; the
+    detections are iterated once."""
     by_key: dict[tuple, list[Detection]] = {}
     for det in detections:
         by_key.setdefault((det.image_id, det.bbox), []).append(det)
@@ -50,6 +55,65 @@ def match_by_box(
     return out
 
 
+def _first_fault(
+    members: Sequence[Instance],
+    both_maps: Iterable[bool],
+    vps: Sequence[EulerAngles | None],
+    banks: Mapping[str, fusion.PriorBank],
+) -> tuple[str, str] | None:
+    """(id, message) of the first member, in the order given, that cannot be
+    fused: it lacks a map kind, or a viewpoint, or its class lacks a bank."""
+    for inst, both, vp in zip(members, both_maps, vps):
+        if not both:
+            return inst.id, f"instance {inst.id!r}: needs both fine and coarse response maps"
+        if vp is None:
+            return inst.id, f"instance {inst.id!r}: no viewpoint to condition on"
+        if inst.class_name not in banks:
+            return inst.id, f"instance {inst.id!r}: no prior bank for class {inst.class_name!r}"
+    return None
+
+
+def _viewpoints(
+    members: Sequence[Instance], viewpoints: Mapping[str, Detection] | None
+) -> list[EulerAngles | None]:
+    """Each member's matched detection's viewpoint, or without a match map
+    its annotated one."""
+    if viewpoints is None:
+        return [inst.viewpoint for inst in members]
+    return [viewpoints[inst.id].viewpoint if inst.id in viewpoints else None for inst in members]
+
+
+def fuse_class(
+    maps: dataio.ClassMaps,
+    banks: Mapping[str, fusion.PriorBank],
+    viewpoints: Mapping[str, Detection] | None = None,
+    w_fine: float = 0.5,
+    w_coarse: float = 0.5,
+    sigma: float = fusion.PRIOR_SIGMA,
+    threshold: float = fusion.NEIGHBOR_THRESHOLD,
+) -> np.ndarray:
+    """(n_c, K, 2) pixel predictions of one class's members, row i for
+    maps.members[i], decoded through the viewpoint-conditioned prior.
+
+    The prior for a member conditions on its predicted viewpoint when a
+    matched detection map is supplied, otherwise on the annotated one; a
+    keypoint with no support among the prior-bank neighbors falls back to
+    a uniform prior. The members are checked in order before any is fused,
+    and the first that lacks a map kind, a viewpoint or a bank raises
+    ValidationError. Then all are fused in one fusion.fuse_instances call.
+    """
+    vps = _viewpoints(maps.members, viewpoints)
+    both = (maps.read["fine"] & maps.read["coarse"]).tolist()
+    fault = _first_fault(maps.members, both, vps, banks)
+    if fault is not None:
+        raise dataio.ValidationError(fault[1])
+    bank = banks[maps.members[0].class_name]
+    cells = fusion.fuse_instances(
+        euler_to_rotations(vps), bank, maps.fine, maps.coarse, w_fine, w_coarse, sigma, threshold
+    )
+    return fusion.denormalize_keypoints([inst.bbox for inst in maps.members], cells)
+
+
 def fuse_predictions(
     dataset: dataio.Dataset,
     viewpoints: Mapping[str, Detection] | None = None,
@@ -58,66 +122,41 @@ def fuse_predictions(
     sigma: float = fusion.PRIOR_SIGMA,
     threshold: float = fusion.NEIGHBOR_THRESHOLD,
 ) -> dict[str, dict[int, tuple[float, float]]]:
-    """Decode every response map through the viewpoint-conditioned prior.
+    """fuse_class over every instance of an in-memory dataset, as
+    {id: {keypoint id: (x, y)}} in id order.
 
-    The prior for an instance conditions on its predicted viewpoint when a
-    matched detection map is supplied, otherwise on the annotated one. A
-    keypoint with no support among the prior-bank neighbors falls back to
-    a uniform prior. Returns pixel-space predictions per instance.
-
-    Every instance is checked, in id order, before any is fused. Then the
-    instances of each class (and map shape) are fused in one
-    fusion.fuse_instances call, and the output is built once every class
-    is fused, so no prior table is alive while it grows.
+    Every instance is checked, in id order, before any is fused, so the
+    first error is the first bad instance. Then the instances of each class
+    (and map shape) are stacked and fused by one fuse_class call.
     """
     by_id = {inst.id: inst for inst in dataset.instances}
-    ids = sorted(by_id.keys() | dataset.response_maps.keys())
-    stacks: dict[tuple, tuple[list[Instance], list[EulerAngles]]] = {}
-    for iid in ids:
-        inst = by_id.get(iid)
-        if inst is None:
-            raise dataio.ValidationError(f"response maps for unknown instance {iid!r}")
-        maps = dataset.response_maps.get(iid, {})
-        if "fine" not in maps or "coarse" not in maps:
-            raise dataio.ValidationError(
-                f"instance {iid!r}: needs both fine and coarse response maps"
-            )
-        if viewpoints is not None:
-            vp = viewpoints[iid].viewpoint if iid in viewpoints else None
-        else:
-            vp = inst.viewpoint
-        if vp is None:
-            raise dataio.ValidationError(f"instance {iid!r}: no viewpoint to condition on")
-        if inst.class_name not in dataset.prior_banks:
-            raise dataio.ValidationError(
-                f"instance {iid!r}: no prior bank for class {inst.class_name!r}"
-            )
-        # one stack holds maps of one shape
-        key = (inst.class_name, maps["fine"].shape, maps["coarse"].shape)
-        members, vps = stacks.setdefault(key, ([], []))
-        members.append(inst)
-        vps.append(vp)
-    fused = [
-        (
-            members,
-            fusion.fuse_instances(
-                euler_to_rotations(vps),
-                dataset.prior_banks[cls],
-                [dataset.response_maps[inst.id]["fine"] for inst in members],
-                [dataset.response_maps[inst.id]["coarse"] for inst in members],
-                w_fine,
-                w_coarse,
-                sigma,
-                threshold,
-            ),
-        )
-        for (cls, _, _), (members, vps) in stacks.items()
+    faults = [
+        (iid, f"response maps for unknown instance {iid!r}")
+        for iid in dataset.response_maps.keys() - by_id.keys()
     ]
-    out = dict.fromkeys(ids)
-    for members, cells in fused:
-        pixels = fusion.denormalize_keypoints([inst.bbox for inst in members], cells)
-        for inst, kps in zip(members, pixels):
-            out[inst.id] = {k: (x, y) for k, (x, y) in enumerate(kps.tolist())}
+    kinds = dataio.MAP_KINDS
+    groups: dict[tuple, list[Instance]] = {}  # (class, shape of each kind) -> members
+    for iid in sorted(by_id):
+        maps = dataset.response_maps.get(iid, {})
+        shapes = tuple(np.shape(maps[kind]) if kind in maps else None for kind in kinds)
+        groups.setdefault((by_id[iid].class_name, *shapes), []).append(by_id[iid])
+    for (_, *shapes), members in groups.items():
+        both = [None not in shapes] * len(members)
+        fault = _first_fault(members, both, _viewpoints(members, viewpoints), dataset.prior_banks)
+        faults += [fault] if fault else []
+    if faults:
+        raise dataio.ValidationError(min(faults)[1])
+    out = dict.fromkeys(sorted(by_id))
+    for members in groups.values():
+        maps = [dataset.response_maps[inst.id] for inst in members]
+        fine, coarse = (np.array([m[kind] for m in maps]) for kind in kinds)
+        read = np.ones(len(members), dtype=bool)
+        stacks = dataio.ClassMaps(members, fine, coarse, dict.fromkeys(kinds, read))
+        pixels = fuse_class(
+            stacks, dataset.prior_banks, viewpoints, w_fine, w_coarse, sigma, threshold
+        )
+        for inst, kps in zip(members, pixels.tolist()):
+            out[inst.id] = {k: (x, y) for k, (x, y) in enumerate(kps)}
     return out
 
 
@@ -185,27 +224,26 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     banks = dataio.load_prior_banks(bank_path, manifest)
     viewpoints = None
     if args.preds:
-        # only the matched detections stay alive while fusing
-        viewpoints = match_by_box(instances, dataio.load_detections(args.preds, manifest))
-    preds: dict[str, dict[int, tuple[float, float]]] = {}
-    for members, maps in dataio.response_maps_by_class(maps_dir, manifest, instances):
-        dataset = dataio.Dataset(
-            manifest=manifest, instances=members, response_maps=maps, prior_banks=banks
+        # each detection is checked in full as it is read, but only its box
+        # and viewpoint are kept: fuse reads no keypoint hypothesis
+        detections = dataio.iter_detections(args.preds, manifest)
+        viewpoints = match_by_box(
+            instances,
+            (dataclasses.replace(det, keypoint_hypotheses={}) for det in detections),
         )
-        preds.update(
-            fuse_predictions(
-                dataset,
-                viewpoints,
-                w_fine=args.w_fine,
-                w_coarse=args.w_coarse,
-                sigma=args.sigma,
-                threshold=args.threshold,
-            )
-        )
+    settings = (args.w_fine, args.w_coarse, args.sigma, args.threshold)
+    fused: list[tuple[list[str], np.ndarray]] = []  # (member ids, pixels) per class
+    for maps in dataio.response_maps_by_class(maps_dir, manifest, instances):
+        pixels = fuse_class(maps, banks, viewpoints, *settings)
+        fused.append(([inst.id for inst in maps.members], pixels))
         # free this class's maps before the reader resumes with the next class
-        del maps, dataset
-    dataio.save_keypoint_predictions(preds, args.out)
-    print(f"fused {len(preds)} instances -> {args.out}")
+        del maps
+    # each class's members are in id order: merge them into one id order
+    rows = heapq.merge(*(zip(ids, pixels) for ids, pixels in fused), key=itemgetter(0))
+    dataio.save_keypoint_predictions(
+        ((iid, dict(enumerate(points.tolist()))) for iid, points in rows), args.out
+    )
+    print(f"fused {len(instances)} instances -> {args.out}")
     return 0
 
 

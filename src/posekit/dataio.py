@@ -41,11 +41,12 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -321,12 +322,16 @@ def _keypoint_map(
 
 
 def _class_of(record: dict, manifest: Manifest, where: str) -> tuple[str, dict[str, int]]:
-    """The record's class and that class's keypoint ids (see Manifest.keypoint_ids)."""
+    """The record's class and that class's keypoint ids (see Manifest.keypoint_ids).
+
+    The class name is interned, so the records of a class share one string
+    instead of each holding the copy its line was decoded into.
+    """
     cls = record["class"]
     ids = manifest.keypoint_ids.get(cls) if isinstance(cls, str) else None
     if ids is None:
         raise ValidationError(f"{where}: unknown class {cls!r}")
-    return cls, ids
+    return sys.intern(cls), ids
 
 
 INSTANCE_FIELDS = frozenset({
@@ -532,8 +537,14 @@ def save_instances(instances: Iterable[Instance], path: str | Path) -> None:
     _write_jsonl(path, map(instance_to_record, instances))
 
 
+def iter_detections(path: str | Path, manifest: Manifest) -> Iterator[Detection]:
+    """Each detection of a detections.jsonl file, checked in full, as it is read."""
+    for where, record in _read_jsonl(path):
+        yield detection_from_record(record, manifest, where)
+
+
 def load_detections(path: str | Path, manifest: Manifest) -> list[Detection]:
-    return [detection_from_record(record, manifest, where) for where, record in _read_jsonl(path)]
+    return list(iter_detections(path, manifest))
 
 
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:
@@ -670,23 +681,46 @@ def read_response_map(path: str | Path) -> tuple[int, np.ndarray]:
     return class_id, data.copy()
 
 
-_MAP_KINDS = ("fine", "coarse")
+MAP_KINDS = ("fine", "coarse")
 _MAP_SIZES = {"fine": GRID_SIZE, "coarse": COARSE_SIZE}
 
 
-def _class_maps(
-    prefix: str, blobs: Iterable[tuple[str, str, str]], cls: str, class_id: int, k_c: int
-) -> dict[str, dict[str, np.ndarray]]:
-    """Read one class's blobs, (name, instance id, kind) each, checking each
-    against the class's id and keypoint count; fine maps are 12x12, coarse 6x6.
+class ClassMaps(NamedTuple):
+    """One class's response maps, row i for members[i] (members in id order).
 
-    A function of its own so that no local of response_maps_by_class holds
-    a map of this class while the next class is read.
+    fine and coarse are (n_c, K, 12, 12) and (n_c, K, 6, 6) float32 stacks;
+    read[kind] flags the rows whose blob of that kind was read, and the
+    other rows of that stack are zeros.
     """
-    maps: dict[str, dict[str, np.ndarray]] = {}
-    for name, iid, kind in blobs:
+
+    members: list[Instance]
+    fine: np.ndarray
+    coarse: np.ndarray
+    read: dict[str, np.ndarray]
+
+
+def _class_maps(
+    prefix: str, blobs: Iterable[tuple[str, str]], members: list[Instance],
+    class_id: int, k_c: int,
+) -> ClassMaps:
+    """Read one class's blobs, (instance id, kind) each, into its stacks,
+    checking each against the class's id and keypoint count.
+
+    Each blob is copied into its row and dropped. A function of its own so
+    that no local of response_maps_by_class holds a blob, or this class's
+    stacks, while the next class is read.
+    """
+    row = {inst.id: i for i, inst in enumerate(members)}
+    stacks = {
+        kind: np.zeros((len(members), k_c, size, size), dtype=np.float32)
+        for kind, size in _MAP_SIZES.items()
+    }
+    read = {kind: np.zeros(len(members), dtype=bool) for kind in MAP_KINDS}
+    for iid, kind in blobs:
+        name = f"{iid}_{kind}.vkrm"
         found, data = read_response_map(prefix + name)
         if found != class_id:
+            cls = members[0].class_name
             raise ValidationError(
                 f"{name}: class id {found} but instance {iid!r}"
                 f" is {cls!r} (id {class_id})"
@@ -696,42 +730,47 @@ def _class_maps(
             raise ValidationError(
                 f"{name}: shape {data.shape}, expected ({k_c}, {size}, {size})"
             )
-        maps.setdefault(iid, {})[kind] = data
-    return maps
+        stacks[kind][row[iid]] = data
+        read[kind][row[iid]] = True
+    return ClassMaps(members, stacks["fine"], stacks["coarse"], read)
 
 
 def response_maps_by_class(
     directory: str | Path, manifest: Manifest, instances: Iterable[Instance]
-) -> Iterator[tuple[list[Instance], dict[str, dict[str, np.ndarray]]]]:
+) -> Iterator[ClassMaps]:
     """Read the VKRM blobs of a directory one class at a time.
 
     Every blob name is checked first, before any blob is read: it must be
     <id>_fine.vkrm or <id>_coarse.vkrm for a known instance. Then, in sorted
-    class order, yields (members, maps): the class's instances and its maps
-    keyed by instance id and kind. A class without blobs yields an empty
-    dict. The reader keeps no class's maps once the next class is asked for.
+    class order, yields each class's ClassMaps: its instances in id order
+    and one stack of each map kind, its blobs read in name order, the first
+    fault raised. A class without blobs yields stacks of zeros, no row read.
+    The reader keeps no class's maps once the next class is asked for.
     """
     by_id = {inst.id: inst for inst in instances}
-    blobs: dict[str, list[tuple[str, str, str]]] = {}  # class -> (name, id, kind)
+    # class -> (instance id, kind) of each blob, in name order; the tuples
+    # hold the instance's own id and the interned kind, not the strings
+    # the name was split into, and the name is rebuilt when it is read
+    blobs: dict[str, list[tuple[str, str]]] = {}
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".vkrm"):
             continue
         stem = name[: -len(".vkrm")]
         iid, sep, kind = stem.rpartition("_")
-        if not sep or kind not in _MAP_KINDS:
+        if not sep or kind not in MAP_KINDS:
             raise ValidationError(f"{name}: expected <id>_fine.vkrm or <id>_coarse.vkrm")
         inst = by_id.get(iid)
         if inst is None:
             raise ValidationError(f"{name}: unknown instance id {iid!r}")
-        blobs.setdefault(inst.class_name, []).append((name, iid, kind))
+        blobs.setdefault(inst.class_name, []).append((inst.id, sys.intern(kind)))
     members: dict[str, list[Instance]] = {}
-    for inst in by_id.values():
-        members.setdefault(inst.class_name, []).append(inst)
+    for iid in sorted(by_id):
+        members.setdefault(by_id[iid].class_name, []).append(by_id[iid])
     prefix = os.path.join(directory, "")
     for cls in sorted(members):
         class_id = manifest.classes.index(cls)
         k_c = len(manifest.keypoint_names[cls])
-        yield members[cls], _class_maps(prefix, blobs.get(cls, ()), cls, class_id, k_c)
+        yield _class_maps(prefix, blobs.get(cls, ()), members[cls], class_id, k_c)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -757,7 +796,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
                 raise ValidationError(f"response maps for unknown instance {iid!r}")
             class_id = dataset.manifest.classes.index(by_id[iid].class_name)
             for kind, grid in sorted(dataset.response_maps[iid].items()):
-                if kind not in _MAP_KINDS:
+                if kind not in MAP_KINDS:
                     raise ValidationError(f"unknown response-map kind {kind!r}")
                 write_response_map(responses / f"{iid}_{kind}.vkrm", grid, class_id)
 
@@ -794,13 +833,15 @@ def load_keypoint_predictions(
 
 
 def save_keypoint_predictions(
-    preds: Mapping[str, Mapping[int, tuple[float, float]]], path: str | Path
+    rows: Iterable[tuple[str, Mapping[int, tuple[float, float]]]], path: str | Path
 ) -> None:
+    """Write (instance id, {keypoint id: (x, y)}) rows as {"id", "keypoints"}
+    lines, in the order given; each record is built as it is written."""
     _write_jsonl(
         path,
         (
-            {"id": iid, "keypoints": {str(k): list(p) for k, p in sorted(preds[iid].items())}}
-            for iid in sorted(preds)
+            {"id": iid, "keypoints": {str(k): list(p) for k, p in points.items()}}
+            for iid, points in rows
         ),
     )
 

@@ -314,8 +314,8 @@ def fuse_and_decode(prior: np.ndarray, loglik: np.ndarray) -> tuple[float, float
 def fuse_instances(
     rs: np.ndarray,
     bank: PriorBank,
-    fine: Sequence[np.ndarray],
-    coarse: Sequence[np.ndarray],
+    fine: np.ndarray | Sequence[np.ndarray],
+    coarse: np.ndarray | Sequence[np.ndarray],
     w_fine: float = 0.5,
     w_coarse: float = 0.5,
     sigma: float = PRIOR_SIGMA,
@@ -324,17 +324,19 @@ def fuse_instances(
     """Fused grid coordinates of every keypoint of the instances of a class.
 
     rs (B, 3, 3) are the viewpoints the instances are conditioned on, and
-    fine and coarse their response maps: B per-instance (K, 12, 12) and
-    (K, 6, 6) maps (a list, or a stacked array), channel i for keypoint id
-    i of the bank; maps of any other shape raise ValueError. Returns (B, K, 2) cell centers (x, y), equal to
+    fine and coarse their response maps: (B, K, 12, 12) and (B, K, 6, 6)
+    stacks (or lists of B per-instance (K, 12, 12) and (K, 6, 6) maps),
+    channel i for keypoint id i of the bank; maps of any other shape raise
+    ValueError. Returns (B, K, 2) cell centers (x, y), equal to
     combine_scales, pose_prior (uniform_prior on NoPriorSupportError) and
     fuse_and_decode run one keypoint of one instance at a time.
 
     Neighbor sets are found in blocks of FUSE_CHUNK instances, one
     distance pass per block. Fusion then runs keypoint by keypoint: each
     keypoint's Gaussian grids are evaluated once, around every bank entry
-    (_table), and each block's priors (_priors) are decoded against that
-    keypoint's combined maps, so no (B, K, 12, 12) array is built.
+    (_table), and each block's priors (_priors) are decoded against the
+    block's slice of that keypoint's maps, combined in one combine_scales
+    call, so no (B, K, 12, 12) float64 array is built.
     """
     if not len(rs) == len(fine) == len(coarse):
         raise ValueError(
@@ -353,6 +355,7 @@ def fuse_instances(
             f"{channels} keypoints requested but the {bank.class_name!r} bank"
             f" has {bank.num_keypoints}"
         )
+    fine, coarse = np.asarray(fine), np.asarray(coarse)
     chunks = [slice(lo, lo + FUSE_CHUNK) for lo in range(0, len(rs), FUSE_CHUNK)]
     blocks = [_neighbor_rows(rs[c], bank, threshold) for c in chunks]
     cells = np.empty((len(rs), channels, 2))
@@ -360,8 +363,6 @@ def fuse_instances(
         table, carried = _table(bank, k, sigma)
         for c, rows in zip(chunks, blocks):
             priors, _ = _priors(table, carried, rows)
-            logliks = combine_scales(
-                [f[k] for f in fine[c]], [m[k] for m in coarse[c]], w_fine, w_coarse
-            )
+            logliks = combine_scales(fine[c, k], coarse[c, k], w_fine, w_coarse)
             cells[c, k] = _decode(priors, logliks)
     return cells

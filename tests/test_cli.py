@@ -456,6 +456,20 @@ class TestFuseCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_first_instance_missing_a_kind_in_id_order(self, tmp_path, capsys):
+        """Two cars each lack a map kind: the one whose id sorts first is
+        named, whichever map kind it lacks."""
+        ds = _synth(tmp_path, n=12)
+        _, instances = dataio.load_ground_truth(ds)
+        cars = sorted(inst.id for inst in instances if inst.class_name == "car")
+        (ds / "responses" / f"{cars[1]}_fine.vkrm").unlink()
+        (ds / "responses" / f"{cars[2]}_coarse.vkrm").unlink()
+        rc = cli.main(["fuse", "--dataset", str(ds), "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: instance {cars[1]!r}: needs both fine and coarse response maps\n"
+        )
+
     def test_refused_class_stops_before_a_later_class_is_read(self, tmp_path, capsys):
         """The maps are read and fused one class at a time: a missing
         viewpoint in the first class is refused before the corrupt blob of
@@ -480,6 +494,50 @@ class TestFuseCommand:
         err = capsys.readouterr().err
         assert f"instance {victim!r}: no viewpoint to condition on" in err
         assert f"{later}_fine.vkrm" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("[1.0,2.0]", "keypoint 0 must be [x, y, score]"),
+            ("[1.0,2.0,1e999]", "keypoint hypothesis has non-finite values (id 0)"),
+        ],
+    )
+    def test_bad_hypothesis_of_a_matched_detection_names_its_line(
+        self, tmp_path, capsys, entry, message
+    ):
+        """fuse keeps only each detection's box and viewpoint, but every
+        line is still checked in full: a bad hypothesis exits 2 naming it."""
+        ds = _synth(tmp_path, n=6)
+        path = ds / "detections.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["keypoint_hypotheses"]["0"] = "ENTRY"
+        lines[2] = json.dumps(record, sort_keys=True).replace('"ENTRY"', entry)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: detections.jsonl:3: {message}\n"
+        assert not out.exists()
+
+    def test_duplicated_detection_refused(self, tmp_path, capsys):
+        """Detections are matched as they stream, and a box that two of
+        them claim still refuses its instance."""
+        ds = _synth(tmp_path, n=6)
+        manifest, instances = dataio.load_ground_truth(ds)
+        path = ds / "detections.jsonl"
+        lines = path.read_text().splitlines()
+        det = dataio.detection_from_record(json.loads(lines[3]), manifest, "here")
+        iid = next(i.id for i in instances if (i.image_id, i.bbox) == (det.image_id, det.bbox))
+        path.write_text("\n".join([*lines, lines[3]]) + "\n")
+        out = tmp_path / "p.jsonl"
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: instance {iid!r}: expected exactly one prediction at its box, found 2\n"
+        )
         assert not out.exists()
 
     def test_missing_bank_file(self, tmp_path):
@@ -963,7 +1021,10 @@ class TestInputsRead:
 
     def test_fuse_holds_one_class_of_maps_at_a_time(self, tmp_path, monkeypatch):
         """When the first blob of a class is read, no map of an earlier
-        class is still alive: fuse reads, fuses and frees class by class."""
+        class is still alive: fuse reads, fuses and frees class by class.
+        While a class is fused, no per-blob array is alive (each was copied
+        into its class's stack), nor any detection that carries keypoint
+        hypotheses (only box and viewpoint outlive a detection's line)."""
         ds = _synth(tmp_path, n=12)
         _, instances = dataio.load_ground_truth(ds)
         class_of = {inst.id: inst.class_name for inst in instances}
@@ -980,12 +1041,43 @@ class TestInputsRead:
             alive.append((cls, weakref.ref(data)))
             return class_id, data
 
+        # a Detection has slots and no weakref slot: find the live ones
+        # among the collector's objects, by the ids of those built here
+        build = dataio.detection_from_record
+        built: set[int] = set()
+
+        def carrying() -> int:
+            return sum(
+                1 for obj in gc.get_objects()
+                if id(obj) in built and type(obj) is metrics.Detection
+                and obj.keypoint_hypotheses
+            )
+
+        def tracked(*args):
+            det = build(*args)
+            built.add(id(det))
+            if len(built) == 1:
+                assert carrying() == 1  # the probe sees a live one
+            return det
+
+        fuse = fusion.fuse_instances
+        held = []  # (live blob arrays, live detections with hypotheses) per fused class
+
+        def fused(rs, bank, fine, coarse, *args):
+            held.append((sum(ref() is not None for _, ref in alive), carrying()))
+            assert fine.shape[0] == coarse.shape[0] == len(rs)
+            return fuse(rs, bank, fine, coarse, *args)
+
         monkeypatch.setattr(dataio, "read_response_map", watched)
+        monkeypatch.setattr(dataio, "detection_from_record", tracked)
+        monkeypatch.setattr(fusion, "fuse_instances", fused)
         rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
                        "--out", str(tmp_path / "fused.jsonl")])
         assert rc == 0
         assert order == sorted(set(class_of.values())) and len(order) == 3
         assert stale == []
+        assert len(alive) == 2 * len(instances) and len(built) >= len(instances)
+        assert held == [(0, 0)] * 3
 
     def test_fuse_makes_one_distance_pass_per_chunk_of_a_class(self, tmp_path, monkeypatch):
         """Neighbour search runs once per stacked chunk, ceil(n_c / chunk)

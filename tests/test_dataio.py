@@ -218,7 +218,7 @@ class TestNonFiniteLiterals:
         save_dataset(scene, tmp_path)
         preds = {inst.id: {0: (inst.bbox[0] + 0.5, inst.bbox[1] + 0.25)}
                  for inst in scene.instances}
-        save_keypoint_predictions(preds, tmp_path / "fused.jsonl")
+        save_keypoint_predictions(preds.items(), tmp_path / "fused.jsonl")
         self._poison(tmp_path / name, constant)
         with pytest.raises(NonFiniteError, match=f"{name}:2: non-finite number {constant}"):
             load(tmp_path / name, scene.manifest)
@@ -252,7 +252,7 @@ class TestNonFiniteLiterals:
                                bank_size=2)
         save_dataset(scene, tmp_path)
         preds = {inst.id: {0: (1.5, 2.5)} for inst in scene.instances}
-        save_keypoint_predictions(preds, tmp_path / "fused.jsonl")
+        save_keypoint_predictions(preds.items(), tmp_path / "fused.jsonl")
         path = tmp_path / name
         lines = path.read_text().splitlines()
         forged = re.sub(pattern + r"-?[\d.e-]+", lambda m: m[0].split("[")[0] + "[1e999", lines[1])
@@ -281,7 +281,7 @@ class TestNonFiniteLiterals:
         scene = generate_scene(seed=3, n_instances=3, profile=noise_preset("mild"),
                                bank_size=2)
         save_dataset(scene, tmp_path)
-        save_keypoint_predictions({inst.id: {0: (1.5, 2.5)} for inst in scene.instances},
+        save_keypoint_predictions([(inst.id, {0: (1.5, 2.5)}) for inst in scene.instances],
                                   tmp_path / "fused.jsonl")
         path = tmp_path / name
         lines = path.read_text().splitlines()
@@ -320,7 +320,7 @@ class TestTextEncoding:
                                bank_size=2)
         save_dataset(scene, tmp_path)
         preds = {inst.id: {0: (1.5, 2.5)} for inst in scene.instances}
-        save_keypoint_predictions(preds, tmp_path / "fused.jsonl")
+        save_keypoint_predictions(preds.items(), tmp_path / "fused.jsonl")
         self._spoil(tmp_path / name, 3)
         with pytest.raises(ParseError, match=rf"^{name}:3: not UTF-8 \(byte 0xff: "):
             load(tmp_path / name, scene.manifest)
@@ -472,7 +472,7 @@ def _two_detections(path):
 
 
 def _two_predictions(path):
-    save_keypoint_predictions({"i0": {0: (1.0, 2.0)}, "i1": {0: (1.0, 2.0)}}, path)
+    save_keypoint_predictions([("i0", {0: (1.0, 2.0)}), ("i1", {0: (1.0, 2.0)})], path)
 
 
 class TestKeypointIds:
@@ -876,10 +876,13 @@ class TestResponseMapIO:
 
     def test_load_directory(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
-        [(members, maps)] = response_maps_by_class(d, _manifest(), insts)
-        assert members == insts
-        assert set(maps["i0"]) == {"fine", "coarse"}
-        assert maps["i0"]["fine"].shape == (3, 12, 12)
+        [maps] = response_maps_by_class(d, _manifest(), insts)
+        assert maps.members == insts
+        assert maps.fine.shape == (1, 3, 12, 12) and maps.fine.dtype == np.float32
+        assert maps.coarse.shape == (1, 3, 6, 6) and maps.coarse.dtype == np.float32
+        assert {kind: flags.tolist() for kind, flags in maps.read.items()} == {
+            "fine": [True], "coarse": [True]
+        }
 
     def test_unknown_instance_rejected(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
@@ -890,13 +893,22 @@ class TestResponseMapIO:
     def test_class_id_mismatch_rejected(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         write_response_map(d / "i0_fine.vkrm", np.zeros((3, 12, 12), np.float32), 1)
-        with pytest.raises(ValidationError, match="class id"):
+        with pytest.raises(ValidationError) as exc:
             list(response_maps_by_class(d, _manifest(), insts))
+        assert str(exc.value) == "i0_fine.vkrm: class id 1 but instance 'i0' is 'car' (id 0)"
 
     def test_shape_mismatch_rejected(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         write_response_map(d / "i0_fine.vkrm", np.zeros((2, 12, 12), np.float32), 0)
-        with pytest.raises(ValidationError, match="shape"):
+        with pytest.raises(ValidationError) as exc:
+            list(response_maps_by_class(d, _manifest(), insts))
+        assert str(exc.value) == "i0_fine.vkrm: shape (2, 12, 12), expected (3, 12, 12)"
+
+    def test_map_of_the_other_kind_rejected(self, tmp_path):
+        """A fine blob holding 6x6 maps does not fill a coarse row."""
+        d, insts = self._responses_dir(tmp_path)
+        write_response_map(d / "i0_fine.vkrm", np.zeros((3, 6, 6), np.float32), 0)
+        with pytest.raises(ValidationError, match=r"i0_fine.vkrm: shape \(3, 6, 6\)"):
             list(response_maps_by_class(d, _manifest(), insts))
 
     def test_bad_filename_rejected(self, tmp_path):
@@ -908,8 +920,8 @@ class TestResponseMapIO:
     def test_non_blob_files_ignored(self, tmp_path):
         d, insts = self._responses_dir(tmp_path)
         (d / "README.txt").write_text("notes\n")
-        [(_, maps)] = response_maps_by_class(d, _manifest(), insts)
-        assert set(maps) == {"i0"}
+        [maps] = response_maps_by_class(d, _manifest(), insts)
+        assert maps.members == insts and maps.read["fine"].tolist() == [True]
 
     def test_names_checked_before_any_blob_is_read(self, tmp_path):
         """A blob that sorts first is corrupt and a later name is unknown:
@@ -921,9 +933,9 @@ class TestResponseMapIO:
             next(response_maps_by_class(d, _manifest(), insts))
 
     def test_one_class_at_a_time_in_class_order(self, tmp_path):
-        """Each class is yielded with its members, in sorted class order,
-        and its blobs are read only when it is asked for; a class with no
-        blobs still comes, with no maps."""
+        """Each class is yielded with its members in id order, in sorted
+        class order, and its blobs are read only when it is asked for; a
+        class with no blobs still comes, with zero stacks and no row read."""
         d, insts = self._responses_dir(tmp_path)
         seat = Instance(id="a0", image_id="im0", class_name="chair",
                         bbox=(0.0, 0.0, 5.0, 5.0))
@@ -931,17 +943,154 @@ class TestResponseMapIO:
                         bbox=(1.0, 0.0, 5.0, 5.0))
         write_response_map(d / "a0_fine.vkrm", np.ones((2, 12, 12), np.float32), 1)
         reader = response_maps_by_class(d, _manifest(), [seat, *insts, bare])
-        members, maps = next(reader)
-        assert members == [*insts, bare]
-        assert set(maps) == {"i0"}
+        cars = next(reader)
+        assert cars.members == [bare, *insts]
+        assert cars.read["fine"].tolist() == [False, True]
+        assert cars.read["coarse"].tolist() == [False, True]
+        assert not cars.fine[0].any() and not cars.coarse[0].any()
         (d / "a0_fine.vkrm").write_bytes(b"not a response map")
         with pytest.raises(ParseError, match="a0_fine.vkrm"):
             next(reader)
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert list(response_maps_by_class(empty, _manifest(), [seat, bare])) == [
-            ([bare], {}), ([seat], {})
-        ]
+        bare_car, lone_seat = response_maps_by_class(empty, _manifest(), [seat, bare])
+        assert (bare_car.members, lone_seat.members) == ([bare], [seat])
+        assert lone_seat.fine.shape == (1, 2, 12, 12) and lone_seat.coarse.shape == (1, 2, 6, 6)
+        for maps in (bare_car, lone_seat):
+            assert not maps.fine.any() and not maps.coarse.any()
+            assert not any(flags.any() for flags in maps.read.values())
+
+
+class TestStackedReader:
+    """response_maps_by_class fills one stack per class and map kind from
+    the per-blob reader: the same values, and the same first fault."""
+
+    @staticmethod
+    def _scene(tmp_path):
+        scene = generate_scene(seed=11, n_instances=24, profile=noise_preset("moderate"),
+                               bank_size=2)
+        save_dataset(scene, tmp_path / "ds")
+        return scene, tmp_path / "ds"
+
+    def test_stacks_equal_each_blob_bit_for_bit(self, tmp_path):
+        scene, ds = self._scene(tmp_path)
+        manifest, instances = load_ground_truth(ds)
+        classes = []
+        for maps in response_maps_by_class(ds / "responses", manifest, instances):
+            ids = [inst.id for inst in maps.members]
+            assert ids == sorted(ids)
+            cls = maps.members[0].class_name
+            assert {inst.class_name for inst in maps.members} == {cls}
+            classes.append(cls)
+            for kind, stack in (("fine", maps.fine), ("coarse", maps.coarse)):
+                assert stack.dtype == np.float32 and maps.read[kind].all()
+                for row, iid in zip(stack, ids):
+                    class_id, blob = read_response_map(ds / "responses" / f"{iid}_{kind}.vkrm")
+                    assert class_id == manifest.classes.index(cls)
+                    assert row.tobytes() == blob.tobytes()
+                    assert row.tobytes() == scene.response_maps[iid][kind].tobytes()
+        assert classes == sorted({inst.class_name for inst in instances})
+
+    @staticmethod
+    def _bad_magic(path, iid, class_id):
+        path.write_bytes(b"VKRX" + path.read_bytes()[4:])
+        return f"{path.name}: bad magic b'VKRX'"
+
+    @staticmethod
+    def _truncated(path, iid, class_id):
+        path.write_bytes(path.read_bytes()[:-4])
+        shape = (8, 12, 12) if path.name.endswith("_fine.vkrm") else (8, 6, 6)
+        size = 24 + 4 * math.prod(shape)
+        return f"{path.name}: expected {size} bytes for shape {shape}, got {size - 4}"
+
+    @staticmethod
+    def _short_header(path, iid, class_id):
+        path.write_bytes(b"VKRM\x01")
+        return f"{path.name}: truncated header"
+
+    @staticmethod
+    def _version(path, iid, class_id):
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 9)
+        path.write_bytes(bytes(blob))
+        return f"{path.name}: unknown blob version 9"
+
+    @staticmethod
+    def _non_finite(path, iid, class_id):
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", math.nan)
+        path.write_bytes(bytes(blob))
+        return f"{path.name}: non-finite response values"
+
+    @staticmethod
+    def _class_id(path, iid, class_id):
+        _, data = read_response_map(path)
+        write_response_map(path, data, class_id + 1)
+        return f"{path.name}: class id {class_id + 1} but instance {iid!r} is 'car' (id {class_id})"
+
+    FAULTS = ("bad_magic", "truncated", "short_header", "version", "non_finite", "class_id")
+
+    def _spoil(self, path, fault, iid, class_id):
+        """Spoil a car's blob with the fault; returns the message it raises."""
+        return getattr(self, f"_{fault}")(path, iid, class_id)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_blob_fault_keeps_its_message(self, tmp_path, fault):
+        """The reader raises read_response_map's own error, or the class id
+        check's, for a blob of the car class (8 keypoints)."""
+        _, ds = self._scene(tmp_path)
+        manifest, instances = load_ground_truth(ds)
+        car = sorted(inst.id for inst in instances if inst.class_name == "car")[1]
+        path = ds / "responses" / f"{car}_coarse.vkrm"
+        message = self._spoil(path, fault, car, manifest.classes.index("car"))
+        with pytest.raises(DatasetError) as exc:
+            list(response_maps_by_class(ds / "responses", manifest, instances))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [("non_finite", "bad_magic"), ("class_id", "truncated"), ("version", "non_finite")],
+    )
+    def test_first_fault_in_blob_name_order_wins(self, tmp_path, first, later):
+        """Three spoiled blobs of one class: the one whose name sorts first
+        is named, whatever the faults of the others."""
+        _, ds = self._scene(tmp_path)
+        manifest, instances = load_ground_truth(ds)
+        cars = sorted(inst.id for inst in instances if inst.class_name == "car")
+        class_id = manifest.classes.index("car")
+        # "<id>_coarse.vkrm" sorts before "<id>_fine.vkrm" of the same id
+        early = ds / "responses" / f"{cars[2]}_coarse.vkrm"
+        late = ds / "responses" / f"{cars[2]}_fine.vkrm"
+        message = self._spoil(early, first, cars[2], class_id)
+        self._spoil(late, later, cars[2], class_id)
+        self._spoil(ds / "responses" / f"{cars[3]}_coarse.vkrm", later, cars[3], class_id)
+        with pytest.raises(DatasetError) as exc:
+            list(response_maps_by_class(ds / "responses", manifest, instances))
+        assert str(exc.value) == message
+
+    def test_shape_fault_names_the_blob_and_both_shapes(self, tmp_path):
+        _, ds = self._scene(tmp_path)
+        manifest, instances = load_ground_truth(ds)
+        car = min(inst.id for inst in instances if inst.class_name == "car")
+        path = ds / "responses" / f"{car}_fine.vkrm"
+        _, data = read_response_map(path)
+        write_response_map(path, data[:-1], manifest.classes.index("car"))
+        with pytest.raises(ValidationError) as exc:
+            list(response_maps_by_class(ds / "responses", manifest, instances))
+        assert str(exc.value) == f"{path.name}: shape (7, 12, 12), expected (8, 12, 12)"
+
+    def test_missing_kind_flags_the_row_only(self, tmp_path):
+        """A missing blob leaves its row unread and zero; every other row
+        of the class is read."""
+        _, ds = self._scene(tmp_path)
+        manifest, instances = load_ground_truth(ds)
+        cars = sorted(inst.id for inst in instances if inst.class_name == "car")
+        (ds / "responses" / f"{cars[1]}_fine.vkrm").unlink()
+        maps = next(response_maps_by_class(ds / "responses", manifest, instances))
+        assert [inst.id for inst in maps.members] == cars
+        assert maps.read["fine"].tolist() == [i != 1 for i in range(len(cars))]
+        assert maps.read["coarse"].all()
+        assert not maps.fine[1].any() and maps.fine[0].any()
 
 
 class TestDatasetRoundtrip:
@@ -954,9 +1103,9 @@ class TestDatasetRoundtrip:
         assert instances == scene.instances
         assert load_detections(d / "detections.jsonl", manifest) == scene.detections
         response_maps = {
-            iid: kinds
-            for _, by_class in response_maps_by_class(d / "responses", manifest, instances)
-            for iid, kinds in by_class.items()
+            inst.id: {"fine": fine, "coarse": coarse}
+            for maps in response_maps_by_class(d / "responses", manifest, instances)
+            for inst, fine, coarse in zip(maps.members, maps.fine, maps.coarse)
         }
         assert set(response_maps) == set(scene.response_maps)
         for iid, kinds in scene.response_maps.items():
@@ -967,6 +1116,16 @@ class TestDatasetRoundtrip:
         for cls, bank in scene.prior_banks.items():
             np.testing.assert_array_equal(prior_banks[cls].rotations, bank.rotations)
             np.testing.assert_array_equal(prior_banks[cls].keypoints, bank.keypoints)
+
+    def test_records_of_a_class_share_one_class_string(self, tmp_path):
+        """Instances and detections read back hold one string per class,
+        not one per record."""
+        scene = generate_scene(seed=101, n_instances=20, profile=noise_preset("moderate"))
+        save_dataset(scene, tmp_path / "ds")
+        manifest, instances = load_ground_truth(tmp_path / "ds")
+        records = [*instances, *load_detections(tmp_path / "ds" / "detections.jsonl", manifest)]
+        names = {id(r.class_name): r.class_name for r in records}
+        assert sorted(names.values()) == sorted({r.class_name for r in records})
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         scene = generate_scene(seed=102, n_instances=10, profile=noise_preset("mild"))
@@ -990,11 +1149,11 @@ class TestKeypointPredictions:
 
     def test_roundtrip(self, tmp_path):
         preds = {"i1": {0: (1.5, 2.5), 2: (math.pi, 0.125)}, "i0": {1: (4.0, 5.0)}}
-        save_keypoint_predictions(preds, tmp_path / "preds.jsonl")
+        save_keypoint_predictions(preds.items(), tmp_path / "preds.jsonl")
         assert self._load(tmp_path / "preds.jsonl") == preds
 
     def test_duplicate_id_rejected(self, tmp_path):
-        save_keypoint_predictions({"i0": {0: (1.0, 2.0)}}, tmp_path / "p.jsonl")
+        save_keypoint_predictions([("i0", {0: (1.0, 2.0)})], tmp_path / "p.jsonl")
         p = tmp_path / "p.jsonl"
         p.write_text(p.read_text() * 2)
         with pytest.raises(ValidationError, match="duplicate"):
@@ -1007,7 +1166,7 @@ class TestKeypointPredictions:
 
     def test_unknown_instance_id_names_line(self, tmp_path):
         preds = {"i0": {0: (1.0, 2.0)}, "nosuch": {0: (1.0, 2.0)}}
-        save_keypoint_predictions(preds, tmp_path / "p.jsonl")
+        save_keypoint_predictions(preds.items(), tmp_path / "p.jsonl")
         with pytest.raises(ValidationError, match="^p.jsonl:2: unknown instance id 'nosuch'$"):
             self._load(tmp_path / "p.jsonl")
 
@@ -1015,7 +1174,7 @@ class TestKeypointPredictions:
         """Car has 3 keypoints and chair 2: id 2 is a car's roof, but out of
         range on a chair."""
         chair = dataclasses.replace(_car_pair()[1], class_name="chair", keypoints={})
-        save_keypoint_predictions({"i1": {2: (1.0, 2.0)}}, tmp_path / "p.jsonl")
+        save_keypoint_predictions([("i1", {2: (1.0, 2.0)})], tmp_path / "p.jsonl")
         assert self._load(tmp_path / "p.jsonl") == {"i1": {2: (1.0, 2.0)}}
         with pytest.raises(ValidationError,
                            match=r"^p.jsonl:1: keypoint id 2 out of range \(2 keypoints\)$"):
