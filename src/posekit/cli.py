@@ -24,13 +24,13 @@ import sys
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
-from .so3 import EulerAngles, euler_to_rotations
+from .so3 import euler_to_rotations
 from .so3 import euler_to_rotation  # noqa: F401  (perfbench/selftest.py traces this alias)
 from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces this alias)
 
@@ -55,34 +55,6 @@ def match_by_box(
     return out
 
 
-def _first_fault(
-    members: Sequence[Instance],
-    both_maps: Iterable[bool],
-    vps: Sequence[EulerAngles | None],
-    banks: Mapping[str, fusion.PriorBank],
-) -> tuple[str, str] | None:
-    """(id, message) of the first member, in the order given, that cannot be
-    fused: it lacks a map kind, or a viewpoint, or its class lacks a bank."""
-    for inst, both, vp in zip(members, both_maps, vps):
-        if not both:
-            return inst.id, f"instance {inst.id!r}: needs both fine and coarse response maps"
-        if vp is None:
-            return inst.id, f"instance {inst.id!r}: no viewpoint to condition on"
-        if inst.class_name not in banks:
-            return inst.id, f"instance {inst.id!r}: no prior bank for class {inst.class_name!r}"
-    return None
-
-
-def _viewpoints(
-    members: Sequence[Instance], viewpoints: Mapping[str, Detection] | None
-) -> list[EulerAngles | None]:
-    """Each member's matched detection's viewpoint, or without a match map
-    its annotated one."""
-    if viewpoints is None:
-        return [inst.viewpoint for inst in members]
-    return [viewpoints[inst.id].viewpoint if inst.id in viewpoints else None for inst in members]
-
-
 def fuse_class(
     maps: dataio.ClassMaps,
     banks: Mapping[str, fusion.PriorBank],
@@ -98,20 +70,47 @@ def fuse_class(
     The prior for a member conditions on its predicted viewpoint when a
     matched detection map is supplied, otherwise on the annotated one; a
     keypoint with no support among the prior-bank neighbors falls back to
-    a uniform prior. The members are checked in order before any is fused,
-    and the first that lacks a map kind, a viewpoint or a bank raises
+    a uniform prior. The members are checked in id order before any is
+    fused: the first that lacks a map kind, a viewpoint or a bank raises
     ValidationError. Then all are fused in one fusion.fuse_instances call.
     """
-    vps = _viewpoints(maps.members, viewpoints)
+    vps = []
     both = (maps.read["fine"] & maps.read["coarse"]).tolist()
-    fault = _first_fault(maps.members, both, vps, banks)
-    if fault is not None:
-        raise dataio.ValidationError(fault[1])
+    for inst, read in zip(maps.members, both):
+        source = inst if viewpoints is None else viewpoints.get(inst.id)
+        vps.append(None if source is None else source.viewpoint)
+        if not read:
+            fault = "needs both fine and coarse response maps"
+        elif vps[-1] is None:
+            fault = "no viewpoint to condition on"
+        elif inst.class_name not in banks:
+            fault = f"no prior bank for class {inst.class_name!r}"
+        else:
+            continue
+        raise dataio.ValidationError(f"instance {inst.id!r}: {fault}")
     bank = banks[maps.members[0].class_name]
     cells = fusion.fuse_instances(
         euler_to_rotations(vps), bank, maps.fine, maps.coarse, w_fine, w_coarse, sigma, threshold
     )
     return fusion.denormalize_keypoints([inst.bbox for inst in maps.members], cells)
+
+
+def _fuse_classes(
+    classes: Iterable[dataio.ClassMaps],
+    banks: Mapping[str, fusion.PriorBank],
+    viewpoints: Mapping[str, Detection] | None,
+    settings: tuple[float, float, float, float],
+) -> Iterator[tuple[str, np.ndarray]]:
+    """fuse_class over each class as it is read; returns the (id, (K, 2)
+    pixels) rows in id order once every class is fused."""
+    fused: list[tuple[list[str], np.ndarray]] = []  # (member ids, pixels) per class
+    for maps in classes:
+        pixels = fuse_class(maps, banks, viewpoints, *settings)
+        fused.append(([inst.id for inst in maps.members], pixels))
+        # free this class's maps before the reader resumes with the next class
+        del maps
+    # each class's members are in id order: merge them into one id order
+    return heapq.merge(*(zip(ids, pixels) for ids, pixels in fused), key=itemgetter(0))
 
 
 def fuse_predictions(
@@ -122,42 +121,12 @@ def fuse_predictions(
     sigma: float = fusion.PRIOR_SIGMA,
     threshold: float = fusion.NEIGHBOR_THRESHOLD,
 ) -> dict[str, dict[int, tuple[float, float]]]:
-    """fuse_class over every instance of an in-memory dataset, as
-    {id: {keypoint id: (x, y)}} in id order.
-
-    Every instance is checked, in id order, before any is fused, so the
-    first error is the first bad instance. Then the instances of each class
-    (and map shape) are stacked and fused by one fuse_class call.
-    """
-    by_id = {inst.id: inst for inst in dataset.instances}
-    faults = [
-        (iid, f"response maps for unknown instance {iid!r}")
-        for iid in dataset.response_maps.keys() - by_id.keys()
-    ]
-    kinds = dataio.MAP_KINDS
-    groups: dict[tuple, list[Instance]] = {}  # (class, shape of each kind) -> members
-    for iid in sorted(by_id):
-        maps = dataset.response_maps.get(iid, {})
-        shapes = tuple(np.shape(maps[kind]) if kind in maps else None for kind in kinds)
-        groups.setdefault((by_id[iid].class_name, *shapes), []).append(by_id[iid])
-    for (_, *shapes), members in groups.items():
-        both = [None not in shapes] * len(members)
-        fault = _first_fault(members, both, _viewpoints(members, viewpoints), dataset.prior_banks)
-        faults += [fault] if fault else []
-    if faults:
-        raise dataio.ValidationError(min(faults)[1])
-    out = dict.fromkeys(sorted(by_id))
-    for members in groups.values():
-        maps = [dataset.response_maps[inst.id] for inst in members]
-        fine, coarse = (np.array([m[kind] for m in maps]) for kind in kinds)
-        read = np.ones(len(members), dtype=bool)
-        stacks = dataio.ClassMaps(members, fine, coarse, dict.fromkeys(kinds, read))
-        pixels = fuse_class(
-            stacks, dataset.prior_banks, viewpoints, w_fine, w_coarse, sigma, threshold
-        )
-        for inst, kps in zip(members, pixels.tolist()):
-            out[inst.id] = {k: (x, y) for k, (x, y) in enumerate(kps)}
-    return out
+    """The fuse command on an in-memory dataset, as {id: {keypoint id:
+    (x, y)}} in id order: fuse_class over dataio.class_maps, so the first
+    error is the one the command reports for the saved dataset."""
+    settings = (w_fine, w_coarse, sigma, threshold)
+    rows = _fuse_classes(dataio.class_maps(dataset), dataset.prior_banks, viewpoints, settings)
+    return {iid: {k: (x, y) for k, (x, y) in enumerate(kps.tolist())} for iid, kps in rows}
 
 
 def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
@@ -219,9 +188,7 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     base = Path(args.dataset)
     manifest, instances = dataio.load_ground_truth(base)
-    maps_dir = Path(args.maps) if args.maps else base / "responses"
-    bank_path = Path(args.prior_bank) if args.prior_bank else base / "prior_bank.jsonl"
-    banks = dataio.load_prior_banks(bank_path, manifest)
+    banks = dataio.load_prior_banks(args.prior_bank or base / "prior_bank.jsonl", manifest)
     viewpoints = None
     if args.preds:
         # each detection is checked in full as it is read, but only its box
@@ -232,14 +199,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             (dataclasses.replace(det, keypoint_hypotheses={}) for det in detections),
         )
     settings = (args.w_fine, args.w_coarse, args.sigma, args.threshold)
-    fused: list[tuple[list[str], np.ndarray]] = []  # (member ids, pixels) per class
-    for maps in dataio.response_maps_by_class(maps_dir, manifest, instances):
-        pixels = fuse_class(maps, banks, viewpoints, *settings)
-        fused.append(([inst.id for inst in maps.members], pixels))
-        # free this class's maps before the reader resumes with the next class
-        del maps
-    # each class's members are in id order: merge them into one id order
-    rows = heapq.merge(*(zip(ids, pixels) for ids, pixels in fused), key=itemgetter(0))
+    classes = dataio.response_maps_by_class(args.maps or base / "responses", manifest, instances)
+    rows = _fuse_classes(classes, banks, viewpoints, settings)
     dataio.save_keypoint_predictions(
         ((iid, dict(enumerate(points.tolist()))) for iid, points in rows), args.out
     )

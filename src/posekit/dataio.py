@@ -681,16 +681,15 @@ def read_response_map(path: str | Path) -> tuple[int, np.ndarray]:
     return class_id, data.copy()
 
 
-MAP_KINDS = ("fine", "coarse")
-_MAP_SIZES = {"fine": GRID_SIZE, "coarse": COARSE_SIZE}
+_MAP_SIZES = {"fine": GRID_SIZE, "coarse": COARSE_SIZE}  # the map kinds
 
 
 class ClassMaps(NamedTuple):
     """One class's response maps, row i for members[i] (members in id order).
 
     fine and coarse are (n_c, K, 12, 12) and (n_c, K, 6, 6) float32 stacks;
-    read[kind] flags the rows whose blob of that kind was read, and the
-    other rows of that stack are zeros.
+    read[kind] flags the rows that a map of that kind filled, and the other
+    rows of that stack are zeros.
     """
 
     members: list[Instance]
@@ -700,39 +699,46 @@ class ClassMaps(NamedTuple):
 
 
 def _class_maps(
-    prefix: str, blobs: Iterable[tuple[str, str]], members: list[Instance],
-    class_id: int, k_c: int,
+    members: list[Instance], k_c: int, maps: Iterable[tuple[str, str, str, np.ndarray]]
 ) -> ClassMaps:
-    """Read one class's blobs, (instance id, kind) each, into its stacks,
-    checking each against the class's id and keypoint count.
+    """Fill one class's stacks from (instance id, kind, where, array) items,
+    refusing an array that is not (k_c, 12, 12) for a fine map or
+    (k_c, 6, 6) for a coarse one, with a message that starts with where.
 
-    Each blob is copied into its row and dropped. A function of its own so
-    that no local of response_maps_by_class holds a blob, or this class's
-    stacks, while the next class is read.
+    Each array is copied into its row and dropped. A function of its own so
+    that no local of a reader holds an array, or this class's stacks, while
+    the next class is read.
     """
     row = {inst.id: i for i, inst in enumerate(members)}
     stacks = {
         kind: np.zeros((len(members), k_c, size, size), dtype=np.float32)
         for kind, size in _MAP_SIZES.items()
     }
-    read = {kind: np.zeros(len(members), dtype=bool) for kind in MAP_KINDS}
-    for iid, kind in blobs:
-        name = f"{iid}_{kind}.vkrm"
-        found, data = read_response_map(prefix + name)
-        if found != class_id:
-            cls = members[0].class_name
-            raise ValidationError(
-                f"{name}: class id {found} but instance {iid!r}"
-                f" is {cls!r} (id {class_id})"
-            )
+    read = {kind: np.zeros(len(members), dtype=bool) for kind in _MAP_SIZES}
+    for iid, kind, where, data in maps:
         size = _MAP_SIZES[kind]
-        if data.shape != (k_c, size, size):
+        if np.shape(data) != (k_c, size, size):
             raise ValidationError(
-                f"{name}: shape {data.shape}, expected ({k_c}, {size}, {size})"
+                f"{where}: shape {np.shape(data)}, expected ({k_c}, {size}, {size})"
             )
         stacks[kind][row[iid]] = data
         read[kind][row[iid]] = True
     return ClassMaps(members, stacks["fine"], stacks["coarse"], read)
+
+
+def _read_blobs(
+    prefix: str, blobs: Iterable[tuple[str, str]], cls: str, class_id: int
+) -> Iterator[tuple[str, str, str, np.ndarray]]:
+    """Read one class's blobs, (instance id, kind) each, as _class_maps
+    items named by the blob, checking each against the class's id."""
+    for iid, kind in blobs:
+        name = f"{iid}_{kind}.vkrm"
+        found, data = read_response_map(prefix + name)
+        if found != class_id:
+            raise ValidationError(
+                f"{name}: class id {found} but instance {iid!r} is {cls!r} (id {class_id})"
+            )
+        yield iid, kind, name, data
 
 
 def response_maps_by_class(
@@ -757,7 +763,7 @@ def response_maps_by_class(
             continue
         stem = name[: -len(".vkrm")]
         iid, sep, kind = stem.rpartition("_")
-        if not sep or kind not in MAP_KINDS:
+        if not sep or kind not in _MAP_SIZES:
             raise ValidationError(f"{name}: expected <id>_fine.vkrm or <id>_coarse.vkrm")
         inst = by_id.get(iid)
         if inst is None:
@@ -768,9 +774,36 @@ def response_maps_by_class(
         members.setdefault(by_id[iid].class_name, []).append(by_id[iid])
     prefix = os.path.join(directory, "")
     for cls in sorted(members):
-        class_id = manifest.classes.index(cls)
-        k_c = len(manifest.keypoint_names[cls])
-        yield _class_maps(prefix, blobs.get(cls, ()), members[cls], class_id, k_c)
+        read = _read_blobs(prefix, blobs.get(cls, ()), cls, manifest.classes.index(cls))
+        yield _class_maps(members[cls], len(manifest.keypoint_names[cls]), read)
+
+
+def _map_owners(dataset: Dataset) -> dict[str, Instance]:
+    """The dataset's instances by id; refuses response maps of any other
+    id, naming the first in sorted order."""
+    by_id = {inst.id: inst for inst in dataset.instances}
+    unknown = dataset.response_maps.keys() - by_id.keys()
+    if unknown:
+        raise ValidationError(f"response maps for unknown instance {min(unknown)!r}")
+    return by_id
+
+
+def class_maps(dataset: Dataset) -> Iterator[ClassMaps]:
+    """response_maps_by_class on the directory save_dataset would write:
+    after refusing maps of an unknown instance, the same classes, rows,
+    float32 values and checks, a map's fault named by its instance and kind."""
+    by_id = _map_owners(dataset)
+    members: dict[str, list[Instance]] = {}
+    for iid in sorted(by_id):
+        members.setdefault(by_id[iid].class_name, []).append(by_id[iid])
+    for cls in sorted(members):
+        items = (
+            (inst.id, kind, f"instance {inst.id!r} {kind} maps", maps[kind])
+            for inst in members[cls]
+            for maps in [dataset.response_maps.get(inst.id, {})]
+            for kind in sorted(maps.keys() & _MAP_SIZES.keys())
+        )
+        yield _class_maps(members[cls], len(dataset.manifest.keypoint_names[cls]), items)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -782,21 +815,19 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     base = Path(path)
     if base.is_dir() and any(base.iterdir()):
         raise ValidationError(f"{base}: not empty; a dataset needs a new or empty directory")
+    by_id = _map_owners(dataset)
     base.mkdir(parents=True, exist_ok=True)
     save_manifest(dataset.manifest, base / "manifest.json")
     save_instances(dataset.instances, base / "instances.jsonl")
     save_detections(dataset.detections, base / "detections.jsonl")
     save_prior_banks(dataset.prior_banks, base / "prior_bank.jsonl")
     if dataset.response_maps:
-        by_id = {inst.id: inst for inst in dataset.instances}
         responses = base / "responses"
         responses.mkdir(exist_ok=True)
         for iid in sorted(dataset.response_maps):
-            if iid not in by_id:
-                raise ValidationError(f"response maps for unknown instance {iid!r}")
             class_id = dataset.manifest.classes.index(by_id[iid].class_name)
             for kind, grid in sorted(dataset.response_maps[iid].items()):
-                if kind not in MAP_KINDS:
+                if kind not in _MAP_SIZES:
                     raise ValidationError(f"unknown response-map kind {kind!r}")
                 write_response_map(responses / f"{iid}_{kind}.vkrm", grid, class_id)
 

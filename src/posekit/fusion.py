@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -314,8 +313,8 @@ def fuse_and_decode(prior: np.ndarray, loglik: np.ndarray) -> tuple[float, float
 def fuse_instances(
     rs: np.ndarray,
     bank: PriorBank,
-    fine: np.ndarray | Sequence[np.ndarray],
-    coarse: np.ndarray | Sequence[np.ndarray],
+    fine: np.ndarray,
+    coarse: np.ndarray,
     w_fine: float = 0.5,
     w_coarse: float = 0.5,
     sigma: float = PRIOR_SIGMA,
@@ -325,9 +324,8 @@ def fuse_instances(
 
     rs (B, 3, 3) are the viewpoints the instances are conditioned on, and
     fine and coarse their response maps: (B, K, 12, 12) and (B, K, 6, 6)
-    stacks (or lists of B per-instance (K, 12, 12) and (K, 6, 6) maps),
-    channel i for keypoint id i of the bank; maps of any other shape raise
-    ValueError. Returns (B, K, 2) cell centers (x, y), equal to
+    stacks, channel i for keypoint id i of the bank; stacks of any other
+    shape raise ValueError. Returns (B, K, 2) cell centers (x, y), equal to
     combine_scales, pose_prior (uniform_prior on NoPriorSupportError) and
     fuse_and_decode run one keypoint of one instance at a time.
 
@@ -338,24 +336,18 @@ def fuse_instances(
     block's slice of that keypoint's maps, combined in one combine_scales
     call, so no (B, K, 12, 12) float64 array is built.
     """
-    if not len(rs) == len(fine) == len(coarse):
+    channels = fine.shape[1] if fine.ndim > 1 else 0
+    want = tuple((len(rs), channels, size, size) for size in (GRID_SIZE, COARSE_SIZE))
+    if (fine.shape, coarse.shape) != want:
         raise ValueError(
-            f"{len(rs)} viewpoints but {len(fine)} fine and {len(coarse)} coarse maps"
+            f"fine and coarse maps of shapes {fine.shape} and {coarse.shape} for"
+            f" {len(rs)} viewpoints, expected {want[0]} and {want[1]}"
         )
-    channels = len(fine[0]) if len(fine) else 0
-    want = ((channels, GRID_SIZE, GRID_SIZE), (channels, COARSE_SIZE, COARSE_SIZE))
-    for shapes in zip(map(np.shape, fine), map(np.shape, coarse)):
-        if shapes != want:
-            raise ValueError(
-                f"fine and coarse maps disagree: shapes {shapes[0]} and {shapes[1]},"
-                f" expected {want[0]} and {want[1]}"
-            )
     if channels > bank.num_keypoints:
         raise ValueError(
             f"{channels} keypoints requested but the {bank.class_name!r} bank"
             f" has {bank.num_keypoints}"
         )
-    fine, coarse = np.asarray(fine), np.asarray(coarse)
     chunks = [slice(lo, lo + FUSE_CHUNK) for lo in range(0, len(rs), FUSE_CHUNK)]
     blocks = [_neighbor_rows(rs[c], bank, threshold) for c in chunks]
     cells = np.empty((len(rs), channels, 2))

@@ -23,6 +23,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from posekit import cli, dataio, fusion, metrics, so3, synth
@@ -540,6 +541,20 @@ class TestFuseCommand:
         )
         assert not out.exists()
 
+    def test_fuse_predictions_equals_the_fuse_command(self, tmp_path):
+        """The rows of fuse_predictions are the fused JSONL of posekit fuse
+        --preds on the saved scene, value for value and in the same order."""
+        scene = synth.generate_scene(3, 40, synth.noise_preset("moderate"), bank_size=200)
+        fused = cli.fuse_predictions(scene, cli.match_by_box(scene.instances, scene.detections))
+        ds, out = tmp_path / "ds", tmp_path / "fused.jsonl"
+        dataio.save_dataset(scene, ds)
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                       "--out", str(out)])
+        assert rc == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        rows = [(r["id"], {int(k): tuple(v) for k, v in r["keypoints"].items()}) for r in records]
+        assert rows == list(fused.items())
+
     def test_missing_bank_file(self, tmp_path):
         ds = _synth(tmp_path, n=2)
         rc = cli.main(
@@ -557,15 +572,21 @@ class TestFuseCommand:
 
 
 class TestFuseFirstError:
-    """Every instance is checked in id order before any is fused, so the
-    first bad instance names the error even when a later bad instance
-    belongs to a class that is fused first."""
+    """fuse_predictions is the fuse command without the files: it reports
+    the command's first fault. Classes are fused in sorted order; within a
+    class its map faults come first, in reading order, then its members in
+    id order. So a bad instance of the class fused first is named even when
+    a bad instance of a later class has a smaller id."""
 
     @staticmethod
     def _break(dataset, viewpoints, iid, kind):
         inst = next(i for i in dataset.instances if i.id == iid)
         if kind == "viewpoint":
-            del viewpoints[iid]
+            # in memory the match is gone; on disk its detection has no viewpoint
+            det = viewpoints.pop(iid)
+            dataset.detections[dataset.detections.index(det)] = dataclasses.replace(
+                det, viewpoint=None
+            )
             return f"instance {iid!r}: no viewpoint to condition on"
         if kind == "bank":
             del dataset.prior_banks[inst.class_name]
@@ -576,30 +597,73 @@ class TestFuseFirstError:
             dataset.response_maps[iid] = {"fine": dataset.response_maps[iid]["fine"]}
         return f"instance {iid!r}: needs both fine and coarse response maps"
 
+    @staticmethod
+    def _fuse_saved(dataset, root, capsys):
+        """posekit fuse --preds on a save_dataset copy: (exit code, stderr)."""
+        ds = root / "saved"
+        dataio.save_dataset(dataset, ds)
+        capsys.readouterr()
+        rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                       "--out", str(root / "fused.jsonl")])
+        return rc, capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "first, later",
+        "other, head",
         [("viewpoint", "maps"), ("bank", "viewpoint"), ("maps", "viewpoint"), ("none", "viewpoint")],
     )
-    def test_first_bad_instance_in_id_order_is_reported(self, first, later):
+    def test_bad_instance_of_the_first_class_is_reported(self, tmp_path, capsys, other, head):
         scene = synth.generate_scene(3, 30, synth.noise_preset("mild"), bank_size=50)
         dataset = dataclasses.replace(
-            scene, prior_banks=dict(scene.prior_banks), response_maps=dict(scene.response_maps)
+            scene, detections=list(scene.detections), prior_banks=dict(scene.prior_banks),
+            response_maps=dict(scene.response_maps),
         )
         viewpoints = cli.match_by_box(scene.instances, scene.detections)
         ids = sorted(dataset.response_maps)
         cls_of = {inst.id: inst.class_name for inst in scene.instances}
-        # the later bad instance belongs to the class of the first id, which
-        # also sorts first by name: fused first under any class order
-        head = cls_of[ids[0]]
-        assert head == min(cls_of.values())
-        bad = next(i for i in ids if cls_of[i] != head)
-        later_bad = [i for i in ids if cls_of[i] == head][-1]
-        assert bad < later_bad
-        expected = self._break(dataset, viewpoints, bad, first)
-        self._break(dataset, viewpoints, later_bad, later)
+        # the head class sorts first by name, so it is fused first; a bad
+        # instance of another class sorts before the head's bad instance
+        head_cls = cls_of[ids[0]]
+        assert head_cls == min(cls_of.values())
+        early = next(i for i in ids if cls_of[i] != head_cls)
+        head_bad = [i for i in ids if cls_of[i] == head_cls][-1]
+        assert early < head_bad
+        self._break(dataset, viewpoints, early, other)
+        expected = self._break(dataset, viewpoints, head_bad, head)
         with pytest.raises(dataio.ValidationError) as exc:
             cli.fuse_predictions(dataset, viewpoints)
         assert str(exc.value) == expected
+        assert self._fuse_saved(dataset, tmp_path, capsys) == (2, f"error: {expected}\n")
+
+    @pytest.mark.parametrize(
+        "kinds", [("fine",), ("coarse",), ("coarse", "fine")], ids=["fine", "coarse", "both"]
+    )
+    @pytest.mark.parametrize("channels", [2, 7])
+    def test_maps_of_another_channel_count_refused(self, tmp_path, capsys, channels, kinds):
+        """A sofa has 6 keypoints: maps with 2 or 7 channels, of one kind or
+        both, are refused in memory naming the instance and the first kind
+        read, and by the command naming that blob; none is fused to fewer
+        keypoints. The map fault comes before the missing viewpoint of a
+        sofa whose id sorts first."""
+        scene = synth.generate_scene(3, 12, synth.noise_preset("moderate"))
+        first, sofa = sorted(inst.id for inst in scene.instances if inst.class_name == "sofa")
+        assert len(scene.manifest.keypoint_names["sofa"]) == 6
+        maps = dict(scene.response_maps[sofa])
+        for kind in kinds:
+            maps[kind] = np.resize(maps[kind], (channels, *maps[kind].shape[1:]))
+        dataset = dataclasses.replace(
+            scene, detections=list(scene.detections),
+            response_maps={**scene.response_maps, sofa: maps},
+        )
+        viewpoints = cli.match_by_box(scene.instances, scene.detections)
+        self._break(dataset, viewpoints, first, "viewpoint")
+        size = maps[kinds[0]].shape[-1]
+        shape = f"shape ({channels}, {size}, {size}), expected (6, {size}, {size})"
+        with pytest.raises(dataio.ValidationError) as exc:
+            cli.fuse_predictions(dataset, viewpoints)
+        assert str(exc.value) == f"instance {sofa!r} {kinds[0]} maps: {shape}"
+        assert self._fuse_saved(dataset, tmp_path, capsys) == (
+            2, f"error: {sofa}_{kinds[0]}.vkrm: {shape}\n"
+        )
 
 
 class TestEvaluateKeypoints:

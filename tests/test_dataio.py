@@ -24,6 +24,7 @@ from posekit.dataio import (
     ParseError,
     SchemaVersionError,
     ValidationError,
+    class_maps,
     load_detections,
     load_ground_truth,
     load_instances,
@@ -1091,6 +1092,58 @@ class TestStackedReader:
         assert maps.read["fine"].tolist() == [i != 1 for i in range(len(cars))]
         assert maps.read["coarse"].all()
         assert not maps.fine[1].any() and maps.fine[0].any()
+
+
+class TestInMemoryClassMaps:
+    """class_maps yields the ClassMaps that response_maps_by_class reads
+    from the directory save_dataset writes: the same classes, rows, float32
+    values and read flags."""
+
+    @staticmethod
+    def _scene():
+        return generate_scene(seed=11, n_instances=24, profile=noise_preset("moderate"),
+                              bank_size=2)
+
+    @staticmethod
+    def _equal(got, want):
+        assert got.members == want.members
+        for kind in ("fine", "coarse"):
+            stack, other = getattr(got, kind), getattr(want, kind)
+            assert stack.dtype == np.float32 and stack.tobytes() == other.tobytes()
+            assert got.read[kind].tolist() == want.read[kind].tolist()
+
+    def test_equal_to_the_saved_directory(self, tmp_path):
+        """A row whose map kind is missing stays unread and zero, in memory
+        as on disk; a float64 map holds the float32 values its blob stores."""
+        scene = self._scene()
+        cars = sorted(inst.id for inst in scene.instances if inst.class_name == "car")
+        maps = scene.response_maps
+        maps[cars[1]] = {"coarse": maps[cars[1]]["coarse"]}
+        maps[cars[2]] = {
+            kind: grid.astype(np.float64) + 0.1 for kind, grid in maps[cars[2]].items()
+        }
+        save_dataset(scene, tmp_path / "ds")
+        manifest, instances = load_ground_truth(tmp_path / "ds")
+        saved = list(response_maps_by_class(tmp_path / "ds" / "responses", manifest, instances))
+        in_memory = list(class_maps(scene))
+        assert len(in_memory) == len(saved) == 3
+        for got, want in zip(in_memory, saved):
+            self._equal(got, want)
+        car_maps = next(m for m in in_memory if m.members[0].class_name == "car")
+        assert car_maps.members[1].id == cars[1] and not car_maps.read["fine"][1]
+
+    def test_unknown_map_ids_refused_as_save_dataset_refuses_them(self, tmp_path):
+        """The first unknown id in sorted order is named, and save_dataset
+        refuses before it writes any file."""
+        scene = self._scene()
+        grids = next(iter(scene.response_maps.values()))
+        scene.response_maps.update(zz=grids, ghost=grids)
+        message = "^response maps for unknown instance 'ghost'$"
+        with pytest.raises(ValidationError, match=message):
+            next(class_maps(scene))
+        with pytest.raises(ValidationError, match=message):
+            save_dataset(scene, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
 
 class TestDatasetRoundtrip:

@@ -419,27 +419,36 @@ class TestFuseInstance:
             )[0]
 
     def test_rejects_maps_for_another_number_of_instances(self):
+        """Two viewpoints and a stack of one instance's maps, fine or coarse."""
         bank = PriorBank("c", np.eye(3)[None], np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError, match="2 viewpoints but 1 fine and 2 coarse maps"):
-            fuse_instances(
-                np.stack([np.eye(3)] * 2), bank, [np.zeros((2, 12, 12))], [np.zeros((2, 6, 6))] * 2
+        rs = np.stack([np.eye(3)] * 2)
+        for n_fine, n_coarse in ((1, 2), (2, 1)):
+            message = (
+                rf"^fine and coarse maps of shapes \({n_fine}, 2, 12, 12\) and"
+                rf" \({n_coarse}, 2, 6, 6\) for 2 viewpoints,"
+                r" expected \(2, 2, 12, 12\) and \(2, 2, 6, 6\)$"
             )
+            with pytest.raises(ValueError, match=message):
+                fuse_instances(
+                    rs, bank, np.zeros((n_fine, 2, 12, 12)), np.zeros((n_coarse, 2, 6, 6))
+                )
 
     @pytest.mark.parametrize(
         "fine, coarse",
         [
             (np.zeros((1, 2, 12, 12)), np.zeros((1, 3, 6, 6))),
             (np.zeros((1, 3, 12, 12)), np.zeros((1, 2, 6, 6))),
-            ([np.zeros((2, 12, 12)), np.zeros((3, 12, 12))], [np.zeros((2, 6, 6)), np.zeros((3, 6, 6))]),
+            (np.zeros((3, 12, 12)), np.zeros((3, 6, 6))),
         ],
         ids=["fewer-fine", "fewer-coarse", "per-instance"],
     )
     def test_rejects_maps_with_other_channel_counts(self, fine, coarse):
-        """Every instance's fine and coarse maps carry the first instance's
-        number of channels; none is dropped or read out of range."""
+        """The fine and coarse stacks carry the same number of channels, and
+        one instance's (K, 12, 12) and (K, 6, 6) maps are not a stack; none
+        is dropped or read out of range."""
         bank = PriorBank("c", np.eye(3)[None], np.zeros((1, 3, 2)))
         rs = np.stack([np.eye(3)] * len(fine))
-        with pytest.raises(ValueError, match="fine and coarse maps disagree"):
+        with pytest.raises(ValueError, match="^fine and coarse maps of shapes"):
             fuse_instances(rs, bank, fine, coarse)
 
 
@@ -498,14 +507,14 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.8, 0.3)])
     def test_whole_class_from_per_instance_maps(self, monkeypatch, weights):
-        """One call over the whole stack, with maps passed as a list of
-        per-instance arrays and blocks of 3, 3 and 1 instances."""
+        """One call over the whole class stack, each row one instance's
+        maps, fused in blocks of 3, 3 and 1 instances."""
         bank, rs, fine, coarse = self._mixed_stack()
         refs = self._references(bank, rs, fine, coarse, weights)
         monkeypatch.setattr(fusion, "FUSE_CHUNK", 3)
         assert len(rs) % fusion.FUSE_CHUNK == 1
         priors = _stacked_priors(rs, bank, 4, chunk=3)
-        cells = fuse_instances(rs, bank, list(fine), list(coarse), *weights)
+        cells = fuse_instances(rs, bank, fine, coarse, *weights)
         assert cells.shape == (len(rs), 4, 2)
         for b, (ref_priors, ref_cells) in enumerate(refs):
             assert np.array_equal(priors[b], ref_priors)
