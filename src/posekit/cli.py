@@ -39,13 +39,16 @@ def match_by_box(
     instances: Sequence[Instance], detections: Iterable[Detection]
 ) -> dict[str, Detection]:
     """Pair each instance with the single detection at its exact box; the
-    detections are iterated once."""
-    by_key: dict[tuple, list[Detection]] = {}
+    detections are iterated once, and one at no instance's box is dropped
+    as it is read."""
+    by_box: dict[tuple, list[Detection]] = {(inst.image_id, inst.bbox): [] for inst in instances}
     for det in detections:
-        by_key.setdefault((det.image_id, det.bbox), []).append(det)
+        candidates = by_box.get((det.image_id, det.bbox))
+        if candidates is not None:
+            candidates.append(det)
     out = {}
     for inst in instances:
-        candidates = by_key.get((inst.image_id, inst.bbox), [])
+        candidates = by_box[inst.image_id, inst.bbox]
         if len(candidates) != 1:
             raise dataio.ValidationError(
                 f"instance {inst.id!r}: expected exactly one prediction at its"
@@ -187,7 +190,13 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     base = Path(args.dataset)
-    manifest, instances = dataio.load_ground_truth(base)
+    manifest = dataio.load_manifest(base / "manifest.json")
+    # each instance is checked in full as it is read, but fusion reads no
+    # annotated keypoint: they go before the next line is read
+    instances = []
+    for inst in dataio.iter_instances(base / "instances.jsonl", manifest):
+        inst.keypoints.clear()
+        instances.append(inst)
     banks = dataio.load_prior_banks(args.prior_bank or base / "prior_bank.jsonl", manifest)
     viewpoints = None
     if args.preds:

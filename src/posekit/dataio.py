@@ -514,16 +514,19 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def load_instances(path: str | Path, manifest: Manifest) -> list[Instance]:
-    instances = []
+def iter_instances(path: str | Path, manifest: Manifest) -> Iterator[Instance]:
+    """Each instance of an instances.jsonl file, checked in full, as it is read."""
     seen: set[str] = set()
     for where, record in _read_jsonl(path):
         inst = instance_from_record(record, manifest, where)
         if inst.id in seen:
             raise ValidationError(f"{where}: duplicate instance id {inst.id!r}")
         seen.add(inst.id)
-        instances.append(inst)
-    return instances
+        yield inst
+
+
+def load_instances(path: str | Path, manifest: Manifest) -> list[Instance]:
+    return list(iter_instances(path, manifest))
 
 
 def load_ground_truth(path: str | Path) -> tuple[Manifest, list[Instance]]:
@@ -780,17 +783,22 @@ def response_maps_by_class(
 
 def _map_owners(dataset: Dataset) -> dict[str, Instance]:
     """The dataset's instances by id; refuses response maps of any other
-    id, naming the first in sorted order."""
+    id, then a map kind other than fine and coarse, each naming the first
+    in sorted (id, kind) order."""
     by_id = {inst.id: inst for inst in dataset.instances}
     unknown = dataset.response_maps.keys() - by_id.keys()
     if unknown:
         raise ValidationError(f"response maps for unknown instance {min(unknown)!r}")
+    bad = [(iid, kind) for iid, maps in dataset.response_maps.items()
+           for kind in maps if kind not in _MAP_SIZES]
+    if bad:
+        raise ValidationError(f"unknown response-map kind {min(bad)[1]!r}")
     return by_id
 
 
 def class_maps(dataset: Dataset) -> Iterator[ClassMaps]:
-    """response_maps_by_class on the directory save_dataset would write:
-    after refusing maps of an unknown instance, the same classes, rows,
+    """response_maps_by_class on the directory save_dataset would write: after
+    refusing maps of an unknown instance or kind, the same classes, rows,
     float32 values and checks, a map's fault named by its instance and kind."""
     by_id = _map_owners(dataset)
     members: dict[str, list[Instance]] = {}
@@ -801,7 +809,7 @@ def class_maps(dataset: Dataset) -> Iterator[ClassMaps]:
             (inst.id, kind, f"instance {inst.id!r} {kind} maps", maps[kind])
             for inst in members[cls]
             for maps in [dataset.response_maps.get(inst.id, {})]
-            for kind in sorted(maps.keys() & _MAP_SIZES.keys())
+            for kind in sorted(maps)
         )
         yield _class_maps(members[cls], len(dataset.manifest.keypoint_names[cls]), items)
 
@@ -810,7 +818,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset directory in the documented formats.
 
     Raises ValidationError unless the directory is new or empty, so that no
-    file of another dataset (a response map, say) is read back with this one.
+    file of another dataset (a response map, say) is read back with this one,
+    and, before it writes any file, for maps of an unknown instance or kind.
     """
     base = Path(path)
     if base.is_dir() and any(base.iterdir()):
@@ -827,8 +836,6 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         for iid in sorted(dataset.response_maps):
             class_id = dataset.manifest.classes.index(by_id[iid].class_name)
             for kind, grid in sorted(dataset.response_maps[iid].items()):
-                if kind not in _MAP_SIZES:
-                    raise ValidationError(f"unknown response-map kind {kind!r}")
                 write_response_map(responses / f"{iid}_{kind}.vkrm", grid, class_id)
 
 

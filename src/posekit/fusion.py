@@ -334,7 +334,8 @@ def fuse_instances(
     keypoint's Gaussian grids are evaluated once, around every bank entry
     (_table), and each block's priors (_priors) are decoded against the
     block's slice of that keypoint's maps, combined in one combine_scales
-    call, so no (B, K, 12, 12) float64 array is built.
+    call, so no (B, K, 12, 12) float64 array is built. One table is alive
+    at a time: keypoint k's is freed before keypoint k + 1's is built.
     """
     channels = fine.shape[1] if fine.ndim > 1 else 0
     want = tuple((len(rs), channels, size, size) for size in (GRID_SIZE, COARSE_SIZE))
@@ -357,4 +358,5 @@ def fuse_instances(
             priors, _ = _priors(table, carried, rows)
             logliks = combine_scales(fine[c, k], coarse[c, k], w_fine, w_coarse)
             cells[c, k] = _decode(priors, logliks)
+        del table  # so no two keypoints' tables are alive at once
     return cells

@@ -555,6 +555,15 @@ class TestFuseCommand:
         rows = [(r["id"], {int(k): tuple(v) for k, v in r["keypoints"].items()}) for r in records]
         assert rows == list(fused.items())
 
+    def test_fuse_predictions_keeps_the_instances_keypoints(self):
+        """Only the fuse command drops the annotated keypoints it reads; the
+        in-memory fuse leaves the caller's instances as they were."""
+        scene = synth.generate_scene(3, 12, synth.noise_preset("moderate"), bank_size=20)
+        before = [dict(inst.keypoints) for inst in scene.instances]
+        assert all(before)
+        cli.fuse_predictions(scene, cli.match_by_box(scene.instances, scene.detections))
+        assert [inst.keypoints for inst in scene.instances] == before
+
     def test_missing_bank_file(self, tmp_path):
         ds = _synth(tmp_path, n=2)
         rc = cli.main(
@@ -569,6 +578,62 @@ class TestFuseCommand:
             ]
         )
         assert rc == 3
+
+
+class TestMatchByBox:
+    """Known-box pairing: each instance takes the one detection at its image
+    id and exact box."""
+
+    class _Probe(metrics.Detection):
+        """A Detection that a weak reference can watch (no __slots__ here)."""
+
+    @staticmethod
+    def _inst(iid: str, box=(1.0, 2.0, 3.0, 4.0), image: str = "im0") -> metrics.Instance:
+        return metrics.Instance(id=iid, image_id=image, class_name="car", bbox=box)
+
+    @classmethod
+    def _det(cls, box=(1.0, 2.0, 3.0, 4.0), image: str = "im0") -> metrics.Detection:
+        return cls._Probe(image_id=image, class_name="car", bbox=box, score=0.5)
+
+    def test_detection_at_no_instance_box_is_ignored_and_dropped_at_once(self):
+        a, b = self._inst("a"), self._inst("b", box=(5.0, 5.0, 2.0, 2.0))
+        at_a, at_b = self._det(), self._det(box=b.bbox)
+        dropped = []
+
+        def stream():
+            # a stray (another box, then a's box in another image), then a match
+            for box, image, match in [((1.0, 2.0, 3.0, 5.0), "im0", at_a), (a.bbox, "im1", at_b)]:
+                stray = self._det(box, image)
+                ref = weakref.ref(stray)
+                yield stray
+                del stray
+                yield match
+                # match_by_box's loop now holds the match: only its index
+                # could still hold the stray
+                dropped.append(ref() is None)
+
+        assert cli.match_by_box([a, b], stream()) == {"a": at_a, "b": at_b}
+        assert dropped == [True, True]
+
+    @pytest.mark.parametrize("found", [0, 2])
+    def test_the_first_instance_in_order_without_one_candidate_is_named(self, found):
+        boxes = [(float(i), 0.0, 1.0, 1.0) for i in range(3)]
+        insts = [self._inst(iid, box) for iid, box in zip("xyz", boxes)]
+        dets = [self._det(boxes[0])] + [self._det(boxes[1])] * found
+        with pytest.raises(dataio.ValidationError) as exc:
+            cli.match_by_box(insts, dets)
+        assert str(exc.value) == (
+            f"instance 'y': expected exactly one prediction at its box, found {found}"
+        )
+
+    def test_two_instances_at_one_box_see_the_same_candidates(self):
+        insts = [self._inst("a"), self._inst("b")]
+        det = self._det()
+        matched = cli.match_by_box(insts, [det])
+        assert list(matched) == ["a", "b"] and matched["a"] is matched["b"] is det
+        with pytest.raises(dataio.ValidationError) as exc:
+            cli.match_by_box(insts, [det, self._det()])
+        assert str(exc.value) == "instance 'a': expected exactly one prediction at its box, found 2"
 
 
 class TestFuseFirstError:
@@ -1088,7 +1153,8 @@ class TestInputsRead:
         class is still alive: fuse reads, fuses and frees class by class.
         While a class is fused, no per-blob array is alive (each was copied
         into its class's stack), nor any detection that carries keypoint
-        hypotheses (only box and viewpoint outlive a detection's line)."""
+        hypotheses (only box and viewpoint outlive a detection's line), nor
+        any instance of the command that carries keypoints."""
         ds = _synth(tmp_path, n=12)
         _, instances = dataio.load_ground_truth(ds)
         class_of = {inst.id: inst.class_name for inst in instances}
@@ -1105,43 +1171,52 @@ class TestInputsRead:
             alive.append((cls, weakref.ref(data)))
             return class_id, data
 
-        # a Detection has slots and no weakref slot: find the live ones
-        # among the collector's objects, by the ids of those built here
-        build = dataio.detection_from_record
-        built: set[int] = set()
+        # a Detection or Instance has slots and no weakref slot: find the
+        # live ones among the collector's objects, by the ids of those built
+        # here, that still carry keypoints
+        built = {metrics.Detection: set(), metrics.Instance: set()}
 
-        def carrying() -> int:
+        def carrying(kind: type) -> int:
             return sum(
                 1 for obj in gc.get_objects()
-                if id(obj) in built and type(obj) is metrics.Detection
-                and obj.keypoint_hypotheses
+                if id(obj) in built[kind] and type(obj) is kind
+                and (obj.keypoints if kind is metrics.Instance else obj.keypoint_hypotheses)
             )
 
-        def tracked(*args):
-            det = build(*args)
-            built.add(id(det))
-            if len(built) == 1:
-                assert carrying() == 1  # the probe sees a live one
-            return det
+        def tracked(name: str, kind: type):
+            build = getattr(dataio, name)
+
+            def wrapper(*args):
+                record = build(*args)
+                built[kind].add(id(record))
+                if len(built[kind]) == 1:
+                    assert carrying(kind) == 1  # the probe sees a live one
+                return record
+
+            monkeypatch.setattr(dataio, name, wrapper)
 
         fuse = fusion.fuse_instances
-        held = []  # (live blob arrays, live detections with hypotheses) per fused class
+        held = []  # live (blob arrays, detections, instances) with their data, per class
 
         def fused(rs, bank, fine, coarse, *args):
-            held.append((sum(ref() is not None for _, ref in alive), carrying()))
+            blobs = sum(ref() is not None for _, ref in alive)
+            held.append((blobs, carrying(metrics.Detection), carrying(metrics.Instance)))
             assert fine.shape[0] == coarse.shape[0] == len(rs)
             return fuse(rs, bank, fine, coarse, *args)
 
         monkeypatch.setattr(dataio, "read_response_map", watched)
-        monkeypatch.setattr(dataio, "detection_from_record", tracked)
+        tracked("detection_from_record", metrics.Detection)
+        tracked("instance_from_record", metrics.Instance)
         monkeypatch.setattr(fusion, "fuse_instances", fused)
         rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
                        "--out", str(tmp_path / "fused.jsonl")])
         assert rc == 0
         assert order == sorted(set(class_of.values())) and len(order) == 3
         assert stale == []
-        assert len(alive) == 2 * len(instances) and len(built) >= len(instances)
-        assert held == [(0, 0)] * 3
+        assert len(alive) == 2 * len(instances)
+        assert len(built[metrics.Detection]) >= len(instances)
+        assert len(built[metrics.Instance]) == len(instances)
+        assert held == [(0, 0, 0)] * 3
 
     def test_fuse_makes_one_distance_pass_per_chunk_of_a_class(self, tmp_path, monkeypatch):
         """Neighbour search runs once per stacked chunk, ceil(n_c / chunk)

@@ -25,6 +25,7 @@ from posekit.dataio import (
     SchemaVersionError,
     ValidationError,
     class_maps,
+    iter_instances,
     load_detections,
     load_ground_truth,
     load_instances,
@@ -379,6 +380,17 @@ class TestInstanceRecords:
         path.write_text(line + line)
         with pytest.raises(ValidationError, match="duplicate instance id"):
             load_instances(path, _manifest())
+
+    def test_iter_instances_refuses_a_duplicate_id_naming_its_line(self, tmp_path):
+        """The instances before the repeat are yielded as they are read."""
+        insts = [Instance(id=iid, image_id="im0", class_name="car", bbox=(0.0, 0.0, 5.0, 5.0))
+                 for iid in ("i0", "i1", "i0")]
+        path = self._write(tmp_path, insts)
+        read = iter_instances(path, _manifest())
+        assert [next(read).id, next(read).id] == ["i0", "i1"]
+        with pytest.raises(ValidationError) as exc:
+            next(read)
+        assert str(exc.value) == f"{path.name}:3: duplicate instance id 'i0'"
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "instances.jsonl"
@@ -1144,6 +1156,22 @@ class TestInMemoryClassMaps:
         with pytest.raises(ValidationError, match=message):
             save_dataset(scene, tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    def test_unknown_map_kinds_refused_as_save_dataset_refuses_them(self, tmp_path):
+        """The kind of the first bad (id, kind) in sorted order is named, and
+        save_dataset refuses before it writes any file."""
+        scene = self._scene()
+        ids = sorted(scene.response_maps)
+        grid = scene.response_maps[ids[0]]["fine"]
+        scene.response_maps[ids[5]]["aaa"] = grid
+        scene.response_maps[ids[2]].update(zzz=grid, extra=grid)
+        message = "^unknown response-map kind 'extra'$"
+        with pytest.raises(ValidationError, match=message):
+            next(class_maps(scene))
+        (tmp_path / "ds").mkdir()
+        with pytest.raises(ValidationError, match=message):
+            save_dataset(scene, tmp_path / "ds")
+        assert list((tmp_path / "ds").iterdir()) == []
 
 
 class TestDatasetRoundtrip:

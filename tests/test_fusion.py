@@ -7,6 +7,7 @@ library path.
 
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -576,6 +577,26 @@ class TestPriorTables:
         assert built == Counter(
             {(cls, k): 1 for cls in classes for k in range(scene.prior_banks[cls].num_keypoints)}
         )
+
+    def test_previous_table_is_freed_before_the_next_is_built(self, monkeypatch):
+        """Within a class and across classes, no two tables are alive at once."""
+        scene = generate_scene(3, 30, noise_preset("moderate"), bank_size=20)
+        viewpoints = cli.match_by_box(scene.instances, scene.detections)
+        table = fusion._table
+        last = []  # a weak reference to the table built last
+        alive = []  # whether it was still alive when the next was asked for
+
+        def watched(bank, k, sigma):
+            if last:
+                alive.append(last[-1]() is not None)
+            grids, carried = table(bank, k, sigma)
+            last.append(weakref.ref(grids))
+            return grids, carried
+
+        monkeypatch.setattr(fusion, "_table", watched)
+        cli.fuse_predictions(scene, viewpoints)
+        keypoints = sum(bank.num_keypoints for bank in scene.prior_banks.values())
+        assert len(last) == keypoints and alive == [False] * (keypoints - 1)
 
     def test_fusing_a_class_stays_below_4_mb(self):
         """A 1,000-entry bank with K = 8 and 1,300 instances: one keypoint's
