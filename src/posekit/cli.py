@@ -139,9 +139,29 @@ def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
         sys.stdout.write(dataio.render_report(report, args.format))
 
 
+def _without_keypoints(records: Iterable[Instance | Detection]) -> Iterator:
+    """Each record as it is read, its keypoint map emptied: the line was
+    checked in full, but the caller reads none of its keypoints, so they go
+    before the next line is read."""
+    for record in records:
+        keypoints = record.keypoints if type(record) is Instance else record.keypoint_hypotheses
+        keypoints.clear()
+        yield record
+
+
+def _ground_truth(base: Path) -> tuple[dataio.Manifest, list[Instance]]:
+    """The dataset's manifest and its instances without their keypoints."""
+    manifest = dataio.load_manifest(base / "manifest.json")
+    instances = _without_keypoints(dataio.iter_instances(base / "instances.jsonl", manifest))
+    return manifest, list(instances)
+
+
 def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
-    manifest, instances = dataio.load_ground_truth(args.dataset)
-    preds = dataio.load_detections(args.preds, manifest)
+    # viewpoint metrics read no keypoint: instances and detections are held
+    # without them, and under --gt-boxes a detection at no instance's box is
+    # dropped as it is read
+    manifest, instances = _ground_truth(Path(args.dataset))
+    preds = _without_keypoints(dataio.iter_detections(args.preds, manifest))
     if args.gt_boxes:
         views = diagnostics.viewpoint_pairs(instances, match_by_box(instances, preds))
         report = diagnostics.sliced_report(diagnostics.class_slices(instances), views, args.theta)
@@ -167,15 +187,23 @@ def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
-    manifest, instances = dataio.load_ground_truth(args.dataset)
     report = EvalReport()
     if args.mode == "pck":
+        manifest, instances = dataio.load_ground_truth(args.dataset)
         preds = dataio.load_keypoint_predictions(args.preds, manifest, instances)
         result = metrics.pck(instances, preds, args.alpha)
         report.sections["pck/pooled"] = dict(sorted(result.pooled_per_class.items()))
     else:
-        dets = dataio.load_detections(args.preds, manifest)
-        result = metrics.apk(dets, instances, args.alpha, args.lam)
+        # apk pools each record into columns as it is read: the instances
+        # first, then the detections, the order of their faults
+        base = Path(args.dataset)
+        manifest = dataio.load_manifest(base / "manifest.json")
+        result = metrics.apk(
+            dataio.iter_detections(args.preds, manifest),
+            dataio.iter_instances(base / "instances.jsonl", manifest),
+            args.alpha,
+            args.lam,
+        )
     for cls in sorted(result.per_keypoint):
         names = manifest.keypoint_names[cls]
         report.sections[f"{args.mode}/{cls}"] = {
@@ -189,24 +217,16 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
+    # fusion reads no annotated keypoint and no keypoint hypothesis: only an
+    # instance's id, class, image id, box and viewpoint, and a detection's
+    # box and viewpoint
     base = Path(args.dataset)
-    manifest = dataio.load_manifest(base / "manifest.json")
-    # each instance is checked in full as it is read, but fusion reads no
-    # annotated keypoint: they go before the next line is read
-    instances = []
-    for inst in dataio.iter_instances(base / "instances.jsonl", manifest):
-        inst.keypoints.clear()
-        instances.append(inst)
+    manifest, instances = _ground_truth(base)
     banks = dataio.load_prior_banks(args.prior_bank or base / "prior_bank.jsonl", manifest)
     viewpoints = None
     if args.preds:
-        # each detection is checked in full as it is read, but only its box
-        # and viewpoint are kept: fuse reads no keypoint hypothesis
-        detections = dataio.iter_detections(args.preds, manifest)
-        viewpoints = match_by_box(
-            instances,
-            (dataclasses.replace(det, keypoint_hypotheses={}) for det in detections),
-        )
+        detections = _without_keypoints(dataio.iter_detections(args.preds, manifest))
+        viewpoints = match_by_box(instances, detections)
     settings = (args.w_fine, args.w_coarse, args.sigma, args.threshold)
     classes = dataio.response_maps_by_class(args.maps or base / "responses", manifest, instances)
     rows = _fuse_classes(classes, banks, viewpoints, settings)

@@ -15,9 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -570,18 +569,52 @@ class ApkResult:
         return mean_present(self.per_class.values())
 
 
-def _keypoint_rows(maps: Sequence[Mapping[int, object]]) -> tuple[np.ndarray, np.ndarray, list]:
-    """The entries of a sequence of keypoint maps as rows, in order: the
-    index of the owning map, the keypoint id and the value of each entry."""
-    counts = np.fromiter(map(len, maps), np.intp, len(maps))
-    owner = np.repeat(np.arange(len(maps)), counts)
-    ids = np.fromiter(chain.from_iterable(maps), np.intp, len(owner))
-    return owner, ids, list(chain.from_iterable(m.values() for m in maps))
+class _Pooled(NamedTuple):
+    """Columns of a stream of records that carry keypoint maps."""
+
+    images: np.ndarray  # per record: image index
+    classes: np.ndarray  # per record: class code
+    values: np.ndarray  # per record: value(record), a radius or a detector score
+    owner: np.ndarray  # per entry: index of its record
+    ids: np.ndarray  # per entry: keypoint id
+    fields: list[np.ndarray]  # per entry: each pooled attribute
 
 
-def _column(values: Sequence[object], name: str, dtype: type = np.float64) -> np.ndarray:
-    """One attribute of each value, as an array."""
-    return np.fromiter(map(attrgetter(name), values), dtype, len(values))
+def _pool(
+    records: Iterable,
+    keypoints: Callable[[object], Mapping[int, object]],
+    fields: Sequence[str],
+    value: Callable[[object], float],
+    images: dict[str, int],
+    codes: dict[str, int],
+) -> _Pooled:
+    """The records' columns, each record read once and pooled whole before
+    the next is read: its image index and class code (numbered in order of
+    first sight in images and codes, which the caller shares), value(record),
+    and the keypoint id and named float attributes of each entry of
+    keypoints(record), in order."""
+    # imported here rather than with the module: loading the extension
+    # module adds to the RSS of every command (68 kB on CPython 3.11,
+    # Linux x86-64), and only apk pools
+    from array import array
+
+    image, cls, values, counts, ids = array("q"), array("q"), array("d"), array("q"), array("q")
+    columns = [array("d") for _ in fields]
+    getters = [attrgetter(name) for name in fields]
+    for record in records:
+        image.append(images.setdefault(record.image_id, len(images)))
+        cls.append(codes.setdefault(record.class_name, len(codes)))
+        values.append(value(record))
+        entries = keypoints(record)
+        counts.append(len(entries))
+        ids.extend(entries)
+        for column, get in zip(columns, getters):
+            column.extend(map(get, entries.values()))
+    owner = np.repeat(np.arange(len(counts)), np.asarray(counts))
+    return _Pooled(
+        np.asarray(image), np.asarray(cls), np.asarray(values), owner, np.asarray(ids),
+        [np.asarray(column) for column in columns],
+    )
 
 
 def apk(
@@ -599,63 +632,74 @@ def apk(
     instance's alpha * max(h, w) radius, and is otherwise a false positive.
     Only annotated visible keypoints form the ground-truth set.
 
-    The hypotheses and the annotated keypoints are pooled into columns
-    once, and all hypotheses are rescored by one elementwise
+    Each argument is iterated once, the ground truths first, so one-shot
+    iterables such as the loaders' generators are taken and a ground-truth
+    fault is met before a detection fault. Each record's keypoint entries
+    are pooled into columns as it is read, and nothing else holds the
+    record. All hypotheses are then rescored by one elementwise
     score_hypothesis call. Distances are math.hypot, pair by pair, whose
     bits np.hypot does not always reproduce.
     """
-    dets, insts = list(detections), list(gt_instances)
-    gt_owner, gt_ids, kps = _keypoint_rows([g.keypoints for g in insts])
-    hyp_owner, hyp_ids, hyps = _keypoint_rows([d.keypoint_hypotheses for d in dets])
-    det_scores = np.array([d.score for d in dets], dtype=np.float64)
-    try:
-        scores = score_hypothesis(det_scores[hyp_owner], _column(hyps, "score"), lam)
-    except ValueError:
-        _refuse_rescore(dets, lam)
-        raise
-    images, gt_images = _image_columns((d.image_id for d in dets), (g.image_id for g in insts))
-    radii = np.array([pck_threshold(g.bbox, alpha) for g in insts], dtype=np.float64)
-
+    images: dict[str, int] = {}
     # integer class codes, not str columns: comparing str columns per class
     # adds 2.3 MB to the peak RSS on a heavy n = 4000 scene
-    classes = {g.class_name for g in insts} | {d.class_name for d in dets}
-    code = {cls: c for c, cls in enumerate(classes)}
-    gt_classes = np.array([code[g.class_name] for g in insts], dtype=np.intp)[gt_owner]
-    hyp_classes = np.array([code[d.class_name] for d in dets], dtype=np.intp)[hyp_owner]
-    visible = _column(kps, "visible", bool)
-    gx, gy, hx, hy = _column(kps, "x"), _column(kps, "y"), _column(hyps, "x"), _column(hyps, "y")
+    codes: dict[str, int] = {}
+    gts = _pool(
+        gt_instances, attrgetter("keypoints"), ("x", "y", "visible"),
+        lambda g: pck_threshold(g.bbox, alpha), images, codes,
+    )
+    hyps = _pool(
+        detections, attrgetter("keypoint_hypotheses"), ("x", "y", "score"),
+        attrgetter("score"), images, codes,
+    )
+    gt_owner, gt_ids, (gx, gy, visible) = gts.owner, gts.ids, gts.fields
+    hyp_owner, hyp_ids, (hx, hy, hyp_scores) = hyps.owner, hyps.ids, hyps.fields
+    try:
+        scores = score_hypothesis(hyps.values[hyp_owner], hyp_scores, lam)
+    except ValueError:
+        _refuse_rescore(hyps, lam, images, codes)
+        raise
+    gt_classes, hyp_classes = gts.classes[gt_owner], hyps.classes[hyp_owner]
+    visible = visible.astype(bool)
 
+    names = list(codes)
+    # a class with ground truth, or with a detection that carries hypotheses
+    present = set(gts.classes.tolist()) | set(hyp_classes.tolist())
     per_keypoint: dict[str, dict[int, float]] = {}
-    scored = {d.class_name for d in dets if d.keypoint_hypotheses}
-    for cls in sorted({g.class_name for g in insts} | scored):
+    for cls in sorted(names[c] for c in present):
         per_keypoint[cls] = {}
-        in_gt, in_hyp = gt_classes == code[cls], hyp_classes == code[cls]
+        in_gt, in_hyp = gt_classes == codes[cls], hyp_classes == codes[cls]
         for k in sorted(set(gt_ids[in_gt].tolist()) | set(hyp_ids[in_hyp].tolist())):
             g = np.flatnonzero(in_gt & (gt_ids == k) & visible)
             h = np.flatnonzero(in_hyp & (hyp_ids == k))
-            cand, gt = _same_image_pairs(images[hyp_owner[h]], gt_images[gt_owner[g]])
+            cand, gt = _same_image_pairs(hyps.images[hyp_owner[h]], gts.images[gt_owner[g]])
             hr, gr = h[cand], g[gt]
             dist = np.array(
                 list(map(math.hypot, (hx[hr] - gx[gr]).tolist(), (hy[hr] - gy[gr]).tolist())),
                 dtype=np.float64,
             )
             # an infinite distance never claims, even within an infinite radius
-            near = (dist <= radii[gt_owner[gr]]) & (dist < math.inf)
+            near = (dist <= gts.values[gt_owner[gr]]) & (dist < math.inf)
             _, claimed = _greedy_match(scores[h], cand[near], gt[near], dist[near])
             per_keypoint[cls][k] = _pr_eval(claimed >= 0, len(g)).ap
     per_class = {cls: mean_present(aps.values()) for cls, aps in per_keypoint.items()}
     return ApkResult(per_keypoint=per_keypoint, per_class=per_class)
 
 
-def _refuse_rescore(dets: Sequence[Detection], lam: float) -> None:
-    """Raise for the first hypothesis, in load order, whose score_hypothesis is not finite."""
-    for det in dets:
-        for k, h in det.keypoint_hypotheses.items():
-            try:
-                score_hypothesis(det.score, h.score, lam)
-            except ValueError:
-                where = f"image {det.image_id}, class {det.class_name!r}, keypoint {k}"
-                raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
+def _refuse_rescore(
+    hyps: _Pooled, lam: float, images: Mapping[str, int], codes: Mapping[str, int]
+) -> None:
+    """Raise for the first hypothesis, in load order, whose score_hypothesis
+    is not finite, naming its detection's image and class from the columns."""
+    det_scores, (_, _, hyp_scores) = hyps.values.tolist(), hyps.fields
+    for owner, k, score in zip(hyps.owner.tolist(), hyps.ids.tolist(), hyp_scores.tolist()):
+        try:
+            score_hypothesis(det_scores[owner], score, lam)
+        except ValueError:
+            image = list(images)[hyps.images[owner]]
+            cls = list(codes)[hyps.classes[owner]]
+            where = f"image {image}, class {cls!r}, keypoint {k}"
+            raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
 
 
 def score_hypothesis(

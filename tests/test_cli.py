@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posekit import cli, dataio, fusion, metrics, so3, synth
+from posekit import cli, dataio, diagnostics, fusion, metrics, so3, synth
 
 
 def _synth(root: Path, *, seed: int = 7, n: int = 12, noise: str = "zero") -> Path:
@@ -345,6 +345,40 @@ class TestEvaluateViewpoint:
         )
         assert rc == 2
         assert "schema version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["--detections", "--gt-boxes"])
+    def test_evaluation_gets_no_keypoint(self, tmp_path, monkeypatch, mode):
+        """Viewpoint metrics read no keypoint: every instance and detection
+        that evaluate-viewpoint hands to evaluation has an empty keypoint
+        map, though the files carry keypoints and hypotheses."""
+        ds = _synth(tmp_path, n=12)
+        for name, key in (("instances", "keypoints"), ("detections", "keypoint_hypotheses")):
+            lines = (ds / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+            assert all(json.loads(line)[key] for line in lines)
+        handed = []  # (instances, their keypoints, detections, their hypotheses) per call
+
+        def record(instances, detections):
+            handed.append((
+                len(instances), sum(len(inst.keypoints) for inst in instances),
+                len(detections), sum(len(det.keypoint_hypotheses) for det in detections),
+            ))
+
+        evaluate, pairs = metrics.evaluate_detection_tests, diagnostics.viewpoint_pairs
+
+        def spy_evaluate(detections, instances, *args):
+            detections, instances = list(detections), list(instances)
+            record(instances, detections)
+            return evaluate(detections, instances, *args)
+
+        def spy_pairs(instances, matched):
+            record(instances, list(matched.values()))
+            return pairs(instances, matched)
+
+        monkeypatch.setattr(metrics, "evaluate_detection_tests", spy_evaluate)
+        monkeypatch.setattr(diagnostics, "viewpoint_pairs", spy_pairs)
+        argv = ["evaluate-viewpoint", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl")]
+        assert cli.main([*argv, mode]) == 0
+        assert handed == [(12, 0, 12, 0)]
 
 
 class TestFuseCommand:
@@ -805,6 +839,21 @@ class TestEvaluateKeypoints:
         first = records[0]
         assert f"image {first['image_id']}, class {first['class']!r}, keypoint 0:" in err
         assert f"lambda {float(lam)}" in err
+
+    def test_apk_names_the_instances_line_before_the_detections_line(self, tmp_path, capsys):
+        """apk reads the ground truth before the detections, so with a bad
+        line in each file the instances.jsonl line is the one named."""
+        ds = _synth(tmp_path, n=4)
+        for name in ("instances.jsonl", "detections.jsonl"):
+            lines = (ds / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1] = "not json\n"
+            (ds / name).write_text("".join(lines), encoding="utf-8")
+        rc = cli.main(
+            ["evaluate-keypoints", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+             "--mode", "apk"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: instances.jsonl:2: bad JSON (Expecting value)\n"
 
     def test_apk_builds_each_hypothesis_once(self, tmp_path, monkeypatch):
         """Rescoring ranks the loaded hypotheses; it builds no second copy."""
@@ -1511,13 +1560,13 @@ class TestCollectorPause:
             3: (tmp_path / "missing", ds / "detections.jsonl"),
         }
         seen = []
-        load = dataio.load_ground_truth
+        load = dataio.load_manifest  # every command's first read, the exit-3 run's too
 
         def spy(*args):
             seen.append(gc.isenabled())
             return load(*args)
 
-        monkeypatch.setattr(dataio, "load_ground_truth", spy)
+        monkeypatch.setattr(dataio, "load_manifest", spy)
         was = gc.isenabled()
         try:
             for code, (dataset, preds) in runs.items():

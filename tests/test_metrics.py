@@ -1,7 +1,9 @@
 """Tests for viewpoint, detection, and keypoint evaluation metrics."""
 
+import copy
 import dataclasses
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -686,6 +688,46 @@ class TestApk:
             "image im1, class 'car', keypoint 2: hypothesis score is not finite at lambda 3.0"
         )
         assert apk(dets, self._scene(), lam=0.5).per_keypoint["car"] == {0: 0.0, 1: 0.0, 2: 0.0}
+
+    def test_refusal_names_the_detection_whose_own_score_overflows(self):
+        """Each hypothesis is mixed with its own detection's score: only the
+        chair detection of score 1e308 overflows at lam = 3, and the
+        message names its image and class, not the first detection's."""
+        dets = [
+            _det(image_id="im0", keypoint_hypotheses={0: KeypointHypothesis(1.0, 1.0, 0.5)}),
+            _det(image_id="im1", cls="chair", score=1e308,
+                 keypoint_hypotheses={1: KeypointHypothesis(1.0, 1.0, 0.5)}),
+        ]
+        with pytest.raises(ValueError) as info:
+            apk(dets, self._scene(), lam=3.0)
+        assert str(info.value) == (
+            "image im1, class 'chair', keypoint 1: hypothesis score is not finite at lambda 3.0"
+        )
+
+    def test_one_shot_streams_equal_lists_read_ground_truth_first_and_held_by_no_one(self):
+        """apk over one-shot generators equals apk over lists of the same
+        records. It reads every ground truth before any detection, and once
+        it asks for the next record it holds none before the last one it
+        got: each is pooled into columns and dropped."""
+        scene = generate_scene(5, 60, noise_preset("heavy"))
+        assert any(d.keypoint_hypotheses for d in scene.detections)
+        read, held = [], []
+
+        def one_shot(kind, records):
+            yielded = []
+            for record in records:
+                # a record is referenced by `yielded` and getrefcount's own argument
+                held.append(sum(sys.getrefcount(yielded[i]) > 2 for i in range(len(yielded) - 1)))
+                yielded.append(copy.deepcopy(record))
+                read.append(kind)
+                yield yielded[-1]
+
+        streamed = apk(
+            one_shot("det", scene.detections), one_shot("gt", scene.instances), 0.1, 0.3
+        )
+        assert streamed == apk(scene.detections, scene.instances, 0.1, 0.3)
+        assert read == ["gt"] * len(scene.instances) + ["det"] * len(scene.detections)
+        assert held == [0] * len(read)
 
 
 class TestScoreHypothesis:
