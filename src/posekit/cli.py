@@ -103,9 +103,9 @@ def _fuse_classes(
     banks: Mapping[str, fusion.PriorBank],
     viewpoints: Mapping[str, Detection] | None,
     settings: tuple[float, float, float, float],
-) -> Iterator[tuple[str, np.ndarray]]:
-    """fuse_class over each class as it is read; returns the (id, (K, 2)
-    pixels) rows in id order once every class is fused."""
+) -> Iterator[tuple[str, dict[int, tuple[float, float]]]]:
+    """fuse_class over each class as it is read; once all are fused, returns
+    the (id, {keypoint id: (x, y)}) rows in id order, each built as it is read."""
     fused: list[tuple[list[str], np.ndarray]] = []  # (member ids, pixels) per class
     for maps in classes:
         pixels = fuse_class(maps, banks, viewpoints, *settings)
@@ -113,7 +113,8 @@ def _fuse_classes(
         # free this class's maps before the reader resumes with the next class
         del maps
     # each class's members are in id order: merge them into one id order
-    return heapq.merge(*(zip(ids, pixels) for ids, pixels in fused), key=itemgetter(0))
+    rows = heapq.merge(*(zip(ids, pixels) for ids, pixels in fused), key=itemgetter(0))
+    return ((iid, {k: (x, y) for k, (x, y) in enumerate(kps.tolist())}) for iid, kps in rows)
 
 
 def fuse_predictions(
@@ -129,7 +130,7 @@ def fuse_predictions(
     error is the one the command reports for the saved dataset."""
     settings = (w_fine, w_coarse, sigma, threshold)
     rows = _fuse_classes(dataio.class_maps(dataset), dataset.prior_banks, viewpoints, settings)
-    return {iid: {k: (x, y) for k, (x, y) in enumerate(kps.tolist())} for iid, kps in rows}
+    return dict(rows)
 
 
 def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
@@ -164,7 +165,7 @@ def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
     preds = _without_keypoints(dataio.iter_detections(args.preds, manifest))
     if args.gt_boxes:
         views = diagnostics.viewpoint_pairs(instances, match_by_box(instances, preds))
-        report = diagnostics.sliced_report(diagnostics.class_slices(instances), views, args.theta)
+        report = diagnostics.sliced_report(metrics.by_class(instances), views, args.theta)
     else:
         report = EvalReport()
         avp_name = f"avp{args.bins}"
@@ -192,7 +193,7 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
         manifest, instances = dataio.load_ground_truth(args.dataset)
         preds = dataio.load_keypoint_predictions(args.preds, manifest, instances)
         result = metrics.pck(instances, preds, args.alpha)
-        report.sections["pck/pooled"] = dict(sorted(result.pooled_per_class.items()))
+        report.sections["pck/pooled"] = dict(result.pooled_per_class)
     else:
         # apk pools each record into columns as it is read: the instances
         # first, then the detections, the order of their faults
@@ -204,14 +205,10 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
             args.alpha,
             args.lam,
         )
-    for cls in sorted(result.per_keypoint):
+    for cls, aps in result.per_keypoint.items():
         names = manifest.keypoint_names[cls]
-        report.sections[f"{args.mode}/{cls}"] = {
-            names[k]: v for k, v in sorted(result.per_keypoint[cls].items())
-        }
-    report.sections[f"{args.mode}/mean"] = dict(
-        sorted(result.per_class.items()), all=result.mean()
-    )
+        report.sections[f"{args.mode}/{cls}"] = {names[k]: v for k, v in aps.items()}
+    report.sections[f"{args.mode}/mean"] = dict(result.per_class, all=result.mean())
     _emit_report(report, args)
     return 0
 
@@ -229,10 +226,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         viewpoints = match_by_box(instances, detections)
     settings = (args.w_fine, args.w_coarse, args.sigma, args.threshold)
     classes = dataio.response_maps_by_class(args.maps or base / "responses", manifest, instances)
-    rows = _fuse_classes(classes, banks, viewpoints, settings)
-    dataio.save_keypoint_predictions(
-        ((iid, dict(enumerate(points.tolist()))) for iid, points in rows), args.out
-    )
+    dataio.save_keypoint_predictions(_fuse_classes(classes, banks, viewpoints, settings), args.out)
     print(f"fused {len(instances)} instances -> {args.out}")
     return 0
 
@@ -275,10 +269,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         swapped = diagnostics.left_right_pck(
             kept, preds_kp, manifest.symmetry_pairs, args.alpha
         )
-        report.sections["pck"] = dict(sorted(base.per_class.items()), all=base.mean())
-        report.sections["left-right-pck"] = dict(
-            sorted(swapped.per_class.items()), all=swapped.mean()
-        )
+        report.sections["pck"] = dict(base.per_class, all=base.mean())
+        report.sections["left-right-pck"] = dict(swapped.per_class, all=swapped.mean())
 
     _emit_report(report, args)
     return 0

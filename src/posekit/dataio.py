@@ -57,6 +57,7 @@ from .metrics import (
     Instance,
     Keypoint,
     KeypointHypothesis,
+    by_class,
 )
 # rotation_matrix is bound here too: perfbench/selftest.py checks that the
 # tracer wraps a re-exported function at every binding, this one included.
@@ -772,13 +773,10 @@ def response_maps_by_class(
         if inst is None:
             raise ValidationError(f"{name}: unknown instance id {iid!r}")
         blobs.setdefault(inst.class_name, []).append((inst.id, sys.intern(kind)))
-    members: dict[str, list[Instance]] = {}
-    for iid in sorted(by_id):
-        members.setdefault(by_id[iid].class_name, []).append(by_id[iid])
     prefix = os.path.join(directory, "")
-    for cls in sorted(members):
+    for cls, members in by_class(by_id[iid] for iid in sorted(by_id)).items():
         read = _read_blobs(prefix, blobs.get(cls, ()), cls, manifest.classes.index(cls))
-        yield _class_maps(members[cls], len(manifest.keypoint_names[cls]), read)
+        yield _class_maps(members, len(manifest.keypoint_names[cls]), read)
 
 
 def _map_owners(dataset: Dataset) -> dict[str, Instance]:
@@ -801,17 +799,14 @@ def class_maps(dataset: Dataset) -> Iterator[ClassMaps]:
     refusing maps of an unknown instance or kind, the same classes, rows,
     float32 values and checks, a map's fault named by its instance and kind."""
     by_id = _map_owners(dataset)
-    members: dict[str, list[Instance]] = {}
-    for iid in sorted(by_id):
-        members.setdefault(by_id[iid].class_name, []).append(by_id[iid])
-    for cls in sorted(members):
+    for cls, members in by_class(by_id[iid] for iid in sorted(by_id)).items():
         items = (
             (inst.id, kind, f"instance {inst.id!r} {kind} maps", maps[kind])
-            for inst in members[cls]
+            for inst in members
             for maps in [dataset.response_maps.get(inst.id, {})]
             for kind in sorted(maps)
         )
-        yield _class_maps(members[cls], len(dataset.manifest.keypoint_names[cls]), items)
+        yield _class_maps(members, len(dataset.manifest.keypoint_names[cls]), items)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -103,14 +103,6 @@ def named_slices(spec: str, instances: Sequence[Instance]) -> dict[str, list[Ins
     return slices
 
 
-def class_slices(instances: Iterable[Instance]) -> dict[str, list[Instance]]:
-    """One slice per class, in class-name order, members in instance order."""
-    by_class: dict[str, list[Instance]] = {}
-    for inst in instances:
-        by_class.setdefault(inst.class_name, []).append(inst)
-    return dict(sorted(by_class.items()))
-
-
 ViewpointPairs = dict[str, tuple[EulerAngles, EulerAngles]]
 
 

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -134,6 +134,17 @@ class EvalReport:
         for name, (rec, _) in self.curves.items():
             if np.any(np.diff(rec) < 0):
                 raise ValueError(f"curve {name!r}: recall must be nondecreasing")
+
+
+_Record = TypeVar("_Record", Instance, Detection)
+
+
+def by_class(records: Iterable[_Record]) -> dict[str, list[_Record]]:
+    """Each class's records, in class-name order, records in the order given."""
+    groups: dict[str, list[_Record]] = {}
+    for record in records:
+        groups.setdefault(record.class_name, []).append(record)
+    return dict(sorted(groups.items()))
 
 
 def mean_present(values: Iterable[float | None]) -> float | None:
@@ -348,14 +359,10 @@ def evaluate_detection_tests(
     true positives consume, and each test runs its own match, called on
     one claim at a time.
     """
-    dets_by_class: dict[str, list[Detection]] = {}
-    for d in detections:
-        dets_by_class.setdefault(d.class_name, []).append(d)
-    gts_by_class: dict[str, list[Instance]] = {}
-    for g in gt_instances:
-        gts_by_class.setdefault(g.class_name, []).append(g)
+    dets_by_class = by_class(detections)
+    gts_by_class = by_class(gt_instances)
     out: dict[str, dict[str, DetectionEval]] = {}
-    for cls in sorted(set(dets_by_class) | set(gts_by_class)):
+    for cls in sorted(dets_by_class.keys() | gts_by_class.keys()):
         dets = dets_by_class.get(cls, [])
         gts = gts_by_class.get(cls, [])
         if not gts:
@@ -495,6 +502,7 @@ class PckResult:
     keypoint is annotated and visible (None when there are none).
     per_class averages a class's keypoint fractions; pooled_per_class
     instead pools all keypoint-instances of the class into one fraction.
+    Classes are keyed in name order and keypoints in id order, in any input order.
     """
 
     per_keypoint: dict[str, dict[int, float | None]]
@@ -551,7 +559,7 @@ def pck(
     per_keypoint: dict[str, dict[int, float | None]] = {}
     per_class: dict[str, float | None] = {}
     pooled: dict[str, float | None] = {}
-    for cls, kp_hits in per_kp_hits.items():
+    for cls, kp_hits in sorted(per_kp_hits.items()):
         per_keypoint[cls] = {k: mean_present(kp_hits[k]) for k in sorted(kp_hits)}
         per_class[cls] = mean_present(per_keypoint[cls].values())
         pooled[cls] = mean_present(h for k in sorted(kp_hits) for h in kp_hits[k])
@@ -560,7 +568,8 @@ def pck(
 
 @dataclass
 class ApkResult:
-    """Per-keypoint detection-setting APs and their per-class means."""
+    """Per-keypoint detection-setting APs and their per-class means, classes
+    keyed in name order and keypoints in id order."""
 
     per_keypoint: dict[str, dict[int, float]]
     per_class: dict[str, float | None]

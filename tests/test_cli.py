@@ -16,6 +16,8 @@ import io
 import json
 import math
 import os
+import random
+import shutil
 import subprocess
 import sys
 import warnings
@@ -1710,6 +1712,107 @@ class TestCliOutputBytes:
     @pytest.mark.parametrize("output", list(DIGESTS))
     def test_output_digest(self, outputs, output):
         assert hashlib.sha256(outputs[output]).hexdigest() == self.DIGESTS[output]
+
+
+def _cpu_targets() -> tuple[list[str], dict[str, bool]]:
+    """numpy's dispatch targets above its baseline, and its table of the
+    CPU features it found."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return list(umath.__cpu_dispatch__), dict(umath.__cpu_features__)
+
+
+class TestDispatchTargets:
+    """The pinned CLI digests hold with every numpy dispatch target that the
+    host supports switched off, so the bytes do not depend on which SIMD
+    kernels numpy picks."""
+
+    def test_pinned_digests_hold_on_the_baseline_kernels(self):
+        dispatch, features = _cpu_targets()
+        targets = [t for t in dispatch if features.get(t)]
+        if not targets:
+            pytest.skip("numpy finds no dispatch target above its baseline on this host")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from test_cli import _cpu_targets;"
+            " print(' '.join(t for t in sys.argv[2:] if _cpu_targets()[1][t]))"
+        )
+        here = Path(__file__).resolve()
+        still_on = subprocess.run(
+            [sys.executable, "-c", probe, str(here.parent), *targets],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert still_on == []
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                f"{here}::TestCliOutputBytes", f"{here}::TestKnownBoxReportBytes",
+            ],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "7 passed" in run.stdout
+
+
+def _all_outputs(ds: Path, out: Path) -> dict[str, bytes]:
+    """The fused file under predicted viewpoints and every report on it and
+    on the dataset, each in machine format; the last argument of each
+    command is the file it writes."""
+    out.mkdir()
+    data, dets, fused = str(ds), str(ds / "detections.jsonl"), str(out / "fused.jsonl")
+    common = ["--dataset", data, "--format", "machine", "--report"]
+    runs = {
+        "fuse": ["fuse", "--dataset", data, "--preds", dets, "--out", fused],
+        "pck": ["evaluate-keypoints", "--preds", fused, *common, str(out / "pck.json")],
+        "apk": [
+            "evaluate-keypoints", "--preds", dets, "--mode", "apk", *common,
+            str(out / "apk.json"),
+        ],
+        "gt-boxes": [
+            "evaluate-viewpoint", "--preds", dets, "--gt-boxes", *common,
+            str(out / "gt-boxes.json"),
+        ],
+        "detections": [
+            "evaluate-viewpoint", "--preds", dets, "--detections", *common,
+            str(out / "detections.json"),
+        ],
+        "diagnose": [
+            "diagnose", "--preds", dets, "--slices", "size,occlusion,truncation",
+            "--error-modes", "--left-right", *common, str(out / "diagnose.json"),
+        ],
+    }
+    written = {}
+    for name, argv in runs.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, name
+        written[name] = Path(argv[-1]).read_bytes()
+    return written
+
+
+class TestLineOrder:
+    """Every output is a function of the records, not of the line order of
+    instances.jsonl and detections.jsonl. The bank's line order is left out:
+    it changes the prior's bits by design, and synth data has no score ties."""
+
+    @pytest.mark.parametrize("seed, noise", [(3, "moderate"), (11, "heavy")])
+    def test_shuffled_lines_give_the_same_bytes(self, tmp_path, seed, noise):
+        ds, shuffled = tmp_path / "scene", tmp_path / "shuffled"
+        scene = synth.generate_scene(seed, 60, synth.noise_preset(noise), bank_size=200)
+        dataio.save_dataset(scene, ds)
+        shutil.copytree(ds, shuffled)
+        rng = random.Random(5)
+        for name in ("instances.jsonl", "detections.jsonl"):
+            lines = (ds / name).read_bytes().splitlines(keepends=True)
+            rng.shuffle(lines)
+            (shuffled / name).write_bytes(b"".join(lines))
+            assert (shuffled / name).read_bytes() != (ds / name).read_bytes()
+        expected = _all_outputs(ds, tmp_path / "in-order")
+        assert _all_outputs(shuffled, tmp_path / "out-of-order") == expected
 
 
 def _set(field, value):

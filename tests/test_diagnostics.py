@@ -11,7 +11,6 @@ from posekit import metrics
 from posekit.diagnostics import (
     MEDIUM_ERROR,
     SMALL_ERROR,
-    class_slices,
     error_mode_decomposition,
     left_right_pck,
     named_slices,
@@ -212,14 +211,6 @@ class TestNamedSlices:
         assert str(info.value) == (
             f"unknown slice {token!r} (known: size, occlusion, truncation)"
         )
-
-
-class TestClassSlices:
-    def test_one_slice_per_class_in_name_order(self):
-        insts = [_inst("a", cls="sofa"), _inst("b", cls="car"), _inst("c", cls="sofa")]
-        slices = class_slices(iter(insts))
-        assert list(slices) == ["car", "sofa"]
-        assert slices == {"car": [insts[1]], "sofa": [insts[0], insts[2]]}
 
 
 class TestViewpointErrorMetrics:

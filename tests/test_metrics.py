@@ -579,6 +579,34 @@ class TestPck:
         preds = {"a": {0: (10.0, 10.0)}, "b": {0: (99.0, 99.0)}}
         assert pck(insts, preds).mean() == 0.5
 
+    def test_classes_keyed_by_name_whatever_the_instance_order(self):
+        """Three one-keypoint classes with 1, 2 and 3 hits out of 10: the
+        class mean adds 0.1, 0.2 and 0.3 in name order in either input order
+        (in first-seen order (b, c, a) the sum would be 0.19999999999999998)."""
+        insts, preds = {}, {}
+        for cls, hits in (("a", 1), ("b", 2), ("c", 3)):
+            insts[cls] = []
+            for i in range(10):
+                iid = f"{cls}{i}"
+                insts[cls].append(_inst(id=iid, cls=cls, keypoints={0: Keypoint(10.0, 10.0)}))
+                preds[iid] = {0: (10.0, 10.0) if i < hits else (99.0, 99.0)}
+        in_order = pck(insts["a"] + insts["b"] + insts["c"], preds)
+        shuffled = pck(insts["b"] + insts["c"] + insts["a"], preds)
+        assert in_order == shuffled
+        for result in (in_order, shuffled):
+            assert list(result.per_keypoint) == ["a", "b", "c"]
+            assert list(result.per_class) == ["a", "b", "c"]
+            assert list(result.pooled_per_class) == ["a", "b", "c"]
+        assert shuffled.mean() == in_order.mean() == (0.1 + 0.2 + 0.3) / 3
+
+
+class TestByClass:
+    def test_one_slice_per_class_in_name_order(self):
+        insts = [_inst("a", cls="sofa"), _inst("b", cls="car"), _inst("c", cls="sofa")]
+        slices = metrics.by_class(iter(insts))
+        assert list(slices) == ["car", "sofa"]
+        assert slices == {"car": [insts[1]], "sofa": [insts[0], insts[2]]}
+
 
 class TestApk:
     def _scene(self):
