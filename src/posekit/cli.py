@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dataio, diagnostics, fusion, metrics, synth
 from .metrics import Detection, EvalReport, Instance
-from .so3 import euler_to_rotations
+from .so3 import EulerAngles, euler_to_rotations
 from .so3 import euler_to_rotation  # noqa: F401  (perfbench/selftest.py traces this alias)
 from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces this alias)
 
@@ -61,7 +61,7 @@ def match_by_box(
 def fuse_class(
     maps: dataio.ClassMaps,
     banks: Mapping[str, fusion.PriorBank],
-    viewpoints: Mapping[str, Detection] | None = None,
+    viewpoints: Mapping[str, EulerAngles] | None = None,
     w_fine: float = 0.5,
     w_coarse: float = 0.5,
     sigma: float = fusion.PRIOR_SIGMA,
@@ -70,18 +70,18 @@ def fuse_class(
     """(n_c, K, 2) pixel predictions of one class's members, row i for
     maps.members[i], decoded through the viewpoint-conditioned prior.
 
-    The prior for a member conditions on its predicted viewpoint when a
-    matched detection map is supplied, otherwise on the annotated one; a
-    keypoint with no support among the prior-bank neighbors falls back to
-    a uniform prior. The members are checked in id order before any is
-    fused: the first that lacks a map kind, a viewpoint or a bank raises
-    ValidationError. Then all are fused in one fusion.fuse_instances call.
+    The prior for a member conditions on its predicted viewpoint when the
+    {id: viewpoint} map of its matched detections is supplied, otherwise
+    on the annotated one; a keypoint with no support among the prior-bank
+    neighbors falls back to a uniform prior. The members are checked in id
+    order before any is fused: the first that lacks a map kind, a viewpoint
+    or a bank raises ValidationError. Then all are fused in one
+    fusion.fuse_instances call.
     """
     vps = []
     both = (maps.read["fine"] & maps.read["coarse"]).tolist()
     for inst, read in zip(maps.members, both):
-        source = inst if viewpoints is None else viewpoints.get(inst.id)
-        vps.append(None if source is None else source.viewpoint)
+        vps.append(inst.viewpoint if viewpoints is None else viewpoints.get(inst.id))
         if not read:
             fault = "needs both fine and coarse response maps"
         elif vps[-1] is None:
@@ -101,7 +101,7 @@ def fuse_class(
 def _fuse_classes(
     classes: Iterable[dataio.ClassMaps],
     banks: Mapping[str, fusion.PriorBank],
-    viewpoints: Mapping[str, Detection] | None,
+    viewpoints: Mapping[str, EulerAngles] | None,
     settings: tuple[float, float, float, float],
 ) -> Iterator[tuple[str, dict[int, tuple[float, float]]]]:
     """fuse_class over each class as it is read; once all are fused, returns
@@ -129,8 +129,14 @@ def fuse_predictions(
     (x, y)}} in id order: fuse_class over dataio.class_maps, so the first
     error is the one the command reports for the saved dataset."""
     settings = (w_fine, w_coarse, sigma, threshold)
-    rows = _fuse_classes(dataio.class_maps(dataset), dataset.prior_banks, viewpoints, settings)
-    return dict(rows)
+    vps = _viewpoints_of(viewpoints)
+    return dict(_fuse_classes(dataio.class_maps(dataset), dataset.prior_banks, vps, settings))
+
+
+def _viewpoints_of(matched: Mapping[str, Detection] | None) -> dict[str, EulerAngles] | None:
+    """Each matched detection's viewpoint by instance id; None (fuse on
+    the annotated viewpoints) stays None."""
+    return None if matched is None else {iid: det.viewpoint for iid, det in matched.items()}
 
 
 def _emit_report(report: EvalReport, args: argparse.Namespace) -> None:
@@ -150,19 +156,13 @@ def _without_keypoints(records: Iterable[Instance | Detection]) -> Iterator:
         yield record
 
 
-def _ground_truth(base: Path) -> tuple[dataio.Manifest, list[Instance]]:
-    """The dataset's manifest and its instances without their keypoints."""
-    manifest = dataio.load_manifest(base / "manifest.json")
-    instances = _without_keypoints(dataio.iter_instances(base / "instances.jsonl", manifest))
-    return manifest, list(instances)
-
-
 def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
     # viewpoint metrics read no keypoint: instances and detections are held
     # without them, and under --gt-boxes a detection at no instance's box is
     # dropped as it is read
-    manifest, instances = _ground_truth(Path(args.dataset))
-    preds = _without_keypoints(dataio.iter_detections(args.preds, manifest))
+    manifest, instances = dataio.load_ground_truth(args.dataset)
+    instances = list(_without_keypoints(instances))
+    preds = _without_keypoints(dataio.load_detections(args.preds, manifest))
     if args.gt_boxes:
         views = diagnostics.viewpoint_pairs(instances, match_by_box(instances, preds))
         report = diagnostics.sliced_report(metrics.by_class(instances), views, args.theta)
@@ -189,22 +189,17 @@ def _cmd_evaluate_viewpoint(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
     report = EvalReport()
+    manifest, instances = dataio.load_ground_truth(args.dataset)
     if args.mode == "pck":
-        manifest, instances = dataio.load_ground_truth(args.dataset)
+        instances = list(instances)
         preds = dataio.load_keypoint_predictions(args.preds, manifest, instances)
         result = metrics.pck(instances, preds, args.alpha)
         report.sections["pck/pooled"] = dict(result.pooled_per_class)
     else:
         # apk pools each record into columns as it is read: the instances
         # first, then the detections, the order of their faults
-        base = Path(args.dataset)
-        manifest = dataio.load_manifest(base / "manifest.json")
-        result = metrics.apk(
-            dataio.iter_detections(args.preds, manifest),
-            dataio.iter_instances(base / "instances.jsonl", manifest),
-            args.alpha,
-            args.lam,
-        )
+        preds = dataio.load_detections(args.preds, manifest)
+        result = metrics.apk(preds, instances, args.alpha, args.lam)
     for cls, aps in result.per_keypoint.items():
         names = manifest.keypoint_names[cls]
         report.sections[f"{args.mode}/{cls}"] = {names[k]: v for k, v in aps.items()}
@@ -216,14 +211,15 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     # fusion reads no annotated keypoint and no keypoint hypothesis: only an
     # instance's id, class, image id, box and viewpoint, and a detection's
-    # box and viewpoint
+    # box and viewpoint, of which only the matched viewpoints are kept
     base = Path(args.dataset)
-    manifest, instances = _ground_truth(base)
+    manifest, instances = dataio.load_ground_truth(base)
+    instances = list(_without_keypoints(instances))
     banks = dataio.load_prior_banks(args.prior_bank or base / "prior_bank.jsonl", manifest)
     viewpoints = None
     if args.preds:
-        detections = _without_keypoints(dataio.iter_detections(args.preds, manifest))
-        viewpoints = match_by_box(instances, detections)
+        detections = _without_keypoints(dataio.load_detections(args.preds, manifest))
+        viewpoints = _viewpoints_of(match_by_box(instances, detections))
     settings = (args.w_fine, args.w_coarse, args.sigma, args.threshold)
     classes = dataio.response_maps_by_class(args.maps or base / "responses", manifest, instances)
     dataio.save_keypoint_predictions(_fuse_classes(classes, banks, viewpoints, settings), args.out)
@@ -235,6 +231,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if not (args.slices or args.error_modes or args.left_right):
         raise ValueError("nothing to diagnose: pass --slices, --error-modes, or --left-right")
     manifest, instances = dataio.load_ground_truth(args.dataset)
+    instances = list(instances)
     if not instances:
         raise dataio.ValidationError("instances.jsonl holds no instances")
     excluded = set(manifest.excluded_classes)

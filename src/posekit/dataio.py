@@ -515,7 +515,7 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def iter_instances(path: str | Path, manifest: Manifest) -> Iterator[Instance]:
+def load_instances(path: str | Path, manifest: Manifest) -> Iterator[Instance]:
     """Each instance of an instances.jsonl file, checked in full, as it is read."""
     seen: set[str] = set()
     for where, record in _read_jsonl(path):
@@ -526,12 +526,9 @@ def iter_instances(path: str | Path, manifest: Manifest) -> Iterator[Instance]:
         yield inst
 
 
-def load_instances(path: str | Path, manifest: Manifest) -> list[Instance]:
-    return list(iter_instances(path, manifest))
-
-
-def load_ground_truth(path: str | Path) -> tuple[Manifest, list[Instance]]:
-    """Read only a dataset's manifest.json and instances.jsonl."""
+def load_ground_truth(path: str | Path) -> tuple[Manifest, Iterator[Instance]]:
+    """A dataset's manifest.json, read now, and the load_instances stream
+    of its instances.jsonl; no other file of the dataset is read."""
     base = Path(path)
     manifest = load_manifest(base / "manifest.json")
     return manifest, load_instances(base / "instances.jsonl", manifest)
@@ -541,14 +538,10 @@ def save_instances(instances: Iterable[Instance], path: str | Path) -> None:
     _write_jsonl(path, map(instance_to_record, instances))
 
 
-def iter_detections(path: str | Path, manifest: Manifest) -> Iterator[Detection]:
+def load_detections(path: str | Path, manifest: Manifest) -> Iterator[Detection]:
     """Each detection of a detections.jsonl file, checked in full, as it is read."""
     for where, record in _read_jsonl(path):
         yield detection_from_record(record, manifest, where)
-
-
-def load_detections(path: str | Path, manifest: Manifest) -> list[Detection]:
-    return list(iter_detections(path, manifest))
 
 
 def save_detections(detections: Iterable[Detection], path: str | Path) -> None:

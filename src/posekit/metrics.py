@@ -642,12 +642,13 @@ def apk(
     Only annotated visible keypoints form the ground-truth set.
 
     Each argument is iterated once, the ground truths first, so one-shot
-    iterables such as the loaders' generators are taken and a ground-truth
-    fault is met before a detection fault. Each record's keypoint entries
-    are pooled into columns as it is read, and nothing else holds the
-    record. All hypotheses are then rescored by one elementwise
-    score_hypothesis call. Distances are math.hypot, pair by pair, whose
-    bits np.hypot does not always reproduce.
+    iterables such as the streams of dataio.load_instances and
+    load_detections are taken and a ground-truth fault is met before a
+    detection fault. Each record's keypoint entries are pooled into
+    columns as it is read, and nothing else holds the record. All
+    hypotheses are then rescored by one elementwise score_hypothesis call.
+    Distances are math.hypot, pair by pair, whose bits np.hypot does not
+    always reproduce.
     """
     images: dict[str, int] = {}
     # integer class codes, not str columns: comparing str columns per class

@@ -513,6 +513,7 @@ class TestFuseCommand:
         a later class is read."""
         ds = _synth(tmp_path, n=6)
         manifest, instances = dataio.load_ground_truth(ds)
+        instances = list(instances)
         classes = sorted({inst.class_name for inst in instances})
         victim = min(inst.id for inst in instances if inst.class_name == classes[0])
         later = min(inst.id for inst in instances if inst.class_name == classes[-1])
@@ -1088,6 +1089,43 @@ class TestDiagnoseCommand:
         assert rows["pi_flip"] == 100.0
         assert rows["correct"] == 0.0
 
+    def test_detection_at_no_instance_box_is_dropped_as_it_is_read(self, tmp_path, monkeypatch):
+        """diagnose streams its detections into match_by_box: a detection at
+        no instance's box is gone by the time the line after next is read,
+        and the report is the one without it."""
+        ds = _synth(tmp_path, n=8)
+        path = ds / "detections.jsonl"
+        argv = ["diagnose", "--dataset", str(ds), "--preds", str(path), "--slices", "size",
+                "--error-modes", "--left-right", "--format", "machine", "--report"]
+        assert cli.main([*argv, str(tmp_path / "plain.json")]) == 0
+        # before each detection, a stray: the same record half a pixel off its box
+        lines = path.read_text(encoding="utf-8").splitlines()
+        strays = []
+        for line in lines:
+            record = json.loads(line)
+            record["bbox"][0] += 0.5
+            strays.append(json.dumps(record, sort_keys=True))
+        path.write_text("".join(f"{s}\n{line}\n" for s, line in zip(strays, lines)))
+        build = dataio.detection_from_record
+        refs: list[tuple[int, weakref.ref]] = []  # (line, stray) of each stray built
+        stale = []  # per line read, the strays of two or more lines before still alive
+
+        def probed(record, manifest, where):
+            line = int(where.rpartition(":")[2])
+            stale.append(sum(ref() is not None for at, ref in refs if at <= line - 2))
+            det = build(record, manifest, where)
+            fields = {f.name: getattr(det, f.name) for f in dataclasses.fields(det)}
+            probe = TestMatchByBox._Probe(**fields)
+            if line % 2:
+                refs.append((line, weakref.ref(probe)))
+            return probe
+
+        monkeypatch.setattr(dataio, "detection_from_record", probed)
+        assert cli.main([*argv, str(tmp_path / "strays.json")]) == 0
+        assert len(refs) == len(stale) // 2 == len(lines)
+        assert stale == [0] * len(stale)
+        assert (tmp_path / "strays.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
 
 class TestReportFormats:
     def test_unknown_format_rejected_by_parser(self, tmp_path):
@@ -1203,11 +1241,11 @@ class TestInputsRead:
         """When the first blob of a class is read, no map of an earlier
         class is still alive: fuse reads, fuses and frees class by class.
         While a class is fused, no per-blob array is alive (each was copied
-        into its class's stack), nor any detection that carries keypoint
-        hypotheses (only box and viewpoint outlive a detection's line), nor
-        any instance of the command that carries keypoints."""
+        into its class's stack), nor any detection (only each matched
+        viewpoint outlives the match), nor any instance of the command that
+        carries keypoints."""
         ds = _synth(tmp_path, n=12)
-        _, instances = dataio.load_ground_truth(ds)
+        instances = list(dataio.load_ground_truth(ds)[1])
         class_of = {inst.id: inst.class_name for inst in instances}
         read = dataio.read_response_map
         alive: list[tuple[str, weakref.ref]] = []
@@ -1227,11 +1265,13 @@ class TestInputsRead:
         # here, that still carry keypoints
         built = {metrics.Detection: set(), metrics.Instance: set()}
 
+        def live(kind: type) -> list:
+            return [obj for obj in gc.get_objects() if id(obj) in built[kind] and type(obj) is kind]
+
         def carrying(kind: type) -> int:
             return sum(
-                1 for obj in gc.get_objects()
-                if id(obj) in built[kind] and type(obj) is kind
-                and (obj.keypoints if kind is metrics.Instance else obj.keypoint_hypotheses)
+                1 for obj in live(kind)
+                if (obj.keypoints if kind is metrics.Instance else obj.keypoint_hypotheses)
             )
 
         def tracked(name: str, kind: type):
@@ -1247,11 +1287,11 @@ class TestInputsRead:
             monkeypatch.setattr(dataio, name, wrapper)
 
         fuse = fusion.fuse_instances
-        held = []  # live (blob arrays, detections, instances) with their data, per class
+        held = []  # live (blob arrays, detections, instances with keypoints), per class
 
         def fused(rs, bank, fine, coarse, *args):
             blobs = sum(ref() is not None for _, ref in alive)
-            held.append((blobs, carrying(metrics.Detection), carrying(metrics.Instance)))
+            held.append((blobs, len(live(metrics.Detection)), carrying(metrics.Instance)))
             assert fine.shape[0] == coarse.shape[0] == len(rs)
             return fuse(rs, bank, fine, coarse, *args)
 

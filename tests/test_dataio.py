@@ -25,7 +25,6 @@ from posekit.dataio import (
     SchemaVersionError,
     ValidationError,
     class_maps,
-    iter_instances,
     load_detections,
     load_ground_truth,
     load_instances,
@@ -52,7 +51,7 @@ from posekit.synth import generate_scene, noise_preset
 
 def _instances_beside(path, manifest):
     """The instances saved in the directory of path."""
-    return load_instances(path.parent / "instances.jsonl", manifest)
+    return list(load_instances(path.parent / "instances.jsonl", manifest))
 
 
 def _manifest():
@@ -207,8 +206,8 @@ class TestNonFiniteLiterals:
     @pytest.mark.parametrize(
         "name, load",
         [
-            ("instances.jsonl", lambda p, m: load_instances(p, m)),
-            ("detections.jsonl", lambda p, m: load_detections(p, m)),
+            ("instances.jsonl", lambda p, m: list(load_instances(p, m))),
+            ("detections.jsonl", lambda p, m: list(load_detections(p, m))),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
             ("fused.jsonl",
              lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m))),
@@ -240,8 +239,8 @@ class TestNonFiniteLiterals:
     @pytest.mark.parametrize(
         "name, load, pattern",
         [
-            ("instances.jsonl", lambda p, m: load_instances(p, m), r'"keypoints":\{"0":\['),
-            ("detections.jsonl", lambda p, m: load_detections(p, m),
+            ("instances.jsonl", lambda p, m: list(load_instances(p, m)), r'"keypoints":\{"0":\['),
+            ("detections.jsonl", lambda p, m: list(load_detections(p, m)),
              r'"keypoint_hypotheses":\{"0":\['),
             ("fused.jsonl",
              lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m)),
@@ -266,9 +265,9 @@ class TestNonFiniteLiterals:
     @pytest.mark.parametrize(
         "name, load, pattern, message",
         [
-            ("instances.jsonl", lambda p, m: load_instances(p, m), r'"keypoints":\{"0":\[',
+            ("instances.jsonl", lambda p, m: list(load_instances(p, m)), r'"keypoints":\{"0":\[',
              "instances.jsonl:2: keypoint has non-finite coordinates (id 0)"),
-            ("detections.jsonl", lambda p, m: load_detections(p, m),
+            ("detections.jsonl", lambda p, m: list(load_detections(p, m)),
              r'"keypoint_hypotheses":\{"0":\[',
              "detections.jsonl:2: keypoint hypothesis has non-finite values (id 0)"),
             ("fused.jsonl",
@@ -310,8 +309,8 @@ class TestTextEncoding:
     @pytest.mark.parametrize(
         "name, load",
         [
-            ("instances.jsonl", lambda p, m: load_instances(p, m)),
-            ("detections.jsonl", lambda p, m: load_detections(p, m)),
+            ("instances.jsonl", lambda p, m: list(load_instances(p, m))),
+            ("detections.jsonl", lambda p, m: list(load_detections(p, m))),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
             ("fused.jsonl",
              lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m))),
@@ -361,7 +360,7 @@ class TestInstanceRecords:
             keypoints={0: Keypoint(vals[4], -vals[4]), 2: Keypoint(1.5, 2.5, False)},
         )
         path = self._write(tmp_path, [inst])
-        loaded = load_instances(path, _manifest())
+        loaded = list(load_instances(path, _manifest()))
         assert loaded == [inst]
         assert loaded[0].viewpoint.azimuth == vals[0]
         assert loaded[0].keypoints[0].x == vals[4]
@@ -369,7 +368,7 @@ class TestInstanceRecords:
     def test_null_viewpoint(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="chair",
                         bbox=(0.0, 0.0, 5.0, 5.0))
-        loaded = load_instances(self._write(tmp_path, [inst]), _manifest())
+        loaded = list(load_instances(self._write(tmp_path, [inst]), _manifest()))
         assert loaded[0].viewpoint is None
 
     def test_duplicate_ids_rejected(self, tmp_path):
@@ -379,14 +378,14 @@ class TestInstanceRecords:
         line = path.read_text()
         path.write_text(line + line)
         with pytest.raises(ValidationError, match="duplicate instance id"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
-    def test_iter_instances_refuses_a_duplicate_id_naming_its_line(self, tmp_path):
+    def test_load_instances_streams_up_to_a_duplicate_id_naming_its_line(self, tmp_path):
         """The instances before the repeat are yielded as they are read."""
         insts = [Instance(id=iid, image_id="im0", class_name="car", bbox=(0.0, 0.0, 5.0, 5.0))
                  for iid in ("i0", "i1", "i0")]
         path = self._write(tmp_path, insts)
-        read = iter_instances(path, _manifest())
+        read = load_instances(path, _manifest())
         assert [next(read).id, next(read).id] == ["i0", "i1"]
         with pytest.raises(ValidationError) as exc:
             next(read)
@@ -396,7 +395,7 @@ class TestInstanceRecords:
         path = tmp_path / "instances.jsonl"
         path.write_text('{"id": "i0"\n')
         with pytest.raises(ParseError, match="instances.jsonl:1"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_missing_and_extra_keys_rejected(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
@@ -406,12 +405,12 @@ class TestInstanceRecords:
         del record["bbox"]
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ParseError, match=r"missing \['bbox'\]"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
         record["bbox"] = [0, 0, 5, 5]
         record["surprise"] = 1
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ParseError, match=r"unexpected \['surprise'\]"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_unknown_class_rejected(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
@@ -419,7 +418,7 @@ class TestInstanceRecords:
         path = self._write(tmp_path, [inst])
         path.write_text(path.read_text().replace('"car"', '"boat"'))
         with pytest.raises(ValidationError, match="unknown class 'boat'"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_degenerate_bbox_names_record(self, tmp_path):
         inst = Instance(id="i7", image_id="im0", class_name="car",
@@ -429,7 +428,7 @@ class TestInstanceRecords:
         record["bbox"] = [0.0, 0.0, 0.0, 5.0]
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValidationError, match="i7"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_non_finite_bbox_rejected(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
@@ -441,7 +440,7 @@ class TestInstanceRecords:
         text = json.dumps(record).replace("NaN", "NaN")
         path.write_text(text + "\n")
         with pytest.raises(ValidationError, match="non-finite"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_keypoint_id_out_of_range(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
@@ -449,7 +448,7 @@ class TestInstanceRecords:
         path = self._write(tmp_path, [inst])
         path.write_text(path.read_text().replace('"0":', '"9":'))
         with pytest.raises(ValidationError, match="out of range"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_non_integer_keypoint_id(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
@@ -457,14 +456,14 @@ class TestInstanceRecords:
         path = self._write(tmp_path, [inst])
         path.write_text(path.read_text().replace('"0":', '"left":'))
         with pytest.raises(ParseError, match="not an integer"):
-            load_instances(path, _manifest())
+            list(load_instances(path, _manifest()))
 
     def test_blank_lines_skipped(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
                         bbox=(0.0, 0.0, 5.0, 5.0))
         path = self._write(tmp_path, [inst])
         path.write_text("\n" + path.read_text() + "\n\n")
-        assert len(load_instances(path, _manifest())) == 1
+        assert len(list(load_instances(path, _manifest()))) == 1
 
 
 def _car_pair():
@@ -492,8 +491,8 @@ class TestKeypointIds:
     """A keypoint id must read back exactly as written: str(k) of an int k >= 0."""
 
     KINDS = {
-        "instances": (_two_instances, lambda p: load_instances(p, _manifest())),
-        "detections": (_two_detections, lambda p: load_detections(p, _manifest())),
+        "instances": (_two_instances, lambda p: list(load_instances(p, _manifest()))),
+        "detections": (_two_detections, lambda p: list(load_detections(p, _manifest()))),
         "predictions": (_two_predictions,
                         lambda p: load_keypoint_predictions(p, _manifest(), _car_pair())),
     }
@@ -524,8 +523,8 @@ class TestFieldTypes:
     JSON booleans and ids JSON strings; anything else names its file and line."""
 
     KINDS = {
-        "instances": (_two_instances, lambda p: load_instances(p, _manifest())),
-        "detections": (_two_detections, lambda p: load_detections(p, _manifest())),
+        "instances": (_two_instances, lambda p: list(load_instances(p, _manifest()))),
+        "detections": (_two_detections, lambda p: list(load_detections(p, _manifest()))),
         "predictions": (_two_predictions,
                         lambda p: load_keypoint_predictions(p, _manifest(), _car_pair())),
         "bank": (_two_bank_rows, lambda p: load_prior_banks(p, _manifest())),
@@ -640,7 +639,7 @@ class TestDetectionRecords:
             },
         )
         save_detections([det], tmp_path / "detections.jsonl")
-        loaded = load_detections(tmp_path / "detections.jsonl", _manifest())
+        loaded = list(load_detections(tmp_path / "detections.jsonl", _manifest()))
         assert loaded == [det]
         assert loaded[0].keypoint_hypotheses[0].x == 10.0 / 3.0
 
@@ -651,7 +650,7 @@ class TestDetectionRecords:
         p = tmp_path / "detections.jsonl"
         p.write_text(p.read_text().replace("0.5", "Infinity"))
         with pytest.raises(ValidationError):
-            load_detections(p, _manifest())
+            list(load_detections(p, _manifest()))
 
     @pytest.mark.parametrize("field", [0, 1, 2], ids=["x", "y", "score"])
     def test_non_finite_hypothesis_names_line(self, tmp_path, field):
@@ -666,7 +665,7 @@ class TestDetectionRecords:
         assert forged != second
         p.write_text(first + "\n" + forged + "\n")
         with pytest.raises(ValidationError, match="detections.jsonl:2: .*non-finite"):
-            load_detections(p, _manifest())
+            list(load_detections(p, _manifest()))
 
 
 class TestPriorBankIO:
@@ -988,6 +987,7 @@ class TestStackedReader:
     def test_stacks_equal_each_blob_bit_for_bit(self, tmp_path):
         scene, ds = self._scene(tmp_path)
         manifest, instances = load_ground_truth(ds)
+        instances = list(instances)
         classes = []
         for maps in response_maps_by_class(ds / "responses", manifest, instances):
             ids = [inst.id for inst in maps.members]
@@ -1053,6 +1053,7 @@ class TestStackedReader:
         check's, for a blob of the car class (8 keypoints)."""
         _, ds = self._scene(tmp_path)
         manifest, instances = load_ground_truth(ds)
+        instances = list(instances)
         car = sorted(inst.id for inst in instances if inst.class_name == "car")[1]
         path = ds / "responses" / f"{car}_coarse.vkrm"
         message = self._spoil(path, fault, car, manifest.classes.index("car"))
@@ -1069,6 +1070,7 @@ class TestStackedReader:
         is named, whatever the faults of the others."""
         _, ds = self._scene(tmp_path)
         manifest, instances = load_ground_truth(ds)
+        instances = list(instances)
         cars = sorted(inst.id for inst in instances if inst.class_name == "car")
         class_id = manifest.classes.index("car")
         # "<id>_coarse.vkrm" sorts before "<id>_fine.vkrm" of the same id
@@ -1084,6 +1086,7 @@ class TestStackedReader:
     def test_shape_fault_names_the_blob_and_both_shapes(self, tmp_path):
         _, ds = self._scene(tmp_path)
         manifest, instances = load_ground_truth(ds)
+        instances = list(instances)
         car = min(inst.id for inst in instances if inst.class_name == "car")
         path = ds / "responses" / f"{car}_fine.vkrm"
         _, data = read_response_map(path)
@@ -1097,6 +1100,7 @@ class TestStackedReader:
         of the class is read."""
         _, ds = self._scene(tmp_path)
         manifest, instances = load_ground_truth(ds)
+        instances = list(instances)
         cars = sorted(inst.id for inst in instances if inst.class_name == "car")
         (ds / "responses" / f"{cars[1]}_fine.vkrm").unlink()
         maps = next(response_maps_by_class(ds / "responses", manifest, instances))
@@ -1180,9 +1184,10 @@ class TestDatasetRoundtrip:
         d = tmp_path / "ds"
         save_dataset(scene, d)
         manifest, instances = load_ground_truth(d)
+        instances = list(instances)
         assert manifest == scene.manifest
         assert instances == scene.instances
-        assert load_detections(d / "detections.jsonl", manifest) == scene.detections
+        assert list(load_detections(d / "detections.jsonl", manifest)) == scene.detections
         response_maps = {
             inst.id: {"fine": fine, "coarse": coarse}
             for maps in response_maps_by_class(d / "responses", manifest, instances)
