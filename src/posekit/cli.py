@@ -22,7 +22,7 @@ import heapq
 import math
 import sys
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,20 +35,23 @@ from .so3 import euler_to_rotation  # noqa: F401  (perfbench/selftest.py traces 
 from .viewpoint import angle_to_bin  # noqa: F401  (perfbench/selftest.py traces this alias)
 
 
+_box = attrgetter("image_id", "bbox")  # a record's (image id, box)
+
+
 def match_by_box(
     instances: Sequence[Instance], detections: Iterable[Detection]
 ) -> dict[str, Detection]:
     """Pair each instance with the single detection at its exact box; the
     detections are iterated once, and one at no instance's box is dropped
     as it is read."""
-    by_box: dict[tuple, list[Detection]] = {(inst.image_id, inst.bbox): [] for inst in instances}
+    by_box: dict[tuple, list[Detection]] = {_box(inst): [] for inst in instances}
     for det in detections:
-        candidates = by_box.get((det.image_id, det.bbox))
+        candidates = by_box.get(_box(det))
         if candidates is not None:
             candidates.append(det)
     out = {}
     for inst in instances:
-        candidates = by_box[inst.image_id, inst.bbox]
+        candidates = by_box[_box(inst)]
         if len(candidates) != 1:
             raise dataio.ValidationError(
                 f"instance {inst.id!r}: expected exactly one prediction at its"
@@ -191,9 +194,15 @@ def _cmd_evaluate_keypoints(args: argparse.Namespace) -> int:
     report = EvalReport()
     manifest, instances = dataio.load_ground_truth(args.dataset)
     if args.mode == "pck":
-        instances = list(instances)
-        preds = dataio.load_keypoint_predictions(args.preds, manifest, instances)
-        result = metrics.pck(instances, preds, args.alpha)
+        # each instance is pooled into columns as it is read, and each
+        # prediction line gives its instance's row its (x, y) as it is read
+        columns = metrics.PckColumns.pool(instances, attrgetter("id"), args.alpha)
+        # load_instances refuses a repeated id: the ids number the rows
+        codes = columns.targets.classes.tolist()
+        classes = {iid: columns.names[code] for iid, code in zip(columns.keys, codes)}
+        for iid, points in dataio.load_keypoint_predictions(args.preds, manifest, classes):
+            columns.predict(columns.keys[iid], points)
+        result = metrics.pck_of_columns(columns, {})
         report.sections["pck/pooled"] = dict(result.pooled_per_class)
     else:
         # apk pools each record into columns as it is read: the instances
@@ -227,18 +236,46 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pooled_then_emptied(instances: Iterable[Instance], read: list[Instance]) -> Iterator:
+    """Each instance as it is read; once the caller has taken its keypoints
+    and asks for the next one, they are emptied and the instance joins read."""
+    for inst in instances:
+        yield inst
+        inst.keypoints.clear()
+        read.append(inst)
+
+
+def _predicting(
+    detections: Iterable[Detection], columns: metrics.PckColumns
+) -> Iterator[Detection]:
+    """Each detection as it is read, its hypotheses emptied: first they give
+    their (x, y) to the instances pooled under its (image id, box)."""
+    for det in detections:
+        hyps = det.keypoint_hypotheses
+        number = columns.keys.get(_box(det))
+        if number is not None:
+            columns.predict(number, {k: (h.x, h.y) for k, h in hyps.items()})
+        hyps.clear()
+        yield det
+
+
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     if not (args.slices or args.error_modes or args.left_right):
         raise ValueError("nothing to diagnose: pass --slices, --error-modes, or --left-right")
+    # --left-right scores pooled columns: no instance or detection is held
+    # with its keypoints, and the other sections read none
     manifest, instances = dataio.load_ground_truth(args.dataset)
-    instances = list(instances)
-    if not instances:
-        raise dataio.ValidationError("instances.jsonl holds no instances")
     excluded = set(manifest.excluded_classes)
-    kept = [inst for inst in instances if inst.class_name not in excluded]
+    read: list[Instance] = []
+    pooled = (i for i in _pooled_then_emptied(instances, read) if i.class_name not in excluded)
+    columns = metrics.PckColumns.pool(pooled, _box, args.alpha)
+    if not read:
+        raise dataio.ValidationError("instances.jsonl holds no instances")
+    kept = [inst for inst in read if inst.class_name not in excluded]
     if not kept:
         raise dataio.ValidationError("no instances left after class exclusion")
-    matched = match_by_box(kept, dataio.load_detections(args.preds, manifest))
+    detections = _predicting(dataio.load_detections(args.preds, manifest), columns)
+    matched = match_by_box(kept, detections)
     report = EvalReport()
     if args.slices or args.error_modes:
         views = diagnostics.viewpoint_pairs(kept, matched)
@@ -256,16 +293,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         report.sections["error-modes"] = rows
 
     if args.left_right:
-        # each detection goes as its keypoints are copied, so the copies reuse
-        # its memory: 1-2 MB off the peak RSS on an n = 4000 scene
-        preds_kp = {}
-        for inst in kept:
-            hyps = matched.pop(inst.id).keypoint_hypotheses
-            preds_kp[inst.id] = {k: (h.x, h.y) for k, h in hyps.items()}
-        base = metrics.pck(kept, preds_kp, args.alpha)
-        swapped = diagnostics.left_right_pck(
-            kept, preds_kp, manifest.symmetry_pairs, args.alpha
-        )
+        base = metrics.pck_of_columns(columns, {})
+        swapped = metrics.pck_of_columns(columns, manifest.symmetry_pairs)
         report.sections["pck"] = dict(base.per_class, all=base.mean())
         report.sections["left-right-pck"] = dict(swapped.per_class, all=swapped.mean())
 

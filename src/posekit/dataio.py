@@ -837,25 +837,26 @@ def _point(x: float, y: float) -> tuple[float, float]:
 
 
 def load_keypoint_predictions(
-    path: str | Path, manifest: Manifest, instances: Iterable[Instance]
-) -> dict[str, dict[int, tuple[float, float]]]:
-    """Read per-instance keypoint predictions ({"id", "keypoints"} lines).
+    path: str | Path, manifest: Manifest, classes: Mapping[str, str]
+) -> Iterator[tuple[str, dict[int, tuple[float, float]]]]:
+    """Each (instance id, {keypoint id: (x, y)}) of a keypoint-prediction
+    file ({"id", "keypoints"} lines), checked in full, as it is read.
 
-    Each id must name one of the instances, and its keypoint ids must be
-    in range for that instance's class.
+    classes maps each instance id to its class: an id must be one of them,
+    at most once, and its keypoint ids must be in range for that class.
     """
-    ids_of = {inst.id: manifest.keypoint_ids[inst.class_name] for inst in instances}
-    preds: dict[str, dict[int, tuple[float, float]]] = {}
+    seen: set[str] = set()
     for where, record in _read_jsonl(path):
         _check_keys(record, _PREDICTION_FIELDS, where)
         iid = _typed(record, "id", str, where)
-        if iid in preds:
+        if iid in seen:
             raise ValidationError(f"{where}: duplicate prediction for {iid!r}")
-        ids = ids_of.get(iid)
-        if ids is None:
+        cls = classes.get(iid)
+        if cls is None:
             raise ValidationError(f"{where}: unknown instance id {iid!r}")
-        preds[iid] = _keypoint_map(record, "keypoints", ("x", "y"), ids, where, _point)
-    return preds
+        seen.add(iid)
+        ids = manifest.keypoint_ids[cls]
+        yield iid, _keypoint_map(record, "keypoints", ("x", "y"), ids, where, _point)
 
 
 def save_keypoint_predictions(

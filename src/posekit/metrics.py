@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -513,6 +513,55 @@ class PckResult:
         return mean_present(self.per_class.values())
 
 
+class _Pooled(NamedTuple):
+    """Columns of a stream of records that carry keypoint maps."""
+
+    numbers: np.ndarray  # per record: the number of its key
+    classes: np.ndarray  # per record: class code
+    values: np.ndarray  # per record: value(record), a radius or a detector score
+    owner: np.ndarray  # per entry: index of its record
+    ids: np.ndarray  # per entry: keypoint id
+    fields: list[np.ndarray]  # per entry: each pooled attribute
+
+
+def _pool(
+    records: Iterable,
+    key: Callable[[object], Hashable],
+    keypoints: Callable[[object], Mapping[int, object]],
+    fields: Sequence[str],
+    value: Callable[[object], float],
+    keys: dict[Hashable, int],
+    codes: dict[str, int],
+) -> _Pooled:
+    """The records' columns, each record read once and pooled whole before
+    the next is read: the numbers of key(record) and of its class (in order
+    of first sight in keys and codes, which the caller may share),
+    value(record), and the keypoint id and named float attributes of each
+    entry of keypoints(record), in order."""
+    # imported here rather than with the module: loading the extension
+    # module adds to the RSS of every command (68 kB on CPython 3.11,
+    # Linux x86-64), and only the keypoint metrics pool
+    from array import array
+
+    numbers, cls, values, counts, ids = array("q"), array("q"), array("d"), array("q"), array("q")
+    columns = [array("d") for _ in fields]
+    getters = [attrgetter(name) for name in fields]
+    for record in records:
+        numbers.append(keys.setdefault(key(record), len(keys)))
+        cls.append(codes.setdefault(record.class_name, len(codes)))
+        values.append(value(record))
+        entries = keypoints(record)
+        counts.append(len(entries))
+        ids.extend(entries)
+        for column, get in zip(columns, getters):
+            column.extend(map(get, entries.values()))
+    owner = np.repeat(np.arange(len(counts)), np.asarray(counts))
+    return _Pooled(
+        np.asarray(numbers), np.asarray(cls), np.asarray(values), owner, np.asarray(ids),
+        [np.asarray(column) for column in columns],
+    )
+
+
 PredictedKeypoints = Mapping[str, Mapping[int, tuple[float, float]]]
 AlternativeTargets = Mapping[str, Mapping[int, int]]
 
@@ -530,39 +579,119 @@ def pck(
     when the prediction lies within alpha * max(h, w) of its annotation
     (or, if alternatives supplies a laterally symmetric partner for its
     class, of the partner's annotation on the same instance).
+
+    pck_of_columns on the instances pooled by id, each id given its predictions.
     """
-    per_kp_hits: dict[str, dict[int, list[int]]] = {}
-    for inst in gt_instances:
-        if inst.id not in predicted_keypoints:
-            raise ValueError(f"no predictions supplied for instance {inst.id}")
-        preds = predicted_keypoints[inst.id]
-        radius = pck_threshold(inst.bbox, alpha)
-        swaps = (alternatives or {}).get(inst.class_name, {})
-        for k, kp in inst.keypoints.items():
-            if not kp.visible:
-                continue
-            targets = [(kp.x, kp.y)]
-            partner = swaps.get(k)
-            if partner is not None and partner != k:
-                alt = inst.keypoints.get(partner)
-                if alt is not None and alt.visible:
-                    targets.append((alt.x, alt.y))
-            hit = 0
-            p = preds.get(k)
-            if p is not None:
-                for tx, ty in targets:
-                    if math.hypot(p[0] - tx, p[1] - ty) <= radius:
-                        hit = 1
-                        break
-            per_kp_hits.setdefault(inst.class_name, {}).setdefault(k, []).append(hit)
+    columns = PckColumns.pool(gt_instances, attrgetter("id"), alpha)
+    for iid, number in columns.keys.items():
+        if iid in predicted_keypoints:
+            columns.predict(number, predicted_keypoints[iid])
+    return pck_of_columns(columns, alternatives or {})
+
+
+class PckColumns(NamedTuple):
+    """Annotated keypoints of instances and one predicted (x, y) per keypoint,
+    in columns: what pck_of_columns scores.
+
+    A row is an instance, in the order read; an entry is a keypoint of a
+    row, rows in order. Each row is pooled under a key, such as its id, and
+    keys numbers the keys in order of first sight. targets holds each row's
+    key number, PCK radius (values) and class code, and each entry's owner
+    row, keypoint id, x, y and visible flag. px and py are NaN, which lies
+    within no radius, until predict fills the entry.
+    """
+
+    keys: dict[Hashable, int]
+    names: list[str]  # each class code: its class
+    targets: _Pooled
+    rows: np.ndarray  # the rows by key number: number n's are rows[bounds[n]:bounds[n + 1]]
+    bounds: np.ndarray
+    starts: np.ndarray  # row r's entries are starts[r]:starts[r + 1]
+    px: Sequence[float]
+    py: Sequence[float]
+    predicted: bytearray  # per key number: 1 once predict gave its rows predictions
+
+    @classmethod
+    def pool(
+        cls, instances: Iterable[Instance], key: Callable[[Instance], Hashable], alpha: float
+    ) -> PckColumns:
+        """The instances' columns, each instance read once and pooled whole
+        before the next is read; nothing else holds it."""
+        from array import array  # see _pool
+
+        keys: dict[Hashable, int] = {}
+        codes: dict[str, int] = {}
+        targets = _pool(
+            instances, key, attrgetter("keypoints"), ("x", "y", "visible"),
+            lambda g: pck_threshold(g.bbox, alpha), keys, codes,
+        )
+        rows = np.argsort(targets.numbers, kind="stable")
+        bounds = np.searchsorted(targets.numbers[rows], np.arange(len(keys) + 1))
+        starts = np.searchsorted(targets.owner, np.arange(len(rows) + 1))
+        unpredicted = array("d", [math.nan]) * len(targets.owner)
+        return cls(keys, list(codes), targets, rows, bounds, starts, unpredicted,
+                   array("d", unpredicted), bytearray(len(keys)))
+
+    def predict(self, number: int, points: Mapping[int, Sequence[float]]) -> None:
+        """Give the rows of key number their predictions: points maps keypoint
+        id -> (x, y), and an entry whose id points lacks stays NaN."""
+        low, high = self.bounds[number : number + 2].tolist()
+        for row in self.rows[low:high].tolist():
+            start, end = self.starts[row : row + 2].tolist()
+            for entry, k in enumerate(self.targets.ids[start:end].tolist(), start):
+                p = points.get(k)
+                if p is not None:
+                    self.px[entry], self.py[entry] = p[0], p[1]
+        self.predicted[number] = 1
+
+
+def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> PckResult:
+    """PCK of the columns (see pck), one (class, keypoint id) at a time.
+
+    A visible entry hits when its prediction lies within its row's radius of
+    its annotation or, where alternatives names a partner id for its class
+    and keypoint id, of the visible annotation of that partner on the same
+    row. Distances are math.hypot, pair by pair. Raises ValueError naming
+    the first key, in the order read, that was given no predictions.
+    """
+    unpredicted = columns.predicted.find(0)
+    if unpredicted >= 0:
+        key = list(columns.keys)[unpredicted]
+        raise ValueError(f"no predictions supplied for instance {key}")
+    gts = columns.targets
+    owner, ids, (x, y, visible) = gts.owner, gts.ids, gts.fields
+    px, py = np.asarray(columns.px), np.asarray(columns.py)
+    classes, scored = gts.classes[owner], visible.astype(bool)
+
+    def within(entries: np.ndarray, annotated: np.ndarray) -> np.ndarray:
+        dx, dy = (px[entries] - x[annotated]).tolist(), (py[entries] - y[annotated]).tolist()
+        dist = np.fromiter(map(math.hypot, dx, dy), np.float64, len(entries))
+        return dist <= gts.values[owner[entries]]
 
     per_keypoint: dict[str, dict[int, float | None]] = {}
     per_class: dict[str, float | None] = {}
     pooled: dict[str, float | None] = {}
-    for cls, kp_hits in sorted(per_kp_hits.items()):
-        per_keypoint[cls] = {k: mean_present(kp_hits[k]) for k in sorted(kp_hits)}
+    for cls, code in sorted((columns.names[c], c) for c in set(classes[scored].tolist())):
+        swaps = alternatives.get(cls, {})
+        in_class = classes == code
+        hits, counts = {}, {}
+        for k in sorted(set(ids[in_class & scored].tolist())):
+            entries = np.flatnonzero(in_class & scored & (ids == k))
+            hit = within(entries, entries)
+            partner = swaps.get(k)
+            if partner is not None and partner != k:
+                # the partner's entry on each row, -1 on a row without one
+                mates = np.flatnonzero(in_class & (ids == partner))
+                mate_of = np.full(len(gts.values), -1)
+                mate_of[owner[mates]] = mates
+                mate = mate_of[owner[entries]]
+                usable = np.flatnonzero(mate >= 0)
+                usable = usable[scored[mate[usable]]]
+                hit[usable] |= within(entries[usable], mate[usable])
+            hits[k], counts[k] = np.count_nonzero(hit), len(entries)
+        per_keypoint[cls] = {k: hits[k] / counts[k] for k in hits}
         per_class[cls] = mean_present(per_keypoint[cls].values())
-        pooled[cls] = mean_present(h for k in sorted(kp_hits) for h in kp_hits[k])
+        pooled[cls] = sum(hits.values()) / sum(counts.values())
     return PckResult(per_keypoint=per_keypoint, per_class=per_class, pooled_per_class=pooled)
 
 
@@ -576,54 +705,6 @@ class ApkResult:
 
     def mean(self) -> float | None:
         return mean_present(self.per_class.values())
-
-
-class _Pooled(NamedTuple):
-    """Columns of a stream of records that carry keypoint maps."""
-
-    images: np.ndarray  # per record: image index
-    classes: np.ndarray  # per record: class code
-    values: np.ndarray  # per record: value(record), a radius or a detector score
-    owner: np.ndarray  # per entry: index of its record
-    ids: np.ndarray  # per entry: keypoint id
-    fields: list[np.ndarray]  # per entry: each pooled attribute
-
-
-def _pool(
-    records: Iterable,
-    keypoints: Callable[[object], Mapping[int, object]],
-    fields: Sequence[str],
-    value: Callable[[object], float],
-    images: dict[str, int],
-    codes: dict[str, int],
-) -> _Pooled:
-    """The records' columns, each record read once and pooled whole before
-    the next is read: its image index and class code (numbered in order of
-    first sight in images and codes, which the caller shares), value(record),
-    and the keypoint id and named float attributes of each entry of
-    keypoints(record), in order."""
-    # imported here rather than with the module: loading the extension
-    # module adds to the RSS of every command (68 kB on CPython 3.11,
-    # Linux x86-64), and only apk pools
-    from array import array
-
-    image, cls, values, counts, ids = array("q"), array("q"), array("d"), array("q"), array("q")
-    columns = [array("d") for _ in fields]
-    getters = [attrgetter(name) for name in fields]
-    for record in records:
-        image.append(images.setdefault(record.image_id, len(images)))
-        cls.append(codes.setdefault(record.class_name, len(codes)))
-        values.append(value(record))
-        entries = keypoints(record)
-        counts.append(len(entries))
-        ids.extend(entries)
-        for column, get in zip(columns, getters):
-            column.extend(map(get, entries.values()))
-    owner = np.repeat(np.arange(len(counts)), np.asarray(counts))
-    return _Pooled(
-        np.asarray(image), np.asarray(cls), np.asarray(values), owner, np.asarray(ids),
-        [np.asarray(column) for column in columns],
-    )
 
 
 def apk(
@@ -654,12 +735,13 @@ def apk(
     # integer class codes, not str columns: comparing str columns per class
     # adds 2.3 MB to the peak RSS on a heavy n = 4000 scene
     codes: dict[str, int] = {}
+    image = attrgetter("image_id")
     gts = _pool(
-        gt_instances, attrgetter("keypoints"), ("x", "y", "visible"),
+        gt_instances, image, attrgetter("keypoints"), ("x", "y", "visible"),
         lambda g: pck_threshold(g.bbox, alpha), images, codes,
     )
     hyps = _pool(
-        detections, attrgetter("keypoint_hypotheses"), ("x", "y", "score"),
+        detections, image, attrgetter("keypoint_hypotheses"), ("x", "y", "score"),
         attrgetter("score"), images, codes,
     )
     gt_owner, gt_ids, (gx, gy, visible) = gts.owner, gts.ids, gts.fields
@@ -682,7 +764,7 @@ def apk(
         for k in sorted(set(gt_ids[in_gt].tolist()) | set(hyp_ids[in_hyp].tolist())):
             g = np.flatnonzero(in_gt & (gt_ids == k) & visible)
             h = np.flatnonzero(in_hyp & (hyp_ids == k))
-            cand, gt = _same_image_pairs(hyps.images[hyp_owner[h]], gts.images[gt_owner[g]])
+            cand, gt = _same_image_pairs(hyps.numbers[hyp_owner[h]], gts.numbers[gt_owner[g]])
             hr, gr = h[cand], g[gt]
             dist = np.array(
                 list(map(math.hypot, (hx[hr] - gx[gr]).tolist(), (hy[hr] - gy[gr]).tolist())),
@@ -706,7 +788,7 @@ def _refuse_rescore(
         try:
             score_hypothesis(det_scores[owner], score, lam)
         except ValueError:
-            image = list(images)[hyps.images[owner]]
+            image = list(images)[hyps.numbers[owner]]
             cls = list(codes)[hyps.classes[owner]]
             where = f"image {image}, class {cls!r}, keypoint {k}"
             raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None

@@ -981,6 +981,42 @@ class TestDiagnoseCommand:
         assert sections["pck"]["all"] == 1.0
         assert sections["left-right-pck"]["all"] == 1.0
 
+    def test_instances_at_one_box_share_its_detection(self, tmp_path):
+        """Two instances at one image and box both pair with the detection
+        there, so --left-right scores each against its hypotheses, as pck
+        and left_right_pck do on the matched hypotheses."""
+        ds = _synth(tmp_path, seed=17, n=18, noise="moderate")
+        path = ds / "instances.jsonl"
+        first = json.loads(path.read_text().splitlines()[0])
+        w = first["bbox"][2]
+        moved = {k: [x + w * (int(k) % 2), y, v] for k, (x, y, v) in first["keypoints"].items()}
+        twin = dict(first, id=first["id"] + "-twin", keypoints=moved)
+        with path.open("a") as fh:
+            fh.write(json.dumps(twin) + "\n")
+        out = tmp_path / "report.json"
+        rc = cli.main(["diagnose", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
+                       "--left-right", "--format", "machine", "--report", str(out)])
+        assert rc == 0
+
+        manifest, instances = dataio.load_ground_truth(ds)
+        instances = list(instances)
+        matched = cli.match_by_box(
+            instances, dataio.load_detections(ds / "detections.jsonl", manifest)
+        )
+        assert matched[twin["id"]] is matched[first["id"]]
+        preds = {
+            iid: {k: (h.x, h.y) for k, h in det.keypoint_hypotheses.items()}
+            for iid, det in matched.items()
+        }
+        base = metrics.pck(instances, preds, 0.1)
+        swapped = diagnostics.left_right_pck(instances, preds, manifest.symmetry_pairs, 0.1)
+        assert base != metrics.pck(instances[:-1], preds, 0.1)  # the twin is scored
+        expected = metrics.EvalReport({
+            "pck": dict(base.per_class, all=base.mean()),
+            "left-right-pck": dict(swapped.per_class, all=swapped.mean()),
+        })
+        assert out.read_text() == dataio.render_report(expected, "machine")
+
     def test_empty_slice_reports_absent(self, tmp_path, capsys):
         """A slice nothing falls into renders as absent, not a crash."""
         ds = _synth(tmp_path, seed=3, n=4)
@@ -1308,6 +1344,72 @@ class TestInputsRead:
         assert len(built[metrics.Detection]) >= len(instances)
         assert len(built[metrics.Instance]) == len(instances)
         assert held == [(0, 0, 0)] * 3
+
+    @pytest.mark.parametrize("mode", ["diagnose", "pck"])
+    def test_pck_scores_with_no_keypoint_record_alive(self, tmp_path, monkeypatch, mode):
+        """While diagnose --left-right and evaluate-keypoints --mode pck
+        score, no Keypoint or KeypointHypothesis that the command read is
+        alive, and no detection it read still holds hypotheses: each line's
+        keypoints went into columns as it was read. The probe runs where the
+        per-class fractions are averaged, which every PCK result passes."""
+        ds = _synth(tmp_path, n=12, noise="moderate")
+        fused = tmp_path / "fused.jsonl"
+        assert cli.main(["fuse", "--dataset", str(ds), "--out", str(fused)]) == 0
+        # Keypoint, KeypointHypothesis and Detection have slots and no weakref
+        # slot: find the live ones among the collector's objects, by the ids
+        # of those built here
+        built: dict[type, set[int]] = {
+            metrics.Keypoint: set(), metrics.KeypointHypothesis: set(), metrics.Detection: set()
+        }
+
+        def alive() -> dict[str, int]:
+            counts = {"Keypoint": 0, "KeypointHypothesis": 0, "Detection with hypotheses": 0}
+            for obj in gc.get_objects():
+                kind = type(obj)
+                if id(obj) not in built.get(kind, ()):
+                    continue
+                if kind is not metrics.Detection:
+                    counts[kind.__name__] += 1
+                elif obj.keypoint_hypotheses:
+                    counts["Detection with hypotheses"] += 1
+            return counts
+
+        def tracked(name: str, points: str, kind: type):
+            build = getattr(dataio, name)
+
+            def wrapper(*args):
+                record = build(*args)
+                if type(record) is metrics.Detection:
+                    built[metrics.Detection].add(id(record))
+                first = not built[kind]
+                built[kind].update(map(id, getattr(record, points).values()))
+                if first:  # the probe sees the first record's points alive
+                    assert alive()[kind.__name__] == len(getattr(record, points)) > 0
+                return record
+
+            monkeypatch.setattr(dataio, name, wrapper)
+
+        tracked("instance_from_record", "keypoints", metrics.Keypoint)
+        tracked("detection_from_record", "keypoint_hypotheses", metrics.KeypointHypothesis)
+        seen = []
+        mean_present = metrics.mean_present
+
+        def probe(values):
+            seen.append(alive())
+            return mean_present(values)
+
+        monkeypatch.setattr(metrics, "mean_present", probe)
+        if mode == "diagnose":
+            args = ["diagnose", "--preds", str(ds / "detections.jsonl"), "--slices", "size",
+                    "--error-modes", "--left-right"]
+        else:
+            args = ["evaluate-keypoints", "--preds", str(fused), "--mode", "pck"]
+        assert cli.main([*args, "--dataset", str(ds), "--report", str(tmp_path / "r.txt")]) == 0
+        assert len(built[metrics.Keypoint]) >= 12
+        assert seen and all(
+            counts == {"Keypoint": 0, "KeypointHypothesis": 0, "Detection with hypotheses": 0}
+            for counts in seen
+        ), seen[0]
 
     def test_fuse_makes_one_distance_pass_per_chunk_of_a_class(self, tmp_path, monkeypatch):
         """Neighbour search runs once per stacked chunk, ceil(n_c / chunk)

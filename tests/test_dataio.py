@@ -49,9 +49,14 @@ from posekit.so3 import EulerAngles, euler_to_rotation, rotation_matrix
 from posekit.synth import generate_scene, noise_preset
 
 
-def _instances_beside(path, manifest):
-    """The instances saved in the directory of path."""
-    return list(load_instances(path.parent / "instances.jsonl", manifest))
+def _classes(instances):
+    """The class of each instance, by id: what load_keypoint_predictions checks against."""
+    return {inst.id: inst.class_name for inst in instances}
+
+
+def _classes_beside(path, manifest):
+    """The classes of the instances saved in the directory of path."""
+    return _classes(load_instances(path.parent / "instances.jsonl", manifest))
 
 
 def _manifest():
@@ -210,7 +215,7 @@ class TestNonFiniteLiterals:
             ("detections.jsonl", lambda p, m: list(load_detections(p, m))),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
             ("fused.jsonl",
-             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m))),
+             lambda p, m: list(load_keypoint_predictions(p, m, _classes_beside(p, m)))),
         ],
     )
     def test_jsonl_names_file_and_line(self, tmp_path, name, load, constant):
@@ -243,7 +248,7 @@ class TestNonFiniteLiterals:
             ("detections.jsonl", lambda p, m: list(load_detections(p, m)),
              r'"keypoint_hypotheses":\{"0":\['),
             ("fused.jsonl",
-             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m)),
+             lambda p, m: list(load_keypoint_predictions(p, m, _classes_beside(p, m))),
              r'"keypoints":\{"0":\['),
         ],
     )
@@ -271,7 +276,7 @@ class TestNonFiniteLiterals:
              r'"keypoint_hypotheses":\{"0":\[',
              "detections.jsonl:2: keypoint hypothesis has non-finite values (id 0)"),
             ("fused.jsonl",
-             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m)),
+             lambda p, m: list(load_keypoint_predictions(p, m, _classes_beside(p, m))),
              r'"keypoints":\{"0":\[',
              "fused.jsonl:2: keypoint has non-finite coordinates (id 0)"),
         ],
@@ -313,7 +318,7 @@ class TestTextEncoding:
             ("detections.jsonl", lambda p, m: list(load_detections(p, m))),
             ("prior_bank.jsonl", lambda p, m: load_prior_banks(p, m)),
             ("fused.jsonl",
-             lambda p, m: load_keypoint_predictions(p, m, _instances_beside(p, m))),
+             lambda p, m: list(load_keypoint_predictions(p, m, _classes_beside(p, m)))),
         ],
     )
     def test_jsonl_names_file_and_line(self, tmp_path, name, load):
@@ -494,7 +499,9 @@ class TestKeypointIds:
         "instances": (_two_instances, lambda p: list(load_instances(p, _manifest()))),
         "detections": (_two_detections, lambda p: list(load_detections(p, _manifest()))),
         "predictions": (_two_predictions,
-                        lambda p: load_keypoint_predictions(p, _manifest(), _car_pair())),
+                        lambda p: list(
+                            load_keypoint_predictions(p, _manifest(), _classes(_car_pair()))
+                        )),
     }
 
     @pytest.mark.parametrize("key", ["00", "01", "+1", " 7", "-3", "\u0663"])
@@ -526,7 +533,9 @@ class TestFieldTypes:
         "instances": (_two_instances, lambda p: list(load_instances(p, _manifest()))),
         "detections": (_two_detections, lambda p: list(load_detections(p, _manifest()))),
         "predictions": (_two_predictions,
-                        lambda p: load_keypoint_predictions(p, _manifest(), _car_pair())),
+                        lambda p: list(
+                            load_keypoint_predictions(p, _manifest(), _classes(_car_pair()))
+                        )),
         "bank": (_two_bank_rows, lambda p: load_prior_banks(p, _manifest())),
     }
     VIEWPOINT = {"azimuth": 0.5, "elevation": 0.0, "cyclorotation": 0.0}
@@ -607,7 +616,8 @@ class TestFieldTypes:
         manifest = _manifest()
         (inst,) = load_instances(tmp_path / "instances.jsonl", manifest)
         (det,) = load_detections(tmp_path / "detections.jsonl", manifest)
-        preds = load_keypoint_predictions(tmp_path / "predictions.jsonl", manifest, [inst])
+        preds = dict(load_keypoint_predictions(tmp_path / "predictions.jsonl", manifest,
+                                               _classes([inst])))
         bank = load_prior_banks(tmp_path / "bank.jsonl", manifest)["car"]
         kp, hyp = inst.keypoints[0], det.keypoint_hypotheses[0]
         numbers = [
@@ -1231,7 +1241,8 @@ class TestDatasetRoundtrip:
 class TestKeypointPredictions:
     @staticmethod
     def _load(path, instances=None):
-        return load_keypoint_predictions(path, _manifest(), instances or _car_pair())
+        classes = _classes(instances or _car_pair())
+        return dict(load_keypoint_predictions(path, _manifest(), classes))
 
     def test_roundtrip(self, tmp_path):
         preds = {"i1": {0: (1.5, 2.5), 2: (math.pi, 0.125)}, "i0": {1: (4.0, 5.0)}}

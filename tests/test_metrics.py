@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from posekit import metrics
+from posekit.diagnostics import left_right_pck
 from posekit.metrics import (
     Detection,
     EvalReport,
@@ -598,6 +599,131 @@ class TestPck:
             assert list(result.per_class) == ["a", "b", "c"]
             assert list(result.pooled_per_class) == ["a", "b", "c"]
         assert shuffled.mean() == in_order.mean() == (0.1 + 0.2 + 0.3) / 3
+
+
+def _pck_per_instance(gt_instances, predicted_keypoints, alpha=0.1, alternatives=None):
+    """The per-instance PCK loop that pck_of_columns replaced, kept as its oracle."""
+    per_kp_hits = {}
+    for inst in gt_instances:
+        if inst.id not in predicted_keypoints:
+            raise ValueError(f"no predictions supplied for instance {inst.id}")
+        preds = predicted_keypoints[inst.id]
+        radius = pck_threshold(inst.bbox, alpha)
+        swaps = (alternatives or {}).get(inst.class_name, {})
+        for k, kp in inst.keypoints.items():
+            if not kp.visible:
+                continue
+            targets = [(kp.x, kp.y)]
+            partner = swaps.get(k)
+            if partner is not None and partner != k:
+                alt = inst.keypoints.get(partner)
+                if alt is not None and alt.visible:
+                    targets.append((alt.x, alt.y))
+            hit = 0
+            p = preds.get(k)
+            if p is not None:
+                for tx, ty in targets:
+                    if math.hypot(p[0] - tx, p[1] - ty) <= radius:
+                        hit = 1
+                        break
+            per_kp_hits.setdefault(inst.class_name, {}).setdefault(k, []).append(hit)
+    per_keypoint, per_class, pooled = {}, {}, {}
+    for cls, kp_hits in sorted(per_kp_hits.items()):
+        per_keypoint[cls] = {k: metrics.mean_present(kp_hits[k]) for k in sorted(kp_hits)}
+        per_class[cls] = metrics.mean_present(per_keypoint[cls].values())
+        pooled[cls] = metrics.mean_present(h for k in sorted(kp_hits) for h in kp_hits[k])
+    return metrics.PckResult(per_keypoint, per_class, pooled)
+
+
+class TestPckKernel:
+    """pck and left_right_pck score pooled columns; on inputs that reach every
+    branch of the per-instance loop they replaced, they equal it exactly.
+
+    Synthetic scenes annotate every keypoint visible, so the stored report
+    digests never reach an invisible keypoint, a missing prediction or an
+    absent partner; these seeded scenes do.
+    """
+
+    # car: 0 <-> 1 and 3 <-> 4, 2 self-paired, 5 unpaired; chair: 0 <-> 2 only
+    PAIRS = {"car": {0: 1, 1: 0, 2: 2, 3: 4, 4: 3}, "chair": {0: 2, 2: 0}}
+
+    @staticmethod
+    def _scene(seed):
+        """Instances of three classes, each with a random subset of keypoints 0-5,
+        some invisible; predictions near a keypoint, near its partner, far,
+        or absent."""
+        rng = np.random.default_rng(seed)
+        insts, preds = [], {}
+        for i in range(60):
+            cls = ("car", "chair", "sofa")[int(rng.integers(3))]
+            w, h = float(rng.uniform(20, 200)), float(rng.uniform(20, 200))
+            kps = {
+                k: Keypoint(float(rng.uniform(0, w)), float(rng.uniform(0, h)),
+                            visible=bool(rng.random() < 0.8))
+                for k in rng.permutation(6)[: int(rng.integers(0, 7))].tolist()
+            }
+            insts.append(_inst(id=f"i{i}", cls=cls, bbox=(0.0, 0.0, w, h), keypoints=kps))
+            preds[f"i{i}"] = points = {}
+            for k, kp in kps.items():
+                partner = kps.get(TestPckKernel.PAIRS.get(cls, {}).get(k, k), kp)
+                draw = rng.random()
+                if draw < 0.2:
+                    continue  # no prediction for this keypoint
+                target = partner if draw < 0.45 else kp
+                spread = 0.2 * max(w, h) * float(rng.random())
+                points[k] = (target.x + spread * float(rng.normal()),
+                             target.y + spread * float(rng.normal()))
+            if rng.random() < 0.1:
+                points[9] = (0.0, 0.0)  # a prediction for no annotated keypoint
+        order = rng.permutation(len(insts)).tolist()
+        return [insts[j] for j in order], preds
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+    def test_pck_equals_the_per_instance_loop(self, seed, alpha):
+        insts, preds = self._scene(seed)
+        assert pck(insts, preds, alpha) == _pck_per_instance(insts, preds, alpha)
+        swapped = pck(insts, preds, alpha, alternatives=self.PAIRS)
+        assert swapped == _pck_per_instance(insts, preds, alpha, self.PAIRS)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_left_right_pck_equals_the_per_instance_loop(self, seed):
+        insts, preds = self._scene(seed)
+        expected = _pck_per_instance(insts, preds, 0.1, self.PAIRS)
+        assert left_right_pck(insts, preds, self.PAIRS) == expected
+        assert left_right_pck(insts[::-1], preds, self.PAIRS) == expected
+
+    def test_scenes_reach_every_branch(self):
+        """The scenes hold what the digests never reach: invisible keypoints,
+        unpredicted keypoints, self-paired and unpaired ids, and absent or
+        invisible partners."""
+        insts, preds = self._scene(0)
+        scored = [(inst, k) for inst in insts for k, kp in inst.keypoints.items() if kp.visible]
+        assert len(scored) < sum(len(inst.keypoints) for inst in insts)
+        assert any(k not in preds[inst.id] for inst, k in scored)
+        partner = {(inst.id, k): self.PAIRS.get(inst.class_name, {}).get(k) for inst, k in scored}
+        assert {None, 2} <= {partner[inst.id, k] for inst, k in scored if k in (2, 5)}
+        crossed = [(inst, partner[inst.id, k]) for inst, k in scored
+                   if partner[inst.id, k] not in (None, k)]
+        assert any(p not in inst.keypoints for inst, p in crossed)
+        assert any(p in inst.keypoints and not inst.keypoints[p].visible for inst, p in crossed)
+        assert any(p in inst.keypoints and inst.keypoints[p].visible for inst, p in crossed)
+        assert {inst.class_name for inst in insts} == {"car", "chair", "sofa"}
+
+    def test_a_repeated_id_scores_each_instance(self):
+        insts, preds = self._scene(3)
+        twice = insts + [dataclasses.replace(insts[0], bbox=(0.0, 0.0, 500.0, 500.0))]
+        assert pck(twice, preds) == _pck_per_instance(twice, preds)
+
+    def test_missing_instance_named_in_input_order(self):
+        insts, preds = self._scene(5)
+        for inst in (insts[7], insts[3]):
+            del preds[inst.id]
+        message = "^no predictions supplied for instance {}$"
+        with pytest.raises(ValueError, match=message.format(insts[3].id)):
+            pck(insts, preds)
+        with pytest.raises(ValueError, match=message.format(insts[7].id)):
+            pck(insts[::-1], preds)
 
 
 class TestByClass:
