@@ -159,8 +159,8 @@ class Dataset:
     prior_banks: dict[str, PriorBank] = field(default_factory=dict)
 
 
-def _dump(record: object) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+# One encoder for every record line, rather than one built per json.dumps call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 def _non_finite(name: str) -> None:
@@ -655,27 +655,33 @@ def write_response_map(path: str | Path, grid: np.ndarray, class_id: int) -> Non
 
 
 def read_response_map(path: str | Path) -> tuple[int, np.ndarray]:
-    """Read a VKRM blob; returns (class_id, float32 array of shape (K, H, W))."""
+    """Read a VKRM blob; returns (class_id, float32 array of shape (K, H, W)).
+
+    The header is checked, and the file's size against the shape it
+    declares, before the body is read: an oversized file is refused unread.
+    """
     name = os.path.basename(path)
     with open(path, "rb", buffering=0) as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ParseError(f"{name}: truncated header")
-    magic, version, class_id, k, h, w = _HEADER.unpack_from(blob)
-    if magic != RESPONSE_MAGIC:
-        raise ParseError(f"{name}: bad magic {magic!r}")
-    if version != RESPONSE_VERSION:
-        raise SchemaVersionError(f"{name}: unknown blob version {version}")
-    expected = _HEADER.size + 4 * k * h * w
-    if len(blob) != expected:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ParseError(f"{name}: truncated header")
+        magic, version, class_id, k, h, w = _HEADER.unpack(header)
+        if magic != RESPONSE_MAGIC:
+            raise ParseError(f"{name}: bad magic {magic!r}")
+        if version != RESPONSE_VERSION:
+            raise SchemaVersionError(f"{name}: unknown blob version {version}")
+        expected = _HEADER.size + 4 * k * h * w
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            data = np.empty((k, h, w), dtype="<f4")
+            size = _HEADER.size + fh.readinto(data)
+    if size != expected:
         raise ParseError(
-            f"{name}: expected {expected} bytes for shape ({k}, {h}, {w}),"
-            f" got {len(blob)}"
+            f"{name}: expected {expected} bytes for shape ({k}, {h}, {w}), got {size}"
         )
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(k, h, w)
     if not np.isfinite(data).all():
         raise ValidationError(f"{name}: non-finite response values")
-    return class_id, data.copy()
+    return class_id, data
 
 
 _MAP_SIZES = {"fine": GRID_SIZE, "coarse": COARSE_SIZE}  # the map kinds
@@ -695,47 +701,101 @@ class ClassMaps(NamedTuple):
     read: dict[str, np.ndarray]
 
 
-def _class_maps(
-    members: list[Instance], k_c: int, maps: Iterable[tuple[str, str, str, np.ndarray]]
-) -> ClassMaps:
-    """Fill one class's stacks from (instance id, kind, where, array) items,
-    refusing an array that is not (k_c, 12, 12) for a fine map or
-    (k_c, 6, 6) for a coarse one, with a message that starts with where.
-
-    Each array is copied into its row and dropped. A function of its own so
-    that no local of a reader holds an array, or this class's stacks, while
-    the next class is read.
-    """
-    row = {inst.id: i for i, inst in enumerate(members)}
+def _class_maps(members: list[Instance], k_c: int) -> ClassMaps:
+    """members' ClassMaps with K = k_c: zero stacks, no row read."""
     stacks = {
-        kind: np.zeros((len(members), k_c, size, size), dtype=np.float32)
+        kind: np.zeros((len(members), k_c, size, size), dtype="<f4")
         for kind, size in _MAP_SIZES.items()
     }
     read = {kind: np.zeros(len(members), dtype=bool) for kind in _MAP_SIZES}
-    for iid, kind, where, data in maps:
-        size = _MAP_SIZES[kind]
-        if np.shape(data) != (k_c, size, size):
-            raise ValidationError(
-                f"{where}: shape {np.shape(data)}, expected ({k_c}, {size}, {size})"
-            )
-        stacks[kind][row[iid]] = data
-        read[kind][row[iid]] = True
     return ClassMaps(members, stacks["fine"], stacks["coarse"], read)
 
 
-def _read_blobs(
-    prefix: str, blobs: Iterable[tuple[str, str]], cls: str, class_id: int
-) -> Iterator[tuple[str, str, str, np.ndarray]]:
-    """Read one class's blobs, (instance id, kind) each, as _class_maps
-    items named by the blob, checking each against the class's id."""
-    for iid, kind in blobs:
+def _put(maps: ClassMaps, i: int, kind: str, where: str, data: np.ndarray) -> None:
+    """Copy one map array into row i of its kind's stack, refusing one that
+    is not (K, 12, 12) for a fine map or (K, 6, 6) for a coarse one with a
+    message that starts with where."""
+    stack = getattr(maps, kind)
+    if np.shape(data) != stack.shape[1:]:
+        raise ValidationError(f"{where}: shape {np.shape(data)}, expected {stack.shape[1:]}")
+    stack[i] = data
+    maps.read[kind][i] = True
+
+
+def _finite(stack: np.ndarray) -> bool:
+    # NaN propagates through min and max, and an infinity is one of them
+    return stack.size == 0 or (math.isfinite(stack.min()) and math.isfinite(stack.max()))
+
+
+def _read_blob(path: str, buffers: list) -> int:
+    """Bytes read from the file at path into buffers, in order, by one
+    readv, or -1 if the read fails (a directory, say): read_response_map
+    then opens the file again and raises the error with its name."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.readv(fd, buffers)
+    except OSError:
+        return -1
+    finally:
+        os.close(fd)
+
+
+def _read_class(
+    prefix: str,
+    members: list[Instance],
+    k_c: int,
+    blobs: list[tuple[str, str]],
+    cls: str,
+    class_id: int,
+) -> ClassMaps:
+    """One class's ClassMaps, filled from its blobs, (instance id, kind)
+    each in name order; the first fault in that order is raised.
+
+    Each blob is read by one readv: its header into a buffer, checked
+    against the one its class and kind expect, and its body straight into
+    its row of the stack, plus one byte more to catch an over-long file. A
+    blob of another size or header is read again by read_response_map,
+    which words its fault, and then checked against the class id and shape.
+    The values are checked for finiteness once per stack, and over the rows
+    already read before a later blob's fault is raised; a non-finite row is
+    read again too, so the first one in name order is named.
+    """
+    maps = _class_maps(members, k_c)
+    row = {inst.id: i for i, inst in enumerate(members)}
+    expect = {
+        kind: (
+            _HEADER.pack(RESPONSE_MAGIC, RESPONSE_VERSION, class_id, k_c, size, size),
+            _HEADER.size + 4 * k_c * size * size,
+        )
+        for kind, size in _MAP_SIZES.items()
+    }
+
+    def reread(iid: str, kind: str) -> None:
         name = f"{iid}_{kind}.vkrm"
         found, data = read_response_map(prefix + name)
         if found != class_id:
             raise ValidationError(
                 f"{name}: class id {found} but instance {iid!r} is {cls!r} (id {class_id})"
             )
-        yield iid, kind, name, data
+        _put(maps, row[iid], kind, name, data)
+
+    def settle(done: list[tuple[str, str]]) -> None:
+        for iid, kind in done:
+            if not _finite(getattr(maps, kind)[row[iid]]):
+                reread(iid, kind)
+
+    header, spare = bytearray(_HEADER.size), bytearray(1)
+    for n, (iid, kind) in enumerate(blobs):
+        i, stack, (want, size) = row[iid], getattr(maps, kind), expect[kind]
+        if _read_blob(f"{prefix}{iid}_{kind}.vkrm", [header, stack[i], spare]) != size or (
+            header != want
+        ):
+            settle(blobs[:n])
+            reread(iid, kind)
+        maps.read[kind][i] = True
+    if not (_finite(maps.fine) and _finite(maps.coarse)):
+        settle(blobs)
+    return maps
 
 
 def response_maps_by_class(
@@ -768,8 +828,10 @@ def response_maps_by_class(
         blobs.setdefault(inst.class_name, []).append((inst.id, sys.intern(kind)))
     prefix = os.path.join(directory, "")
     for cls, members in by_class(by_id[iid] for iid in sorted(by_id)).items():
-        read = _read_blobs(prefix, blobs.get(cls, ()), cls, manifest.classes.index(cls))
-        yield _class_maps(members, len(manifest.keypoint_names[cls]), read)
+        k_c = len(manifest.keypoint_names[cls])
+        yield _read_class(
+            prefix, members, k_c, blobs.get(cls, []), cls, manifest.classes.index(cls)
+        )
 
 
 def _map_owners(dataset: Dataset) -> dict[str, Instance]:
@@ -787,19 +849,23 @@ def _map_owners(dataset: Dataset) -> dict[str, Instance]:
     return by_id
 
 
+def _maps_in_memory(dataset: Dataset, members: list[Instance], k_c: int) -> ClassMaps:
+    """One class's ClassMaps, filled from dataset.response_maps."""
+    maps = _class_maps(members, k_c)
+    for i, inst in enumerate(members):
+        grids = dataset.response_maps.get(inst.id, {})
+        for kind in sorted(grids):
+            _put(maps, i, kind, f"instance {inst.id!r} {kind} maps", grids[kind])
+    return maps
+
+
 def class_maps(dataset: Dataset) -> Iterator[ClassMaps]:
     """response_maps_by_class on the directory save_dataset would write: after
     refusing maps of an unknown instance or kind, the same classes, rows,
     float32 values and checks, a map's fault named by its instance and kind."""
     by_id = _map_owners(dataset)
     for cls, members in by_class(by_id[iid] for iid in sorted(by_id)).items():
-        items = (
-            (inst.id, kind, f"instance {inst.id!r} {kind} maps", maps[kind])
-            for inst in members
-            for maps in [dataset.response_maps.get(inst.id, {})]
-            for kind in sorted(maps)
-        )
-        yield _class_maps(members, len(dataset.manifest.keypoint_names[cls]), items)
+        yield _maps_in_memory(dataset, members, len(dataset.manifest.keypoint_names[cls]))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -821,10 +887,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     if dataset.response_maps:
         responses = base / "responses"
         responses.mkdir(exist_ok=True)
+        prefix = os.path.join(responses, "")  # each blob's path is prefix + name
         for iid in sorted(dataset.response_maps):
             class_id = dataset.manifest.classes.index(by_id[iid].class_name)
             for kind, grid in sorted(dataset.response_maps[iid].items()):
-                write_response_map(responses / f"{iid}_{kind}.vkrm", grid, class_id)
+                write_response_map(f"{prefix}{iid}_{kind}.vkrm", grid, class_id)
 
 
 _PREDICTION_FIELDS = frozenset({"id", "keypoints"})

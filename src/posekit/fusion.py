@@ -25,14 +25,16 @@ PRIOR_SIGMA = 2.0
 PRIOR_FLOOR = 1e-12
 
 # Instances of one class whose neighbor sets are found in one distance
-# pass, and whose priors are gathered, summed and decoded together. A
-# block's gather is (FUSE_CHUNK, largest neighbor set, 144) float64. On
-# the n = 4000 fuse-bank scene (bank 1000 per class, K <= 8, one CPU of a
-# 2-core host), fuse_predictions takes 0.34-0.55 s of CPU at 8, 0.27-0.38 s
-# at 16, 0.24-0.28 s at 32 and 0.27-0.29 s at 64 (best of 9, six runs
-# each), and the fuse process's peak RSS is flat up to 32 and 0.9 MB
-# higher at 64.
-FUSE_CHUNK = 32
+# pass, and the size of the blocks (cut after sorting by neighbor count)
+# whose priors are summed and decoded together. On the n = 4000 fuse-bank
+# scene (bank 1000 per class, K <= 8, predicted viewpoints, one CPU of a
+# 2-core host), fuse_instances over the three classes takes 0.168-0.172 s
+# of CPU at 32, 0.147-0.149 s at 64 and 0.141-0.144 s at 128 (best of 25).
+# The fuse process peaks at 46.8 MB at 64, 47.1 MB at 96 and 47.4 MB at
+# 128 (median of 6), against 47.2 MB for unsorted blocks of 32 summed by
+# one gather: a pass's (FUSE_CHUNK, len(bank)) float64 distances stay in
+# the heap once freed, under the prior table that comes next.
+FUSE_CHUNK = 64
 
 Box = tuple[float, float, float, float]
 
@@ -178,24 +180,58 @@ def neighbor_set(
     return _neighbor_rows(np.asarray(r)[None], bank, threshold)[0]
 
 
-def _neighbor_rows(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
-    """(B, m) indices of the neighbors (neighbor_set) of each of B rotations,
-    each row in bank order and padded at its end with len(bank).
-
-    One distance pass serves the whole stack; a row whose rotation has no
-    entry below the threshold holds the nearest entry (the first on a tie).
-    """
+def _near(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
+    """(B, len(bank)) flags of the neighbors (neighbor_set) of each of B
+    rotations, in one distance pass: the entries below the threshold or,
+    where there is none, the nearest entry (the first on a tie)."""
     if len(bank) == 0:
         raise ValueError("prior bank is empty")
     d = geodesic_distances(rs[:, None], bank.rotations)
     near = d < threshold
     lonely = np.flatnonzero(~near.any(axis=1))
     near[lonely, d[lonely].argmin(axis=1)] = True
-    query, entries = np.nonzero(near)
-    sizes = near.sum(axis=1)
-    rows = np.full((len(near), sizes.max(initial=0)), len(bank))
-    rows[query, np.arange(query.size) - (np.cumsum(sizes) - sizes)[query]] = entries
+    return near
+
+
+def _padded(entries: np.ndarray, starts: np.ndarray, sizes: np.ndarray, pad: int) -> np.ndarray:
+    """(B, max(sizes)) rows, row b holding entries[starts[b]:][:sizes[b]] and
+    padded at its end with pad."""
+    query = np.repeat(np.arange(len(sizes)), sizes)
+    col = np.arange(query.size) - (np.cumsum(sizes) - sizes)[query]
+    rows = np.full((len(sizes), sizes.max(initial=0)), pad)
+    rows[query, col] = entries[starts[query] + col]
     return rows
+
+
+def _neighbor_rows(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
+    """(B, m) indices of the neighbors (neighbor_set) of each of B rotations,
+    each row in bank order and padded at its end with len(bank)."""
+    near = _near(rs, bank, threshold)
+    sizes = near.sum(axis=1)
+    return _padded(np.nonzero(near)[1], np.cumsum(sizes) - sizes, sizes, len(bank))
+
+
+def _sorted_blocks(
+    rs: np.ndarray, bank: PriorBank, threshold: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The B rotations sorted by neighbor count, largest first (stable), and
+    cut into blocks of FUSE_CHUNK: (indices into rs, their _neighbor_rows)
+    per block, the rows padded to the block's first count. The neighbor
+    sets are found FUSE_CHUNK rotations per distance pass, and held as one
+    flat array of entries until the blocks are cut."""
+    none = np.zeros(0, dtype=np.intp)  # so that no rotation concatenates
+    sizes, entries = [none], [none]
+    for lo in range(0, len(rs), FUSE_CHUNK):
+        near = _near(rs[lo : lo + FUSE_CHUNK], bank, threshold)
+        sizes.append(near.sum(axis=1))
+        entries.append(np.nonzero(near)[1])
+    size, flat = np.concatenate(sizes), np.concatenate(entries)
+    start = np.cumsum(size) - size
+    order = np.argsort(-size, kind="stable")
+    return [
+        (q, _padded(flat, start[q], size[q], len(bank)))
+        for q in (order[lo : lo + FUSE_CHUNK] for lo in range(0, len(rs), FUSE_CHUNK))
+    ]
 
 
 def _table(bank: PriorBank, k: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,15 +271,20 @@ def _priors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mixture priors of one keypoint for a block of neighbor rows.
 
-    table and carried come from _table, rows (B, m) from _neighbor_rows.
-    Returns the (B, 12, 12) priors, clamped below at PRIOR_FLOOR, and the
-    (B,) number of neighbors carrying the keypoint; where that is 0 the
-    prior is uniform. A query's sum runs over its neighbors in bank order
-    and adds 0.0 for an absent entry or a padding row, so each grid is
-    bitwise the mean over the entries that carry the keypoint.
+    table and carried come from _table, rows (B, m) from _neighbor_rows or
+    _sorted_blocks. Returns the (B, 12, 12) priors, clamped below at
+    PRIOR_FLOOR, and the (B,) number of neighbors carrying the keypoint;
+    where that is 0 the prior is uniform. The grids are summed slot by
+    slot (column j of rows, for j = 0 .. m - 1), so a query's sum runs over
+    its neighbors in bank order and adds 0.0 for an absent entry or a
+    padding row: each grid is bitwise the mean over the entries that carry
+    the keypoint.
     """
     count = carried[rows].sum(axis=1)
-    priors = table[rows].sum(axis=1).reshape(-1, GRID_SIZE, GRID_SIZE)
+    priors = np.zeros((len(rows), GRID_SIZE * GRID_SIZE))
+    for j in range(rows.shape[1]):
+        priors += table[rows[:, j]]
+    priors = priors.reshape(-1, GRID_SIZE, GRID_SIZE)
     priors /= np.maximum(count, 1)[:, None, None]
     np.maximum(priors, PRIOR_FLOOR, out=priors)
     priors[count == 0] = uniform_prior()
@@ -329,13 +370,15 @@ def fuse_instances(
     combine_scales, pose_prior (uniform_prior on NoPriorSupportError) and
     fuse_and_decode run one keypoint of one instance at a time.
 
-    Neighbor sets are found in blocks of FUSE_CHUNK instances, one
-    distance pass per block. Fusion then runs keypoint by keypoint: each
-    keypoint's Gaussian grids are evaluated once, around every bank entry
-    (_table), and each block's priors (_priors) are decoded against the
-    block's slice of that keypoint's maps, combined in one combine_scales
-    call, so no (B, K, 12, 12) float64 array is built. One table is alive
-    at a time: keypoint k's is freed before keypoint k + 1's is built.
+    Neighbor sets are found FUSE_CHUNK instances per distance pass. The
+    instances are then sorted by neighbor count (stable, largest first) and
+    cut into blocks of FUSE_CHUNK, so a block's neighbor rows carry little
+    padding. Fusion runs keypoint by keypoint: each keypoint's Gaussian
+    grids are evaluated once, around every bank entry (_table), and each
+    block's priors (_priors) are decoded against the block's rows of that
+    keypoint's maps, combined in one combine_scales call, so no
+    (B, K, 12, 12) float64 array is built. One table is alive at a time:
+    keypoint k's is freed before keypoint k + 1's is built.
     """
     channels = fine.shape[1] if fine.ndim > 1 else 0
     want = tuple((len(rs), channels, size, size) for size in (GRID_SIZE, COARSE_SIZE))
@@ -349,14 +392,13 @@ def fuse_instances(
             f"{channels} keypoints requested but the {bank.class_name!r} bank"
             f" has {bank.num_keypoints}"
         )
-    chunks = [slice(lo, lo + FUSE_CHUNK) for lo in range(0, len(rs), FUSE_CHUNK)]
-    blocks = [_neighbor_rows(rs[c], bank, threshold) for c in chunks]
+    blocks = _sorted_blocks(rs, bank, threshold)
     cells = np.empty((len(rs), channels, 2))
     for k in range(channels):
         table, carried = _table(bank, k, sigma)
-        for c, rows in zip(chunks, blocks):
+        for q, rows in blocks:
             priors, _ = _priors(table, carried, rows)
-            logliks = combine_scales(fine[c, k], coarse[c, k], w_fine, w_coarse)
-            cells[c, k] = _decode(priors, logliks)
+            logliks = combine_scales(fine[q, k], coarse[q, k], w_fine, w_coarse)
+            cells[q, k] = _decode(priors, logliks)
         del table  # so no two keypoints' tables are alive at once
     return cells

@@ -185,13 +185,17 @@ def geodesic_distances(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     under 3, which the formula would report as an error of ~1e-8 radians.
     """
     r1, r2 = np.asarray(r1), np.asarray(r2)
-    cos = (np.einsum("...ij,...ij->...", r1, r2) - 1.0) / 2.0
-    d = np.arccos(np.clip(cos, -1.0, 1.0))
+    # one buffer, in the dtype (trace - 1.0) / 2.0 would have
+    d = np.asarray(np.einsum("...ij,...ij->...", r1, r2), np.result_type(r1, r2, 1.0))
+    d -= 1.0
+    d /= 2.0
     # Only pairs this close can be identical: a matrix that passes
     # check_rotations has trace(R^T R) within 3 * ORTHONORMAL_TOL of 3.
-    same = cos > 1.0 - 2 * ORTHONORMAL_TOL
+    same = d > 1.0 - 2 * ORTHONORMAL_TOL
+    np.clip(d, -1.0, 1.0, out=d)
+    np.arccos(d, out=d)
     if same.any():
-        shape = cos.shape + (3, 3)
+        shape = d.shape + (3, 3)
         a, b = np.broadcast_to(r1, shape)[same], np.broadcast_to(r2, shape)[same]
         same[same] = (a == b).all(axis=(-2, -1))
         d[same] = 0.0

@@ -1247,13 +1247,14 @@ class TestInputsRead:
         assert blob.name in capsys.readouterr().err
 
     def test_fuse_reads_each_blob_once_and_checks_rotations_once(self, tmp_path, monkeypatch):
-        """No redundant loading work: one read per VKRM blob, and one rotation
-        check for the whole bank file rather than one per row."""
+        """No redundant loading work: one read per VKRM blob, none of them
+        again by the one-blob reader, and one rotation check for the whole
+        bank file rather than one per row."""
         ds = _synth(tmp_path, n=6)
         n = len((ds / "instances.jsonl").read_text().splitlines())
         rows = len((ds / "prior_bank.jsonl").read_text().splitlines())
         assert n >= 6 and rows > 1
-        calls = {"read_response_map": 0, "check_rotations": 0}
+        calls = {"_read_blob": 0, "read_response_map": 0, "check_rotations": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1262,39 +1263,41 @@ class TestInputsRead:
 
             return wrapper
 
-        monkeypatch.setattr(
-            dataio, "read_response_map", counted("read_response_map", dataio.read_response_map)
-        )
+        for name in ("_read_blob", "read_response_map"):
+            monkeypatch.setattr(dataio, name, counted(name, getattr(dataio, name)))
         check = counted("check_rotations", so3.check_rotations)
         monkeypatch.setattr(dataio, "check_rotations", check)
         monkeypatch.setattr(so3, "check_rotations", check)  # reached via rotation_matrix
         rc = cli.main(["fuse", "--dataset", str(ds), "--preds", str(ds / "detections.jsonl"),
                        "--out", str(tmp_path / "fused.jsonl")])
         assert rc == 0
-        assert calls == {"read_response_map": 2 * n, "check_rotations": 1}
+        assert calls == {"_read_blob": 2 * n, "read_response_map": 0, "check_rotations": 1}
 
     def test_fuse_holds_one_class_of_maps_at_a_time(self, tmp_path, monkeypatch):
-        """When the first blob of a class is read, no map of an earlier
+        """When the first blob of a class is read, no stack of an earlier
         class is still alive: fuse reads, fuses and frees class by class.
-        While a class is fused, no per-blob array is alive (each was copied
-        into its class's stack), nor any detection (only each matched
-        viewpoint outlives the match), nor any instance of the command that
-        carries keypoints."""
+        While a class is fused, no per-blob array is alive (each blob was
+        read into a row of its class's stack), nor any detection (only each
+        matched viewpoint outlives the match), nor any instance of the
+        command that carries keypoints."""
         ds = _synth(tmp_path, n=12)
         instances = list(dataio.load_ground_truth(ds)[1])
         class_of = {inst.id: inst.class_name for inst in instances}
-        read = dataio.read_response_map
-        alive: list[tuple[str, weakref.ref]] = []
+        read = dataio._read_blob
+        alive: list[tuple[str, weakref.ref]] = []  # (class, the stack read into)
+        arrays: list[weakref.ref] = []  # the array each blob was read into
         order, stale = [], []
 
-        def watched(path):
+        def watched(path, buffers):
             cls = class_of[os.path.basename(path).rpartition("_")[0]]
             if cls not in order:
                 order.append(cls)
                 stale.extend(c for c, ref in alive if ref() is not None)
-            class_id, data = read(path)
-            alive.append((cls, weakref.ref(data)))
-            return class_id, data
+            row = buffers[1]
+            assert row.base.shape[1:] == row.shape  # a row of a class stack
+            alive.append((cls, weakref.ref(row.base)))
+            arrays.append(weakref.ref(row))
+            return read(path, buffers)
 
         # a Detection or Instance has slots and no weakref slot: find the
         # live ones among the collector's objects, by the ids of those built
@@ -1326,12 +1329,12 @@ class TestInputsRead:
         held = []  # live (blob arrays, detections, instances with keypoints), per class
 
         def fused(rs, bank, fine, coarse, *args):
-            blobs = sum(ref() is not None for _, ref in alive)
+            blobs = sum(ref() is not None for ref in arrays)
             held.append((blobs, len(live(metrics.Detection)), carrying(metrics.Instance)))
             assert fine.shape[0] == coarse.shape[0] == len(rs)
             return fuse(rs, bank, fine, coarse, *args)
 
-        monkeypatch.setattr(dataio, "read_response_map", watched)
+        monkeypatch.setattr(dataio, "_read_blob", watched)
         tracked("detection_from_record", metrics.Detection)
         tracked("instance_from_record", metrics.Instance)
         monkeypatch.setattr(fusion, "fuse_instances", fused)

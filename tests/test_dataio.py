@@ -8,8 +8,10 @@ re-reading a dataset must reproduce the numbers bit for bit.
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -887,6 +889,37 @@ class TestResponseMapIO:
         with pytest.raises(ValidationError, match="non-finite"):
             read_response_map(p)
 
+    def test_oversized_blob_refused_unread(self, tmp_path):
+        """A 64 MB sparse file behind a valid header is refused from its size,
+        by the one-blob reader and by the class reader, with the body unread."""
+        d, insts = self._responses_dir(tmp_path)
+        path = d / "i0_coarse.vkrm"
+        size = 64 * 2**20
+        os.truncate(path, size)
+        message = f"i0_coarse.vkrm: expected 456 bytes for shape (3, 6, 6), got {size}"
+        for read in (
+            lambda: read_response_map(path),
+            lambda: list(response_maps_by_class(d, _manifest(), insts)),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError) as exc:
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(exc.value) == message
+            assert peak < 2**20
+
+    def test_unreadable_blob_error_names_the_file(self, tmp_path):
+        d, insts = self._responses_dir(tmp_path)
+        path = d / "i0_fine.vkrm"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            list(response_maps_by_class(d, _manifest(), insts))
+        assert exc.value.filename == str(path)
+
     def _responses_dir(self, tmp_path):
         inst = Instance(id="i0", image_id="im0", class_name="car",
                         bbox=(0.0, 0.0, 5.0, 5.0))
@@ -1051,6 +1084,13 @@ class TestStackedReader:
         write_response_map(path, data, class_id + 1)
         return f"{path.name}: class id {class_id + 1} but instance {iid!r} is 'car' (id {class_id})"
 
+    @staticmethod
+    def _shape(path, iid, class_id):
+        _, data = read_response_map(path)
+        write_response_map(path, data[:-1], class_id)
+        size = 12 if path.name.endswith("_fine.vkrm") else 6
+        return f"{path.name}: shape (7, {size}, {size}), expected (8, {size}, {size})"
+
     FAULTS = ("bad_magic", "truncated", "short_header", "version", "non_finite", "class_id")
 
     def _spoil(self, path, fault, iid, class_id):
@@ -1073,7 +1113,13 @@ class TestStackedReader:
 
     @pytest.mark.parametrize(
         "first, later",
-        [("non_finite", "bad_magic"), ("class_id", "truncated"), ("version", "non_finite")],
+        [
+            ("non_finite", "bad_magic"),
+            ("class_id", "truncated"),
+            ("version", "non_finite"),
+            ("non_finite", "class_id"),
+            ("non_finite", "shape"),
+        ],
     )
     def test_first_fault_in_blob_name_order_wins(self, tmp_path, first, later):
         """Three spoiled blobs of one class: the one whose name sorts first
@@ -1091,6 +1137,25 @@ class TestStackedReader:
         self._spoil(ds / "responses" / f"{cars[3]}_coarse.vkrm", later, cars[3], class_id)
         with pytest.raises(DatasetError) as exc:
             list(response_maps_by_class(ds / "responses", manifest, instances))
+        assert str(exc.value) == message
+
+    def test_clean_class_yielded_before_a_later_class_fault(self, tmp_path):
+        """A non-finite blob of the second class, behind a valid header: the
+        first class is yielded whole, then the blob is named."""
+        scene, ds = self._scene(tmp_path)
+        manifest, instances = load_ground_truth(ds)
+        instances = list(instances)
+        chair = sorted(inst.id for inst in instances if inst.class_name == "chair")[-1]
+        path = ds / "responses" / f"{chair}_fine.vkrm"
+        message = self._spoil(path, "non_finite", chair, manifest.classes.index("chair"))
+        reader = response_maps_by_class(ds / "responses", manifest, instances)
+        cars = next(reader)
+        assert {inst.class_name for inst in cars.members} == {"car"}
+        assert cars.read["fine"].all() and cars.read["coarse"].all()
+        for inst, row in zip(cars.members, cars.fine):
+            assert row.tobytes() == scene.response_maps[inst.id]["fine"].tobytes()
+        with pytest.raises(ValidationError) as exc:
+            next(reader)
         assert str(exc.value) == message
 
     def test_shape_fault_names_the_blob_and_both_shapes(self, tmp_path):

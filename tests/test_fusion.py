@@ -521,7 +521,80 @@ class TestStackedEngine:
             assert np.array_equal(priors[b], ref_priors)
             assert [tuple(c) for c in cells[b].tolist()] == ref_cells
 
-    @pytest.mark.parametrize("chunk", [1, 3, 8, FUSE_CHUNK])
+    @staticmethod
+    def _populated_class():
+        """One class whose queries mix nearest-entry fallbacks, keypoints that
+        no neighbour carries and sets of 20 or more neighbours."""
+        rng = np.random.default_rng(39)
+        angles = [0.015 * i for i in range(30)] + [1.5, 1.55, 3.0]
+        kps = rng.uniform(0.0, 12.0 - 1e-6, size=(len(angles), 4, 2))
+        present = rng.random((len(angles), 4)) > 0.2
+        present[30:32, 1] = False  # no support for keypoint 1 near azimuth 1.5
+        present[32, 2] = False  # nor for keypoint 2 at the lone entry near pi
+        bank = PriorBank("c", np.stack([_rot_about_z(a) for a in angles]), kps, present)
+        # 2.2 and -2.0 have no entry within the threshold: nearest-only rows
+        queries = (0.2, 2.2, 1.52, -0.25, 0.1, -2.0, 1.0, 0.3, 1.6, 2.9, 0.45, 0.05, 1.53)
+        rs = np.stack([_rot_about_z(a) for a in queries])
+        fine = rng.normal(size=(len(queries), 4, 12, 12)).astype(np.float32)
+        coarse = rng.normal(size=(len(queries), 4, 6, 6)).astype(np.float32)
+        return bank, rs, fine, coarse
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 3, FUSE_CHUNK])
+    def test_sorted_blocks_equal_per_keypoint_reference(self, monkeypatch, chunk, shuffled):
+        """Blocks cut from the queries sorted by neighbour count, largest
+        first and stable, give bitwise the reference priors and cells, in
+        one combine_scales call per block and keypoint."""
+        bank, rs, fine, coarse = self._populated_class()
+        if shuffled:
+            perm = np.random.default_rng(40).permutation(len(rs))
+            rs, fine, coarse = rs[perm], fine[perm], coarse[perm]
+        refs = self._references(bank, rs, fine, coarse, (0.5, 0.5))
+        sizes = [neighbor_set(r, bank).size for r in rs]
+        assert max(sizes) >= 20 and sizes.count(30) >= 3 and min(sizes) == 1
+        fallbacks = [
+            b for b, r in enumerate(rs)
+            if geodesic_distance(r, bank.rotations[neighbor_set(r, bank)[0]]) >= NEIGHBOR_THRESHOLD
+        ]
+        assert len(fallbacks) == 2
+        uniform = {
+            (b, k) for b, (p, _) in enumerate(refs) for k in range(4)
+            if np.array_equal(p[k], uniform_prior())
+        }
+        assert len(uniform) >= 5 and {b for b, _ in uniform} & set(fallbacks)
+
+        blocks, priors, combines = [], [], []
+        sort, prior, combine = fusion._sorted_blocks, fusion._priors, fusion.combine_scales
+
+        def sorted_blocks(*args):
+            blocks.extend(sort(*args))
+            return blocks
+
+        def kept(*args):
+            p, count = prior(*args)
+            priors.append(p.copy())  # _decode overwrites the priors it is given
+            return p, count
+
+        def counted(*args):
+            combines.append(len(args[0]))
+            return combine(*args)
+
+        monkeypatch.setattr(fusion, "FUSE_CHUNK", chunk)
+        monkeypatch.setattr(fusion, "_sorted_blocks", sorted_blocks)
+        monkeypatch.setattr(fusion, "_priors", kept)
+        monkeypatch.setattr(fusion, "combine_scales", counted)
+        cells = fuse_instances(rs, bank, fine, coarse)
+        order = np.concatenate([q for q, _ in blocks]).tolist()
+        assert order == sorted(range(len(rs)), key=lambda b: -sizes[b])
+        assert len(combines) == math.ceil(len(rs) / chunk) * 4 == len(priors)
+        stacked = np.empty((len(rs), 4, GRID_SIZE, GRID_SIZE))
+        for i, p in enumerate(priors):
+            stacked[blocks[i % len(blocks)][0], i // len(blocks)] = p
+        for b, (ref_priors, ref_cells) in enumerate(refs):
+            assert np.array_equal(stacked[b], ref_priors)
+            assert [tuple(c) for c in cells[b].tolist()] == ref_cells
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 32, FUSE_CHUNK])
     def test_fuse_predictions_equals_one_instance_at_a_time(self, monkeypatch, chunk):
         scene = generate_scene(1, 40, noise_preset("moderate"), bank_size=300)
         viewpoints = cli.match_by_box(scene.instances, scene.detections)
