@@ -836,8 +836,9 @@ def response_maps_by_class(
 
 def _map_owners(dataset: Dataset) -> dict[str, Instance]:
     """The dataset's instances by id; refuses response maps of any other
-    id, then a map kind other than fine and coarse, each naming the first
-    in sorted (id, kind) order."""
+    id, then a map kind other than fine and coarse, then a map that is not
+    finite as float32 (the reader's dtype), each naming the first in sorted
+    (id, kind) order."""
     by_id = {inst.id: inst for inst in dataset.instances}
     unknown = dataset.response_maps.keys() - by_id.keys()
     if unknown:
@@ -846,6 +847,10 @@ def _map_owners(dataset: Dataset) -> dict[str, Instance]:
            for kind in maps if kind not in _MAP_SIZES]
     if bad:
         raise ValidationError(f"unknown response-map kind {min(bad)[1]!r}")
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range is inf
+        for iid, kind in sorted((i, k) for i, maps in dataset.response_maps.items() for k in maps):
+            if not _finite(np.asarray(dataset.response_maps[iid][kind], dtype="<f4")):
+                raise ValidationError(f"instance {iid!r} {kind} maps: non-finite response values")
     return by_id
 
 
@@ -861,8 +866,8 @@ def _maps_in_memory(dataset: Dataset, members: list[Instance], k_c: int) -> Clas
 
 def class_maps(dataset: Dataset) -> Iterator[ClassMaps]:
     """response_maps_by_class on the directory save_dataset would write: after
-    refusing maps of an unknown instance or kind, the same classes, rows,
-    float32 values and checks, a map's fault named by its instance and kind."""
+    save_dataset's checks (_map_owners), the same classes, rows and float32
+    values, a map of the wrong shape named by its instance and kind."""
     by_id = _map_owners(dataset)
     for cls, members in by_class(by_id[iid] for iid in sorted(by_id)).items():
         yield _maps_in_memory(dataset, members, len(dataset.manifest.keypoint_names[cls]))
@@ -873,7 +878,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
     Raises ValidationError unless the directory is new or empty, so that no
     file of another dataset (a response map, say) is read back with this one,
-    and, before it writes any file, for maps of an unknown instance or kind.
+    and, before it writes any file, for maps of an unknown instance or kind
+    or with a value that is not finite as float32.
     """
     base = Path(path)
     if base.is_dir() and any(base.iterdir()):

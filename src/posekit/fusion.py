@@ -130,11 +130,11 @@ def combine_scales(
 
 
 def _boxes(boxes) -> np.ndarray:
-    """(B, 4) float stack of (x, y, w, h); refuses a w or h not above 0, or NaN."""
+    """(B, 4) float stack of (x, y, w, h); refuses a non-finite value, or a w or h not above 0."""
     boxes = np.asarray(boxes, dtype=np.float64)
-    degenerate = ~(boxes[:, 2:] > 0).all(axis=1)
-    if degenerate.any():
-        raise ValueError(f"degenerate box {tuple(boxes[degenerate.argmax()].tolist())}")
+    sound = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
+    if not sound.all():
+        raise ValueError(f"degenerate box {tuple(boxes[sound.argmin()].tolist())}")
     return boxes
 
 
@@ -177,7 +177,7 @@ def neighbor_set(
     none qualify, falls back to the single nearest entry so the prior is
     always defined.
     """
-    return _neighbor_rows(np.asarray(r)[None], bank, threshold)[0]
+    return np.flatnonzero(_near(np.asarray(r)[None], bank, threshold)[0])
 
 
 def _near(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
@@ -203,22 +203,14 @@ def _padded(entries: np.ndarray, starts: np.ndarray, sizes: np.ndarray, pad: int
     return rows
 
 
-def _neighbor_rows(rs: np.ndarray, bank: PriorBank, threshold: float) -> np.ndarray:
-    """(B, m) indices of the neighbors (neighbor_set) of each of B rotations,
-    each row in bank order and padded at its end with len(bank)."""
-    near = _near(rs, bank, threshold)
-    sizes = near.sum(axis=1)
-    return _padded(np.nonzero(near)[1], np.cumsum(sizes) - sizes, sizes, len(bank))
-
-
 def _sorted_blocks(
     rs: np.ndarray, bank: PriorBank, threshold: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The B rotations sorted by neighbor count, largest first (stable), and
-    cut into blocks of FUSE_CHUNK: (indices into rs, their _neighbor_rows)
-    per block, the rows padded to the block's first count. The neighbor
-    sets are found FUSE_CHUNK rotations per distance pass, and held as one
-    flat array of entries until the blocks are cut."""
+    cut into blocks of FUSE_CHUNK: (indices into rs, their neighbor_set rows)
+    per block, the rows padded with len(bank) to the block's first count.
+    The neighbor sets are found FUSE_CHUNK rotations per distance pass, and
+    held as one flat array of entries until the blocks are cut."""
     none = np.zeros(0, dtype=np.intp)  # so that no rotation concatenates
     sizes, entries = [none], [none]
     for lo in range(0, len(rs), FUSE_CHUNK):
@@ -238,7 +230,7 @@ def _table(bank: PriorBank, k: int, sigma: float) -> tuple[np.ndarray, np.ndarra
     """(len(bank) + 1, 144) Gaussian grids of keypoint k around every bank
     entry, row i for entry i, 0.0 where that entry lacks the keypoint, and
     the (len(bank) + 1,) flags of the entries carrying it. The last row,
-    which _neighbor_rows pads with, is zeros and carries nothing. Raises
+    which _sorted_blocks pads with, is zeros and carries nothing. Raises
     ValueError unless the Gaussian is finite: sigma > 0, and the norm
     1 / (2 pi sigma^2) does not overflow, which keeps 2 sigma^2 above 0.
     """
@@ -271,8 +263,8 @@ def _priors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mixture priors of one keypoint for a block of neighbor rows.
 
-    table and carried come from _table, rows (B, m) from _neighbor_rows or
-    _sorted_blocks. Returns the (B, 12, 12) priors, clamped below at
+    table and carried come from _table, rows (B, m) from _sorted_blocks (or
+    one neighbor_set). Returns the (B, 12, 12) priors, clamped below at
     PRIOR_FLOOR, and the (B,) number of neighbors carrying the keypoint;
     where that is 0 the prior is uniform. The grids are summed slot by
     slot (column j of rows, for j = 0 .. m - 1), so a query's sum runs over

@@ -645,13 +645,21 @@ class PckColumns(NamedTuple):
         self.predicted[number] = 1
 
 
+def _within(dx: np.ndarray, dy: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distances math.hypot(dx, dy), pair by pair (np.hypot does not
+    always give the same bits), and the flags of those within radius: an
+    infinite distance never is, even within an infinite radius."""
+    dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(dx))
+    return dist, (dist <= radius) & (dist < math.inf)
+
+
 def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> PckResult:
     """PCK of the columns (see pck), one (class, keypoint id) at a time.
 
     A visible entry hits when its prediction lies within its row's radius of
     its annotation or, where alternatives names a partner id for its class
     and keypoint id, of the visible annotation of that partner on the same
-    row. Distances are math.hypot, pair by pair. Raises ValueError naming
+    row (_within, the hit test apk uses). Raises ValueError naming
     the first key, in the order read, that was given no predictions.
     """
     unpredicted = columns.predicted.find(0)
@@ -663,11 +671,6 @@ def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> Pck
     px, py = np.asarray(columns.px), np.asarray(columns.py)
     classes, scored = gts.classes[owner], visible.astype(bool)
 
-    def within(entries: np.ndarray, annotated: np.ndarray) -> np.ndarray:
-        dx, dy = (px[entries] - x[annotated]).tolist(), (py[entries] - y[annotated]).tolist()
-        dist = np.fromiter(map(math.hypot, dx, dy), np.float64, len(entries))
-        return dist <= gts.values[owner[entries]]
-
     per_keypoint: dict[str, dict[int, float | None]] = {}
     per_class: dict[str, float | None] = {}
     pooled: dict[str, float | None] = {}
@@ -677,7 +680,8 @@ def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> Pck
         hits, counts = {}, {}
         for k in sorted(set(ids[in_class & scored].tolist())):
             entries = np.flatnonzero(in_class & scored & (ids == k))
-            hit = within(entries, entries)
+            radius = gts.values[owner[entries]]
+            hit = _within(px[entries] - x[entries], py[entries] - y[entries], radius)[1]
             partner = swaps.get(k)
             if partner is not None and partner != k:
                 # the partner's entry on each row, -1 on a row without one
@@ -687,7 +691,8 @@ def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> Pck
                 mate = mate_of[owner[entries]]
                 usable = np.flatnonzero(mate >= 0)
                 usable = usable[scored[mate[usable]]]
-                hit[usable] |= within(entries[usable], mate[usable])
+                e, m = entries[usable], mate[usable]
+                hit[usable] |= _within(px[e] - x[m], py[e] - y[m], radius[usable])[1]
             hits[k], counts[k] = np.count_nonzero(hit), len(entries)
         per_keypoint[cls] = {k: hits[k] / counts[k] for k in hits}
         per_class[cls] = mean_present(per_keypoint[cls].values())
@@ -728,8 +733,7 @@ def apk(
     detection fault. Each record's keypoint entries are pooled into
     columns as it is read, and nothing else holds the record. All
     hypotheses are then rescored by one elementwise score_hypothesis call.
-    Distances are math.hypot, pair by pair, whose bits np.hypot does not
-    always reproduce.
+    A claim needs _within's hit, the test pck_of_columns uses.
     """
     images: dict[str, int] = {}
     # integer class codes, not str columns: comparing str columns per class
@@ -766,12 +770,7 @@ def apk(
             h = np.flatnonzero(in_hyp & (hyp_ids == k))
             cand, gt = _same_image_pairs(hyps.numbers[hyp_owner[h]], gts.numbers[gt_owner[g]])
             hr, gr = h[cand], g[gt]
-            dist = np.array(
-                list(map(math.hypot, (hx[hr] - gx[gr]).tolist(), (hy[hr] - gy[gr]).tolist())),
-                dtype=np.float64,
-            )
-            # an infinite distance never claims, even within an infinite radius
-            near = (dist <= gts.values[gt_owner[gr]]) & (dist < math.inf)
+            dist, near = _within(hx[hr] - gx[gr], hy[hr] - gy[gr], gts.values[gt_owner[gr]])
             _, claimed = _greedy_match(scores[h], cand[near], gt[near], dist[near])
             per_keypoint[cls][k] = _pr_eval(claimed >= 0, len(g)).ap
     per_class = {cls: mean_present(aps.values()) for cls, aps in per_keypoint.items()}

@@ -767,6 +767,33 @@ class TestFuseFirstError:
             2, f"error: {sofa}_{kinds[0]}.vkrm: {shape}\n"
         )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e300], ids=["nan", "inf", "1e300"])
+    def test_non_finite_maps_refused(self, tmp_path, capsys, value):
+        """A map that is not finite as float32 (1e300 is a finite float64)
+        is refused in memory naming its instance and kind, as the fuse
+        command refuses its blob; nothing is fused from it."""
+        scene = synth.generate_scene(3, 12, synth.noise_preset("moderate"))
+        sofa = min(inst.id for inst in scene.instances if inst.class_name == "sofa")
+        coarse = np.array(scene.response_maps[sofa]["coarse"], dtype=np.float64)
+        coarse[0, 0, 0] = value
+        maps = {**scene.response_maps[sofa], "coarse": coarse}
+        dataset = dataclasses.replace(scene, response_maps={**scene.response_maps, sofa: maps})
+        viewpoints = cli.match_by_box(scene.instances, scene.detections)
+        with pytest.raises(dataio.ValidationError) as exc:
+            cli.fuse_predictions(dataset, viewpoints)
+        assert str(exc.value) == f"instance {sofa!r} coarse maps: non-finite response values"
+        # save_dataset refuses the map too, so the blob is spoiled after a clean save
+        rc, err = self._fuse_saved(scene, tmp_path, capsys)
+        assert rc == 0 and err == ""
+        blob = tmp_path / "saved" / "responses" / f"{sofa}_coarse.vkrm"
+        with np.errstate(over="ignore"):
+            spoiled = np.array(coarse, dtype="<f4")
+        blob.write_bytes(blob.read_bytes()[:24] + spoiled.tobytes())
+        rc = cli.main(["fuse", "--dataset", str(blob.parent.parent), "--out", str(tmp_path / "f")])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {sofa}_coarse.vkrm: non-finite response values\n"
+        )
+
 
 class TestEvaluateKeypoints:
     def test_pck_after_fuse_is_perfect(self, tmp_path):

@@ -12,6 +12,7 @@ import os
 import re
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1250,6 +1251,28 @@ class TestInMemoryClassMaps:
         (tmp_path / "ds").mkdir()
         with pytest.raises(ValidationError, match=message):
             save_dataset(scene, tmp_path / "ds")
+        assert list((tmp_path / "ds").iterdir()) == []
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e300], ids=["nan", "inf", "1e300"])
+    def test_non_finite_maps_refused_as_save_dataset_refuses_them(self, tmp_path, value):
+        """A map that is not finite as float32 (1e300 is a finite float64, inf
+        as float32) is refused without numpy's overflow warning, the first bad
+        (id, kind) in sorted order named, and save_dataset refuses before it
+        writes any file."""
+        scene = self._scene()
+        ids = sorted(scene.response_maps)
+        for iid, kind in ((ids[5], "coarse"), (ids[2], "fine"), (ids[2], "coarse")):
+            grid = np.array(scene.response_maps[iid][kind], dtype=np.float64)
+            grid[-1, 1, 2] = value
+            scene.response_maps[iid][kind] = grid
+        message = f"^instance {re.escape(repr(ids[2]))} coarse maps: non-finite response values$"
+        (tmp_path / "ds").mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                next(class_maps(scene))
+            with pytest.raises(ValidationError, match=message):
+                save_dataset(scene, tmp_path / "ds")
         assert list((tmp_path / "ds").iterdir()) == []
 
 

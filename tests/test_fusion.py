@@ -6,6 +6,7 @@ library path.
 """
 
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -153,6 +154,21 @@ class TestNormalization:
             normalize_keypoints([(0.0, 0.0, math.nan, 10.0)], [[(1.0, 1.0)]])
         with pytest.raises(ValueError, match="degenerate"):
             denormalize_keypoint((0.0, 0.0, 10.0, -1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_non_finite_box(self, field, value):
+        """A NaN or infinite x, y, w or h is refused both ways, naming the
+        first such box, as metrics refuses a record's box; none reaches a
+        pixel or a grid cell."""
+        bad = [0.0, 0.0, 10.0, 10.0]
+        bad[field] = value
+        boxes = [(0.0, 0.0, 10.0, 10.0), tuple(bad), (1.0, 1.0, -1.0, 1.0)]
+        message = re.escape(f"degenerate box {tuple(bad)}")
+        with pytest.raises(ValueError, match=message):
+            normalize_keypoints(boxes, np.ones((3, 1, 2)))
+        with pytest.raises(ValueError, match=message):
+            fusion.denormalize_keypoints(boxes, np.ones((3, 1, 2)))
 
 
 class TestNeighborSet:
@@ -347,13 +363,17 @@ def _per_keypoint_reference(r, bank, fine, coarse, w_fine, w_coarse, sigma, thre
 
 def _stacked_priors(rs, bank, num_keypoints, sigma=PRIOR_SIGMA, threshold=NEIGHBOR_THRESHOLD,
                     chunk=None):
-    """The (B, K, 12, 12) priors that fuse_instances decodes, its neighbor
-    sets found in blocks of chunk viewpoints (all at once by default)."""
+    """The (B, K, 12, 12) priors that fuse_instances decodes, summed over
+    blocks of chunk viewpoints (all at once by default): each block's rows
+    are the neighbor_set of each viewpoint, padded at its end with len(bank)."""
     chunk = chunk or len(rs)
-    blocks = [
-        fusion._neighbor_rows(rs[lo : lo + chunk], bank, threshold)
-        for lo in range(0, len(rs), chunk)
-    ]
+    blocks = []
+    for lo in range(0, len(rs), chunk):
+        sets = [neighbor_set(r, bank, threshold) for r in rs[lo : lo + chunk]]
+        rows = np.full((len(sets), max(map(len, sets))), len(bank))
+        for row, neighbors in zip(rows, sets):
+            row[: len(neighbors)] = neighbors
+        blocks.append(rows)
     priors = np.empty((len(rs), num_keypoints, GRID_SIZE, GRID_SIZE))
     for k in range(num_keypoints):
         table, carried = fusion._table(bank, k, sigma)

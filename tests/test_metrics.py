@@ -600,6 +600,28 @@ class TestPck:
             assert list(result.pooled_per_class) == ["a", "b", "c"]
         assert shuffled.mean() == in_order.mean() == (0.1 + 0.2 + 0.3) / 3
 
+    def test_infinite_distance_is_a_miss_as_in_apk(self):
+        """A prediction at x = 1e308 and its annotation at x = -1e308 lie an
+        infinite distance apart, and alpha = 1e308 makes the radius infinite
+        too: PCK scores a miss, as APK does for the same pair, directly and
+        through a lateral alternative."""
+        inst = _inst(bbox=(0.0, 0.0, 10.0, 10.0),
+                     keypoints={0: Keypoint(-1e308, 0.0), 1: Keypoint(-1e308, 5.0)})
+        assert pck_threshold(inst.bbox, 1e308) == math.inf
+        preds = {"i0": {0: (1e308, 0.0), 1: (1e308, 5.0)}}
+        with np.errstate(over="ignore"):
+            for alternatives in (None, {"car": {0: 1, 1: 0}}):
+                out = pck([inst], preds, alpha=1e308, alternatives=alternatives)
+                assert out.per_keypoint["car"] == {0: 0.0, 1: 0.0}
+            det = _det(bbox=inst.bbox,
+                       keypoint_hypotheses={0: KeypointHypothesis(1e308, 0.0, 0.9)})
+            assert apk([det], [inst], alpha=1e308).per_keypoint["car"][0] == 0.0
+        # a finite distance within the infinite radius is a hit in both
+        near = {"i0": {0: (-1e308, 0.0), 1: (-1e308, 5.0)}}
+        assert pck([inst], near, alpha=1e308).per_keypoint["car"] == {0: 1.0, 1: 1.0}
+        det = _det(bbox=inst.bbox, keypoint_hypotheses={0: KeypointHypothesis(-1e308, 0.0, 0.9)})
+        assert apk([det], [inst], alpha=1e308).per_keypoint["car"][0] == 1.0
+
 
 def _pck_per_instance(gt_instances, predicted_keypoints, alpha=0.1, alternatives=None):
     """The per-instance PCK loop that pck_of_columns replaced, kept as its oracle."""
@@ -623,7 +645,8 @@ def _pck_per_instance(gt_instances, predicted_keypoints, alpha=0.1, alternatives
             p = preds.get(k)
             if p is not None:
                 for tx, ty in targets:
-                    if math.hypot(p[0] - tx, p[1] - ty) <= radius:
+                    d = math.hypot(p[0] - tx, p[1] - ty)
+                    if d <= radius and d < math.inf:
                         hit = 1
                         break
             per_kp_hits.setdefault(inst.class_name, {}).setdefault(k, []).append(hit)

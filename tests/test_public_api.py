@@ -3,7 +3,8 @@ public method and property of those classes, has a caller.
 
 The library's modules, the demos and the acceptance gates are parsed; a
 public name defined in src/posekit must be used somewhere other than its
-own definition, as a name, an attribute or an imported name.
+own definition, as a name, an attribute or an imported name. A private
+module-level function or class must be used so by the library itself.
 
 The package __init__.py holds its docstring and nothing else: callers import
 the modules, so each public name has one binding, in the module that defines
@@ -65,6 +66,24 @@ def test_every_public_definition_is_used():
                 used |= _names_used(stmt)
     unused = sorted(qualified for qualified, name in defined.items() if name not in used)
     assert not unused, f"public definitions with no caller: {', '.join(unused)}"
+
+
+def test_every_private_definition_is_used_by_the_library():
+    """A private module-level function or class of src/posekit is used by
+    library code other than its own definition: one that only a test calls
+    is a second body of a rule, not part of the library."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    defined: dict[str, str] = {}  # qualified name -> name
+    used: set[str] = set()
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            own = {stmt.name} if isinstance(stmt, kinds) else set()
+            if own and stmt.name.startswith("_"):
+                defined[f"{path.stem}.{stmt.name}"] = stmt.name
+            used |= _names_used(stmt) - own
+    unused = sorted(qualified for qualified, name in defined.items() if name not in used)
+    assert not unused, f"private definitions no library code uses: {', '.join(unused)}"
 
 
 def test_package_init_is_only_its_docstring():
