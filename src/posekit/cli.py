@@ -65,8 +65,8 @@ def fuse_class(
     maps: dataio.ClassMaps,
     banks: Mapping[str, fusion.PriorBank],
     viewpoints: Mapping[str, EulerAngles] | None = None,
-    w_fine: float = 0.5,
-    w_coarse: float = 0.5,
+    w_fine: float = fusion.FINE_WEIGHT,
+    w_coarse: float = fusion.COARSE_WEIGHT,
     sigma: float = fusion.PRIOR_SIGMA,
     threshold: float = fusion.NEIGHBOR_THRESHOLD,
 ) -> np.ndarray:
@@ -123,8 +123,8 @@ def _fuse_classes(
 def fuse_predictions(
     dataset: dataio.Dataset,
     viewpoints: Mapping[str, Detection] | None = None,
-    w_fine: float = 0.5,
-    w_coarse: float = 0.5,
+    w_fine: float = fusion.FINE_WEIGHT,
+    w_coarse: float = fusion.COARSE_WEIGHT,
     sigma: float = fusion.PRIOR_SIGMA,
     threshold: float = fusion.NEIGHBOR_THRESHOLD,
 ) -> dict[str, dict[int, tuple[float, float]]]:
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--preds", required=True, help="detections.jsonl-format predictions")
-    p.add_argument("--theta", type=_positive, default=math.pi / 6, help="radians")
+    p.add_argument("--theta", type=_positive, default=metrics.VIEWPOINT_THETA, help="radians")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--gt-boxes", action="store_true", help="known boxes: MedErr and Acc_theta"
@@ -402,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="keypoint predictions (pck) or detections.jsonl (apk)",
     )
-    p.add_argument("--alpha", type=_positive, default=0.1)
+    p.add_argument("--alpha", type=_positive, default=metrics.PCK_ALPHA)
     p.add_argument("--mode", choices=("pck", "apk"), default="pck")
     p.add_argument(
         "--lambda",
         dest="lam",
         type=_finite,
-        default=0.5,
+        default=metrics.APK_LAMBDA,
         help="detector-score weight when rescoring apk hypotheses",
     )
     _add_report_flags(p)
@@ -424,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--preds",
         help="detections supplying predicted viewpoints (default: annotated ones)",
     )
-    p.add_argument("--w-fine", type=_nonnegative, default=0.5)
-    p.add_argument("--w-coarse", type=_nonnegative, default=0.5)
+    p.add_argument("--w-fine", type=_nonnegative, default=fusion.FINE_WEIGHT)
+    p.add_argument("--w-coarse", type=_nonnegative, default=fusion.COARSE_WEIGHT)
     p.add_argument("--sigma", type=_positive, default=fusion.PRIOR_SIGMA)
     p.add_argument("--threshold", type=_positive, default=fusion.NEIGHBOR_THRESHOLD)
     p.add_argument("--out", required=True, help="keypoint predictions file to write")
@@ -437,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", help="comma list from: size, occlusion, truncation")
     p.add_argument("--error-modes", action="store_true")
     p.add_argument("--left-right", action="store_true")
-    p.add_argument("--alpha", type=_positive, default=0.1)
-    p.add_argument("--theta", type=_positive, default=math.pi / 6)
+    p.add_argument("--alpha", type=_positive, default=metrics.PCK_ALPHA)
+    p.add_argument("--theta", type=_positive, default=metrics.VIEWPOINT_THETA)
     _add_report_flags(p)
     p.set_defaults(func=_cmd_diagnose)
 

@@ -641,14 +641,15 @@ def save_prior_banks(banks: Mapping[str, PriorBank], path: str | Path) -> None:
 
 
 def write_response_map(path: str | Path, grid: np.ndarray, class_id: int) -> None:
-    """Write a (K, H, W) stack of response maps as a VKRM blob."""
-    g = np.asarray(grid, dtype=np.float32)
+    """Write a (K, H, W) stack of response maps as a VKRM blob, refusing one
+    that is not finite as float32 with read_response_map's message."""
+    with np.errstate(over="ignore"):
+        g = np.asarray(grid, dtype=np.float32)
     if g.ndim != 3:
         raise ValidationError(f"response stack must be (K, H, W), got {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("response stack has non-finite entries")
-    k, h, w = g.shape
-    header = _HEADER.pack(RESPONSE_MAGIC, RESPONSE_VERSION, class_id, k, h, w)
+    if not _finite(g):
+        raise ValidationError(f"{os.path.basename(path)}: non-finite response values")
+    header = _HEADER.pack(RESPONSE_MAGIC, RESPONSE_VERSION, class_id, *g.shape)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(g, dtype="<f4").tobytes())
@@ -679,7 +680,7 @@ def read_response_map(path: str | Path) -> tuple[int, np.ndarray]:
         raise ParseError(
             f"{name}: expected {expected} bytes for shape ({k}, {h}, {w}), got {size}"
         )
-    if not np.isfinite(data).all():
+    if not _finite(data):
         raise ValidationError(f"{name}: non-finite response values")
     return class_id, data
 
@@ -729,15 +730,16 @@ def _finite(stack: np.ndarray) -> bool:
 
 def _read_blob(path: str, buffers: list) -> int:
     """Bytes read from the file at path into buffers, in order, by one
-    readv, or -1 if the read fails (a directory, say): read_response_map
+    readv, or -1 if the open or read fails (a directory, say): read_response_map
     then opens the file again and raises the error with its name."""
-    fd = os.open(path, os.O_RDONLY)
     try:
-        return os.readv(fd, buffers)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return os.readv(fd, buffers)
+        finally:
+            os.close(fd)
     except OSError:
         return -1
-    finally:
-        os.close(fd)
 
 
 def _read_class(
@@ -753,48 +755,39 @@ def _read_class(
 
     Each blob is read by one readv: its header into a buffer, checked
     against the one its class and kind expect, and its body straight into
-    its row of the stack, plus one byte more to catch an over-long file. A
-    blob of another size or header is read again by read_response_map,
-    which words its fault, and then checked against the class id and shape.
-    The values are checked for finiteness once per stack, and over the rows
-    already read before a later blob's fault is raised; a non-finite row is
-    read again too, so the first one in name order is named.
+    its row of the stack, plus one byte more to catch an over-long file.
+    The loop only records the blobs that came back with another size or
+    header. Then, if one did or a stack is not finite (checked once per
+    stack), one scan in name order sends the first blob that was recorded,
+    or whose row is not finite, to read_response_map, which words its
+    fault, and checks it against the class id and shape.
     """
     maps = _class_maps(members, k_c)
     row = {inst.id: i for i, inst in enumerate(members)}
-    expect = {
-        kind: (
-            _HEADER.pack(RESPONSE_MAGIC, RESPONSE_VERSION, class_id, k_c, size, size),
-            _HEADER.size + 4 * k_c * size * size,
-        )
+    expect = {  # each kind's header and file size
+        kind: (_HEADER.pack(RESPONSE_MAGIC, RESPONSE_VERSION, class_id, k_c, size, size),
+               _HEADER.size + 4 * k_c * size * size)
         for kind, size in _MAP_SIZES.items()
     }
-
-    def reread(iid: str, kind: str) -> None:
-        name = f"{iid}_{kind}.vkrm"
-        found, data = read_response_map(prefix + name)
-        if found != class_id:
-            raise ValidationError(
-                f"{name}: class id {found} but instance {iid!r} is {cls!r} (id {class_id})"
-            )
-        _put(maps, row[iid], kind, name, data)
-
-    def settle(done: list[tuple[str, str]]) -> None:
-        for iid, kind in done:
-            if not _finite(getattr(maps, kind)[row[iid]]):
-                reread(iid, kind)
-
     header, spare = bytearray(_HEADER.size), bytearray(1)
-    for n, (iid, kind) in enumerate(blobs):
+    refused = []  # the blobs that came back with another size or header
+    for iid, kind in blobs:
         i, stack, (want, size) = row[iid], getattr(maps, kind), expect[kind]
         if _read_blob(f"{prefix}{iid}_{kind}.vkrm", [header, stack[i], spare]) != size or (
             header != want
         ):
-            settle(blobs[:n])
-            reread(iid, kind)
+            refused.append((iid, kind))
         maps.read[kind][i] = True
-    if not (_finite(maps.fine) and _finite(maps.coarse)):
-        settle(blobs)
+    if refused or not (_finite(maps.fine) and _finite(maps.coarse)):
+        for iid, kind in blobs:
+            if (iid, kind) in refused or not _finite(getattr(maps, kind)[row[iid]]):
+                name = f"{iid}_{kind}.vkrm"
+                found, data = read_response_map(prefix + name)
+                if found != class_id:
+                    raise ValidationError(
+                        f"{name}: class id {found} but instance {iid!r} is {cls!r} (id {class_id})"
+                    )
+                _put(maps, row[iid], kind, name, data)
     return maps
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .dataio import ValidationError
 from .metrics import Detection, EvalReport, Instance, PckResult, fraction_below, median_degrees, pck
-from .metrics import viewpoint_errors
+from .metrics import PCK_ALPHA, viewpoint_errors
 from .so3 import EulerAngles, azimuth_distance, z_reflect_azimuth
 
 SMALL_ERROR = math.pi / 9
@@ -148,7 +148,7 @@ def left_right_pck(
     gt_instances: Iterable[Instance],
     predicted_keypoints: Mapping[str, Mapping[int, tuple[float, float]]],
     symmetry_pairs: Mapping[str, Mapping[int, int]],
-    alpha: float = 0.1,
+    alpha: float = PCK_ALPHA,
 ) -> PckResult:
     """PCK where a prediction may match the keypoint or its lateral twin.
 

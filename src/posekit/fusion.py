@@ -22,6 +22,7 @@ COARSE_SIZE = GRID_SIZE // 2
 
 NEIGHBOR_THRESHOLD = math.pi / 6
 PRIOR_SIGMA = 2.0
+FINE_WEIGHT = COARSE_WEIGHT = 0.5  # the scale weights of combine_scales
 PRIOR_FLOOR = 1e-12
 
 # Instances of one class whose neighbor sets are found in one distance
@@ -105,8 +106,8 @@ def upsample_coarse(coarse: np.ndarray) -> np.ndarray:
 def combine_scales(
     fine: np.ndarray,
     coarse: np.ndarray,
-    w_fine: float = 0.5,
-    w_coarse: float = 0.5,
+    w_fine: float = FINE_WEIGHT,
+    w_coarse: float = COARSE_WEIGHT,
 ) -> np.ndarray:
     """Linear combination of fine maps and upsampled coarse maps.
 
@@ -348,8 +349,8 @@ def fuse_instances(
     bank: PriorBank,
     fine: np.ndarray,
     coarse: np.ndarray,
-    w_fine: float = 0.5,
-    w_coarse: float = 0.5,
+    w_fine: float = FINE_WEIGHT,
+    w_coarse: float = COARSE_WEIGHT,
     sigma: float = PRIOR_SIGMA,
     threshold: float = NEIGHBOR_THRESHOLD,
 ) -> np.ndarray:

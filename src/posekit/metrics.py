@@ -26,6 +26,9 @@ from .so3 import geodesic_distance  # noqa: F401  (traced alias, perfbench/selft
 from .viewpoint import angle_to_bin
 
 IOU_THRESHOLD = 0.5
+VIEWPOINT_THETA = math.pi / 6  # error threshold of accuracy_at, AVP_theta and ARP_theta
+PCK_ALPHA = 0.1  # PCK radius, as a fraction of max(h, w), for pck and apk
+APK_LAMBDA = 0.5  # detector-score weight of score_hypothesis
 
 Box = tuple[float, float, float, float]
 
@@ -193,7 +196,7 @@ def median_error(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
 
 
 def accuracy_at(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], theta: float = math.pi / 6
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]], theta: float = VIEWPOINT_THETA
 ) -> float:
     """Fraction of pairs with geodesic distance strictly below theta."""
     return fraction_below(_pair_errors(pairs, "accuracy_at"), theta)
@@ -470,7 +473,7 @@ def avp(
 def avp_theta(
     detections: Iterable[Detection],
     gt_instances: Iterable[Instance],
-    theta: float = math.pi / 6,
+    theta: float = VIEWPOINT_THETA,
     consume_on_localization: bool = True,
 ) -> dict[str, float]:
     """Detection AP with the viewpoint test azimuth_distance < theta."""
@@ -481,7 +484,7 @@ def avp_theta(
 def arp_theta(
     detections: Iterable[Detection],
     gt_instances: Iterable[Instance],
-    theta: float = math.pi / 6,
+    theta: float = VIEWPOINT_THETA,
     consume_on_localization: bool = True,
 ) -> dict[str, float]:
     """Detection AP with the full rotation test geodesic_distance < theta."""
@@ -569,7 +572,7 @@ AlternativeTargets = Mapping[str, Mapping[int, int]]
 def pck(
     gt_instances: Iterable[Instance],
     predicted_keypoints: PredictedKeypoints,
-    alpha: float = 0.1,
+    alpha: float = PCK_ALPHA,
     alternatives: AlternativeTargets | None = None,
 ) -> PckResult:
     """Fraction of annotated visible keypoints predicted within radius.
@@ -645,10 +648,14 @@ class PckColumns(NamedTuple):
         self.predicted[number] = 1
 
 
-def _within(dx: np.ndarray, dy: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distances math.hypot(dx, dy), pair by pair (np.hypot does not
-    always give the same bits), and the flags of those within radius: an
-    infinite distance never is, even within an infinite radius."""
+def _within(
+    px: np.ndarray, x: np.ndarray, py: np.ndarray, y: np.ndarray, radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """math.hypot(px - x, py - y), pair by pair (np.hypot does not always give
+    the same bits), and the flags of those within radius: an infinite distance,
+    as an overflowing difference gives, never is, even within an infinite radius."""
+    with np.errstate(over="ignore"):
+        dx, dy = px - x, py - y
     dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(dx))
     return dist, (dist <= radius) & (dist < math.inf)
 
@@ -681,7 +688,7 @@ def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> Pck
         for k in sorted(set(ids[in_class & scored].tolist())):
             entries = np.flatnonzero(in_class & scored & (ids == k))
             radius = gts.values[owner[entries]]
-            hit = _within(px[entries] - x[entries], py[entries] - y[entries], radius)[1]
+            hit = _within(px[entries], x[entries], py[entries], y[entries], radius)[1]
             partner = swaps.get(k)
             if partner is not None and partner != k:
                 # the partner's entry on each row, -1 on a row without one
@@ -692,7 +699,7 @@ def pck_of_columns(columns: PckColumns, alternatives: AlternativeTargets) -> Pck
                 usable = np.flatnonzero(mate >= 0)
                 usable = usable[scored[mate[usable]]]
                 e, m = entries[usable], mate[usable]
-                hit[usable] |= _within(px[e] - x[m], py[e] - y[m], radius[usable])[1]
+                hit[usable] |= _within(px[e], x[m], py[e], y[m], radius[usable])[1]
             hits[k], counts[k] = np.count_nonzero(hit), len(entries)
         per_keypoint[cls] = {k: hits[k] / counts[k] for k in hits}
         per_class[cls] = mean_present(per_keypoint[cls].values())
@@ -715,8 +722,8 @@ class ApkResult:
 def apk(
     detections: Iterable[Detection],
     gt_instances: Iterable[Instance],
-    alpha: float = 0.1,
-    lam: float = 0.5,
+    alpha: float = PCK_ALPHA,
+    lam: float = APK_LAMBDA,
 ) -> ApkResult:
     """Average precision of scored keypoint hypotheses, per keypoint type.
 
@@ -732,7 +739,8 @@ def apk(
     load_detections are taken and a ground-truth fault is met before a
     detection fault. Each record's keypoint entries are pooled into
     columns as it is read, and nothing else holds the record. All
-    hypotheses are then rescored by one elementwise score_hypothesis call.
+    hypotheses are then rescored by one elementwise score_hypothesis call,
+    whose ScoreError index names the first non-finite one in load order.
     A claim needs _within's hit, the test pck_of_columns uses.
     """
     images: dict[str, int] = {}
@@ -752,9 +760,11 @@ def apk(
     hyp_owner, hyp_ids, (hx, hy, hyp_scores) = hyps.owner, hyps.ids, hyps.fields
     try:
         scores = score_hypothesis(hyps.values[hyp_owner], hyp_scores, lam)
-    except ValueError:
-        _refuse_rescore(hyps, lam, images, codes)
-        raise
+    except ScoreError as exc:
+        owner = hyp_owner[exc.index]
+        image, cls = list(images)[hyps.numbers[owner]], list(codes)[hyps.classes[owner]]
+        where = f"image {image}, class {cls!r}, keypoint {hyp_ids[exc.index]}"
+        raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
     gt_classes, hyp_classes = gts.classes[gt_owner], hyps.classes[hyp_owner]
     visible = visible.astype(bool)
 
@@ -770,38 +780,32 @@ def apk(
             h = np.flatnonzero(in_hyp & (hyp_ids == k))
             cand, gt = _same_image_pairs(hyps.numbers[hyp_owner[h]], gts.numbers[gt_owner[g]])
             hr, gr = h[cand], g[gt]
-            dist, near = _within(hx[hr] - gx[gr], hy[hr] - gy[gr], gts.values[gt_owner[gr]])
+            dist, near = _within(hx[hr], gx[gr], hy[hr], gy[gr], gts.values[gt_owner[gr]])
             _, claimed = _greedy_match(scores[h], cand[near], gt[near], dist[near])
             per_keypoint[cls][k] = _pr_eval(claimed >= 0, len(g)).ap
     per_class = {cls: mean_present(aps.values()) for cls, aps in per_keypoint.items()}
     return ApkResult(per_keypoint=per_keypoint, per_class=per_class)
 
 
-def _refuse_rescore(
-    hyps: _Pooled, lam: float, images: Mapping[str, int], codes: Mapping[str, int]
-) -> None:
-    """Raise for the first hypothesis, in load order, whose score_hypothesis
-    is not finite, naming its detection's image and class from the columns."""
-    det_scores, (_, _, hyp_scores) = hyps.values.tolist(), hyps.fields
-    for owner, k, score in zip(hyps.owner.tolist(), hyps.ids.tolist(), hyp_scores.tolist()):
-        try:
-            score_hypothesis(det_scores[owner], score, lam)
-        except ValueError:
-            image = list(images)[hyps.numbers[owner]]
-            cls = list(codes)[hyps.classes[owner]]
-            where = f"image {image}, class {cls!r}, keypoint {k}"
-            raise ValueError(f"{where}: hypothesis score is not finite at lambda {lam}") from None
+class ScoreError(ValueError):
+    """A hypothesis score is not finite; index is the first such entry of
+    the scores (0 for a scalar)."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 def score_hypothesis(
-    det_score: float | np.ndarray, kp_log_likelihood: float | np.ndarray, lam: float = 0.5
+    det_score: float | np.ndarray, kp_log_likelihood: float | np.ndarray, lam: float = APK_LAMBDA
 ) -> float | np.ndarray:
     """Linear combination of detector score and keypoint log-likelihood, refused unless
-    finite (as it never is when an input is non-finite or the mix overflows).
-    Over arrays it mixes elementwise, with the same operations, and refuses
-    any non-finite entry."""
+    finite (as it never is when an input is non-finite or the mix overflows)
+    by a ScoreError. Over arrays it mixes elementwise, with the same
+    operations, and the ScoreError's index is the first non-finite entry."""
     with np.errstate(over="ignore", invalid="ignore"):
         score = lam * det_score + (1.0 - lam) * kp_log_likelihood
-    if not np.isfinite(score).all():
-        raise ValueError("score_hypothesis gave a non-finite score")
+    finite = np.isfinite(score)
+    if not finite.all():
+        raise ScoreError(int(np.argmin(finite)), "score_hypothesis gave a non-finite score")
     return score

@@ -881,6 +881,18 @@ class TestResponseMapIO:
         with pytest.raises(ValidationError, match="non-finite"):
             write_response_map(tmp_path / "x.vkrm", grid, class_id=0)
 
+    def test_writer_refuses_a_map_beyond_float32_naming_the_blob(self, tmp_path):
+        """A float64 1e300 is inf as float32: refused with the reader's
+        message for the blob, no numpy overflow warning, and no file."""
+        grid = np.zeros((1, 6, 6))
+        grid[0, 0, 0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                write_response_map(tmp_path / "i0_coarse.vkrm", grid, class_id=0)
+        assert str(exc.value) == "i0_coarse.vkrm: non-finite response values"
+        assert not (tmp_path / "i0_coarse.vkrm").exists()
+
     def test_non_finite_payload(self, tmp_path):
         p = tmp_path / "x.vkrm"
         write_response_map(p, np.zeros((1, 6, 6), np.float32), class_id=0)
@@ -1061,6 +1073,13 @@ class TestStackedReader:
         return f"{path.name}: expected {size} bytes for shape {shape}, got {size - 4}"
 
     @staticmethod
+    def _oversized(path, iid, class_id):
+        path.write_bytes(path.read_bytes() + bytes(4))
+        shape = (8, 12, 12) if path.name.endswith("_fine.vkrm") else (8, 6, 6)
+        size = 24 + 4 * math.prod(shape)
+        return f"{path.name}: expected {size} bytes for shape {shape}, got {size + 4}"
+
+    @staticmethod
     def _short_header(path, iid, class_id):
         path.write_bytes(b"VKRM\x01")
         return f"{path.name}: truncated header"
@@ -1120,6 +1139,9 @@ class TestStackedReader:
             ("version", "non_finite"),
             ("non_finite", "class_id"),
             ("non_finite", "shape"),
+            ("oversized", "non_finite"),
+            ("shape", "non_finite"),
+            ("non_finite", "non_finite"),
         ],
     )
     def test_first_fault_in_blob_name_order_wins(self, tmp_path, first, later):

@@ -17,6 +17,7 @@ from posekit.metrics import (
     Instance,
     Keypoint,
     KeypointHypothesis,
+    ScoreError,
     accuracy_at,
     apk,
     arp_theta,
@@ -609,13 +610,11 @@ class TestPck:
                      keypoints={0: Keypoint(-1e308, 0.0), 1: Keypoint(-1e308, 5.0)})
         assert pck_threshold(inst.bbox, 1e308) == math.inf
         preds = {"i0": {0: (1e308, 0.0), 1: (1e308, 5.0)}}
-        with np.errstate(over="ignore"):
-            for alternatives in (None, {"car": {0: 1, 1: 0}}):
-                out = pck([inst], preds, alpha=1e308, alternatives=alternatives)
-                assert out.per_keypoint["car"] == {0: 0.0, 1: 0.0}
-            det = _det(bbox=inst.bbox,
-                       keypoint_hypotheses={0: KeypointHypothesis(1e308, 0.0, 0.9)})
-            assert apk([det], [inst], alpha=1e308).per_keypoint["car"][0] == 0.0
+        for alternatives in (None, {"car": {0: 1, 1: 0}}):
+            out = pck([inst], preds, alpha=1e308, alternatives=alternatives)
+            assert out.per_keypoint["car"] == {0: 0.0, 1: 0.0}
+        det = _det(bbox=inst.bbox, keypoint_hypotheses={0: KeypointHypothesis(1e308, 0.0, 0.9)})
+        assert apk([det], [inst], alpha=1e308).per_keypoint["car"][0] == 0.0
         # a finite distance within the infinite radius is a hit in both
         near = {"i0": {0: (-1e308, 0.0), 1: (-1e308, 5.0)}}
         assert pck([inst], near, alpha=1e308).per_keypoint["car"] == {0: 1.0, 1: 1.0}
@@ -927,6 +926,21 @@ class TestScoreHypothesis:
             score_hypothesis(1e308, 1e308, 3.0)
         with pytest.raises(ValueError, match="non-finite"):
             score_hypothesis(0.0, 1e308, -2.0)
+
+    def test_refusal_carries_the_first_non_finite_index(self):
+        """Over arrays the index is the first non-finite entry, whatever
+        follows it; a scalar's is 0."""
+        det = np.array([1.0, 1e308, 1.0, math.nan])
+        with pytest.raises(ScoreError) as info:
+            score_hypothesis(det, np.array([0.5, 1e308, -1e308, 0.5]), 3.0)
+        assert info.value.index == 1
+        assert str(info.value) == "score_hypothesis gave a non-finite score"
+        with pytest.raises(ScoreError) as info:
+            score_hypothesis(np.ones(4), np.array([0.5, 0.5, 0.5, math.inf]))
+        assert info.value.index == 3
+        with pytest.raises(ScoreError) as info:
+            score_hypothesis(math.nan, 0.0)
+        assert info.value.index == 0 and isinstance(info.value, ValueError)
 
 
 class TestDataShapes:
